@@ -9,6 +9,7 @@ algorithm over directed boundary lines with the feasible side on the left.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -273,7 +274,15 @@ def tau_contour(
     thetas = []
     if estimator == "frequentist":
         for direction, basis in zip(dirs, bases):
-            thetas.append(frequentist_fit(data, direction, basis=basis).theta)
+            fit = frequentist_fit(data, direction, basis=basis)
+            if not fit.converged:
+                warnings.warn(
+                    f"frequentist fit did not converge (tau={tau}, u={direction.u.tolist()}, "
+                    f"{fit.iterations} iterations); its hyperplane enters the contour as is",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            thetas.append(fit.theta)
     elif simultaneous:
         if prior is None:
             prior = PriorSpec(

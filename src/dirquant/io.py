@@ -15,6 +15,7 @@ import tempfile
 
 import numpy as np
 
+from . import __version__
 from .contours import ContourPolygon
 from .samplers import Chain
 
@@ -29,7 +30,7 @@ __all__ = [
     "write_json",
 ]
 
-PACKAGE_VERSION = "0.1.0"
+PACKAGE_VERSION = __version__
 
 
 def _fmt(x: float) -> str:

@@ -30,45 +30,61 @@ class FitResult:
     stage_objectives: tuple = field(default=())
 
 
-def _smoothed_loss_terms(r, tau, eps):
-    # rho_tau(r) = (tau - 1/2) r + |r|/2 with |r| Huberized at width eps
+def _smoothed_loss(r, w, tau, eps):
+    # sum_i w_i rho_tau(r_i), rho_tau(r) = (tau - 1/2) r + |r|/2 with |r|
+    # Huberized at width eps
     a = np.abs(r)
-    hub = np.where(a <= eps, r * r / (2.0 * eps), a - eps / 2.0)
-    loss = (tau - 0.5) * r + 0.5 * hub
-    dhub = np.clip(r / eps, -1.0, 1.0)
-    grad = (tau - 0.5) + 0.5 * dhub
-    curv = np.where(a < eps, 0.5 / eps, 0.0)
-    return loss, grad, curv
+    quad = np.multiply(r, r)
+    quad /= 2.0 * eps
+    inside = a <= eps
+    hub = np.where(inside, quad, np.subtract(a, eps / 2.0, out=a))
+    hub *= 0.5
+    loss = np.multiply(tau - 0.5, r, out=quad)
+    loss += hub
+    loss *= w
+    return float(np.sum(loss))
 
 
 def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
-    n = y.size
     sw = float(np.sum(w))
     lam = 1e-10
-    loss, g1, _ = _smoothed_loss_terms(y - z @ theta, tau, eps)
-    f = float(np.sum(w * loss))
+    z_t = z.T
+    eye = np.eye(theta.size)
+    scaled = np.empty(z.shape)  # z * (w * curvature)[:, None]
+    r = z @ theta
+    np.subtract(y, r, out=r)
+    f = _smoothed_loss(r, w, tau, eps)
     it = 0
     for it in range(1, max_iter + 1):
-        r = y - z @ theta
-        _, g1, c = _smoothed_loss_terms(r, tau, eps)
-        grad = -(z.T @ (w * g1))
+        # the residual r belongs to the current theta: the start or the last
+        # accepted candidate
+        g1 = np.divide(r, eps)
+        np.clip(g1, -1.0, 1.0, out=g1)
+        g1 *= 0.5
+        g1 += tau - 0.5
+        g1 *= w
+        grad = -(z_t @ g1)
         if np.max(np.abs(grad)) <= gtol * max(1.0, sw):
             return theta, f, it, True
-        hess = (z * (w * c)[:, None]).T @ z
+        curv = np.where(np.abs(r) < eps, 0.5 / eps, 0.0)
+        curv *= w
+        np.multiply(z, curv[:, None], out=scaled)
+        hess = scaled.T @ z
         scale = max(np.max(np.abs(np.diag(hess))), 1.0)
         accepted = False
         for _ in range(40):
             try:
-                step = np.linalg.solve(hess + lam * scale * np.eye(theta.size), -grad)
+                step = np.linalg.solve(hess + lam * scale * eye, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             cand = theta + step
-            loss_c, _, _ = _smoothed_loss_terms(y - z @ cand, tau, eps)
-            f_c = float(np.sum(w * loss_c))
+            r_c = z @ cand
+            np.subtract(y, r_c, out=r_c)
+            f_c = _smoothed_loss(r_c, w, tau, eps)
             if f_c <= f + 1e-12 * max(1.0, abs(f)):
                 improved = f - f_c
-                theta, f = cand, f_c
+                theta, f, r = cand, f_c, r_c
                 lam = max(lam * 0.3, 1e-12)
                 accepted = True
                 if improved <= 1e-14 * max(1.0, abs(f)):

@@ -20,6 +20,7 @@ alpha) for the unconditional model and design order for conditional models.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,37 +201,54 @@ def sample_gig_half(a, b, rng, size=None):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a < 0) or np.any(b < 0):
-        raise DomainError("GIG parameters must be nonnegative")
-    if np.any(b == 0):
+    if (a < 0).any() or (b <= 0).any():
+        if (a < 0).any() or (b < 0).any():
+            raise DomainError("GIG parameters must be nonnegative")
         raise DomainError("nu = 1/2 GIG requires b > 0 (density not normalizable at b = 0)")
     scalar = a.ndim == 0 and b.ndim == 0 and size is None
     if size is None:
-        shape = np.broadcast_shapes(a.shape, b.shape)
+        shape = np.broadcast(a, b).shape
     else:
         shape = (size,) if np.isscalar(size) else tuple(size)
-    a = np.broadcast_to(a, shape).astype(float)
-    b = np.broadcast_to(b, shape).astype(float)
+        np.broadcast_to(a, shape), np.broadcast_to(b, shape)  # parameters must fit size
 
     nu = rng.standard_normal(shape)
-    u = rng.uniform(size=shape)
+    u = rng.random(shape)  # the values and stream of rng.uniform(size=shape)
+    if not shape:  # 0-d draws become 1-d so the in-place steps below apply
+        nu, u = nu.reshape(1), u.reshape(1)
     y = nu * nu
 
+    # where a <= b * 1e-150 the gamma limit (nu / b)^2 replaces the draw, and
+    # ab and ratio hold placeholders
     small = a <= b * 1e-150
-    ab = np.where(small, 1.0, a * b)  # placeholder where the gamma limit is used
-    root = np.sqrt(y * y + 4.0 * ab * y)
+    any_small = small.any()
+    t = np.multiply(a, b, out=np.empty(y.shape))
+    if any_small:
+        t = np.where(small, 1.0, t)
+    t *= 4.0
+    t *= y  # 4ab * y
+    root = y * y
+    root += t
+    np.sqrt(root, out=root)
     # h = T/mu for the smaller inverse-Gaussian root; the rationalized form
     # 4ab*y / (y + root)^2 stays exact when 4ab*y underflows next to y^2
-    denom = (y + root) ** 2
+    denom = np.add(y, root, out=root)
+    denom *= denom
     with np.errstate(invalid="ignore", divide="ignore"):
-        h = np.where(y == 0.0, 1.0, 4.0 * ab * y / denom)
-    accept = u <= 1.0 / (1.0 + h)
-    ratio = np.where(small, 1.0, a / b)
-    x = np.where(accept, ratio / h, ratio * h)
-    x = np.where(small, (nu / b) ** 2, x)
+        h = np.divide(t, denom, out=t)
+    if not y.all():
+        h[y == 0.0] = 1.0
+    bound = np.add(1.0, h, out=denom)
+    accept = u <= np.divide(1.0, bound, out=bound)
+    ratio = a / b
+    if any_small:
+        ratio = np.where(small, 1.0, ratio)
+    x = np.where(accept, ratio / h, np.multiply(ratio, h, out=h))
+    if any_small:
+        x = np.where(small, (nu / b) ** 2, x)
     if scalar:
-        return float(x)
-    return x
+        return float(x[0])
+    return x.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +288,34 @@ def _gibbs_sweeps(blocks, n_draws, rng, thetas):
     dims = [b["design"].shape[1] for b in blocks]
     out = np.empty((n_draws, int(np.sum(dims))))
     offsets = np.concatenate([[0], np.cumsum(dims)])
+    # the loop-invariant pieces of each block, and a buffer for design * wq
+    latent_terms = [(b["y"], b["design"], b["weights"], b["gamma"], b["b_lat"]) for b in blocks]
+    draw_terms = [
+        (b["design"], b["design"].T, b["weights"], b["weights"] * b["weights"],
+         b["weights"] * b["y"], b["eta"], b["gamma"] ** 2, b["prior_prec"], b["prior_rhs"],
+         np.empty(b["design"].shape))
+        for b in blocks
+    ]
     for m in range(n_draws):
         latents = []
-        for blk, theta in zip(blocks, thetas):
-            resid = blk["y"] - blk["design"] @ theta
-            a_lat = blk["weights"] * np.abs(resid) / blk["gamma"]
-            w = sample_gig_half(a_lat, blk["b_lat"], rng)
-            latents.append(np.maximum(w, constants.LATENT_FLOOR))
-        for j, (blk, w) in enumerate(zip(blocks, latents)):
-            kw = blk["weights"]
-            gam2 = blk["gamma"] ** 2
-            wq = kw * kw / (gam2 * w)
-            prec = blk["prior_prec"] + (blk["design"] * wq[:, None]).T @ blk["design"]
-            rhs = blk["prior_rhs"] + blk["design"].T @ (
-                kw * (kw * blk["y"] - blk["eta"] * w) / (gam2 * w)
-            )
+        for (y, design, kw, gamma, b_lat), theta in zip(latent_terms, thetas):
+            a_lat = design @ theta
+            np.subtract(y, a_lat, out=a_lat)
+            np.abs(a_lat, out=a_lat)
+            a_lat *= kw
+            a_lat /= gamma  # kw * |y - design @ theta| / gamma
+            w = sample_gig_half(a_lat, b_lat, rng)
+            latents.append(np.maximum(w, constants.LATENT_FLOOR, out=w))
+        for j, (terms, w) in enumerate(zip(draw_terms, latents)):
+            design, design_t, kw, kw2, kwy, eta, gam2, prior_prec, prior_rhs, scaled = terms
+            gw = np.multiply(gam2, w)
+            np.multiply(design, np.divide(kw2, gw)[:, None], out=scaled)
+            prec = prior_prec + scaled.T @ design
+            resp = np.multiply(eta, w, out=w)
+            np.subtract(kwy, resp, out=resp)
+            resp *= kw
+            resp /= gw  # kw * (kw * y - eta * w) / (gamma^2 * w)
+            rhs = prior_rhs + design_t @ resp
             try:
                 chol = np.linalg.cholesky(prec)
             except np.linalg.LinAlgError as exc:
@@ -314,7 +345,7 @@ def _make_block(y, design, weights, tau, prior):
     }
 
 
-def _resolve_init(init, design, y, tau, weights, prior, allow_hyperplane=True):
+def _resolve_init(init, design, y, direction, weights, prior, allow_hyperplane=True):
     if init is not None:
         if isinstance(init, HyperplaneParams):
             if not allow_hyperplane:
@@ -329,7 +360,16 @@ def _resolve_init(init, design, y, tau, weights, prior, allow_hyperplane=True):
         return vec
     n, d = design.shape
     if n > d:
-        return np.asarray(fit_check_loss(design, y, tau, weights=weights).theta, dtype=float)
+        fit = fit_check_loss(design, y, direction.tau, weights=weights)
+        if not fit.converged:
+            warnings.warn(
+                f"check-loss fit for the initial point did not converge (tau={direction.tau}, "
+                f"u={direction.u.tolist()}, {fit.iterations} iterations); the chain starts "
+                "from its last iterate",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return np.asarray(fit.theta, dtype=float)
     return prior.mean.copy()
 
 
@@ -373,7 +413,7 @@ def gibbs_unconditional(
         y = projected.y_u
         design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
     weights = np.ones(y.size)
-    theta0 = _resolve_init(init, design, y, direction.tau, None, prior)
+    theta0 = _resolve_init(init, design, y, direction, None, prior)
     rng = _rng_from_seed(seed)
     block = _make_block(y, design, weights, direction.tau, prior)
     draws = _gibbs_sweeps([block], n_draws, rng, [theta0])
@@ -462,7 +502,7 @@ def gibbs_conditional(
     weights = kernel_weights(kernel, data.x, design.x0)
     if float(np.max(weights, initial=0.0)) < constants.WEIGHT_FLOOR:
         raise DegenerateWindowError("all kernel weights underflowed at this x0")
-    theta0 = _resolve_init(init, design.regressors, projected.y_u, direction.tau,
+    theta0 = _resolve_init(init, design.regressors, projected.y_u, direction,
                            weights, prior, allow_hyperplane=False)
     rng = _rng_from_seed(seed)
     block = _make_block(projected.y_u, design.regressors, weights, direction.tau, prior)
@@ -531,7 +571,7 @@ def gibbs_simultaneous(
             covariance=cov[m * d_block : (m + 1) * d_block, m * d_block : (m + 1) * d_block],
         )
         if init is None:
-            theta0 = _resolve_init(None, design, projected.y_u, direction.tau, None, sub_prior)
+            theta0 = _resolve_init(None, design, projected.y_u, direction, None, sub_prior)
         else:
             theta0 = init[m * d_block : (m + 1) * d_block]
         blocks.append(_make_block(projected.y_u, design, np.ones(data.n), direction.tau, sub_prior))

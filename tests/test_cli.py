@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+import dirquant
 from dirquant.cli import ingest_csv, main, parse_config_text
 from dirquant.errors import ConfigError, DataError
-from dirquant.io import read_chain, write_chain
+from dirquant.io import provenance_block, read_chain, write_chain
 from dirquant.samplers import Chain
 
 
@@ -103,6 +104,11 @@ class TestChainRoundTrip:
         assert back.names == chain.names
         assert back.layout == chain.layout
         assert back.seed == 77 and back.burn_in == 10
+
+
+class TestProvenance:
+    def test_version_is_the_package_version(self):
+        assert provenance_block({"a": 1}, 7)["version"] == dirquant.__version__
 
 
 class TestCommands:

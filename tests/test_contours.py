@@ -1,8 +1,12 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirquant import contours
 from dirquant.ald import HyperplaneParams
 from dirquant.contours import (
     Halfplane,
@@ -171,6 +175,25 @@ class TestTauContour:
         a = tau_contour(square_data, 0.3, 8, estimator="bayes-mean", n_draws=200, burn_in=50, seed=5)
         b = tau_contour(square_data, 0.3, 8, estimator="bayes-mean", n_draws=200, burn_in=50, seed=5)
         assert a.vertices.tobytes() == b.vertices.tobytes()
+
+    def test_unconverged_frequentist_fit_warns(self, square_data, monkeypatch):
+        real_fit = contours.frequentist_fit
+
+        def unconverged(data, direction, **kwargs):
+            fit = real_fit(data, direction, **kwargs)
+            if direction.u[0] < -0.5:
+                fit = dataclasses.replace(fit, iterations=9, converged=False)
+            return fit
+
+        monkeypatch.setattr(contours, "frequentist_fit", unconverged)
+        with pytest.warns(RuntimeWarning) as caught:
+            poly = tau_contour(square_data, 0.3, 8, estimator="frequentist")
+        # one warning per unconverged direction: three of the eight have u1 < -1/2
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 3
+        assert all(re.search(r"did not converge \(tau=0\.3, u=\[.*\], 9 iterations\)", m) for m in messages)
+        assert any("u=[-1.0, " in m for m in messages)
+        assert poly.vertices.shape[0] >= 3
 
     def test_k3_rejected(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,182 @@
+"""The GIG draw, Gibbs sweep and Newton stage against their first versions.
+
+The library kernels were rewritten for speed on the promise that no output
+bit changes.  Each test runs the library kernels and the copies in
+``reference_kernels.py`` in this process, on the same inputs and seeds, and
+compares bytes, so the check holds under whichever BLAS numpy uses.
+"""
+
+import numpy as np
+import pytest
+
+import reference_kernels as ref
+from dirquant import optimize, samplers
+from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
+from dirquant.samplers import (
+    KernelSpec,
+    PriorSpec,
+    gibbs_conditional,
+    gibbs_simultaneous,
+    gibbs_unconditional,
+    kernel_weights,
+    make_conditional_design,
+    sample_gig_half,
+)
+
+
+def _same_bytes(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    return new.dtype == old.dtype and new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def _gig_pair(a, b, seed, size=None):
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = sample_gig_half(a, b, rng_new, size=size)
+    old = ref.sample_gig_half(a, b, rng_old, size=size)
+    # the same stream consumption: both generators end in the same state
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    return new, old
+
+
+class TestGigParity:
+    def test_scalar(self):
+        for a, b in [(1.3, 0.9), (0.0, 2.0), (1e-300, 1.0), (4.0, 1e-3)]:
+            new, old = _gig_pair(a, b, 1)
+            assert type(new) is type(old) is float
+            assert _same_bytes(new, old)
+
+    @pytest.mark.parametrize("a, size", [(0.7, 1), (0.7, 1000), (0.7, (10, 3)), (0.7, ()),
+                                         (np.array([0.0, 0.5, 2.0]), (4, 3))])
+    def test_size(self, a, size):
+        assert _same_bytes(*_gig_pair(a, 1.4, 2, size=size))
+
+    def test_array_b(self):
+        rng = np.random.default_rng(4)
+        a = np.abs(rng.standard_normal((6, 50)))
+        b = rng.uniform(0.1, 3.0, 50)
+        assert _same_bytes(*_gig_pair(a, b, 5))
+        assert _same_bytes(*_gig_pair(a[0], b, 6))
+
+    def test_zero_and_extreme_a(self):
+        # a = 0 takes the gamma limit; 1e-300 and 1e300 stress the rationalized root
+        rng = np.random.default_rng(7)
+        a = np.abs(rng.standard_normal(5000))
+        a[::7] = 0.0
+        a[3], a[5], a[11] = 1e-300, 1e300, 1e-155
+        assert _same_bytes(*_gig_pair(a, 1.3, 8))
+        assert _same_bytes(*_gig_pair(np.zeros(100), 0.5, 9))
+
+    def test_zero_and_underflowing_normal(self):
+        # y = nu^2 == 0 (nu = 0, or nu so small that its square underflows)
+        # has its own branch; a stub stream forces it
+        class Stream:
+            def __init__(self):
+                self.normal = np.array([0.0, 1e-170, -0.4, 2.0, 0.0, 3e-200])
+                self.unif = np.array([0.3, 0.9, 0.5, 0.1, 0.99, 0.2])
+
+            def standard_normal(self, shape):
+                return self.normal.reshape(shape).copy()
+
+            def uniform(self, size):
+                return self.unif.reshape(size).copy()
+
+            random = uniform
+
+        a = np.array([1.0, 0.5, 0.0, 2.0, 0.0, 1e-160])
+        new = sample_gig_half(a, 1.2, Stream())
+        old = ref.sample_gig_half(a, 1.2, Stream())
+        assert _same_bytes(new, old)
+
+
+@pytest.fixture
+def parent_kernels(monkeypatch):
+    """Run a callable with the reference sweep and Newton stage in place."""
+
+    def run(fn):
+        with monkeypatch.context() as m:
+            m.setattr(samplers, "_gibbs_sweeps", ref._gibbs_sweeps)
+            m.setattr(optimize, "_newton_stage", ref._newton_stage)
+            return fn()
+
+    return run
+
+
+@pytest.fixture
+def data():
+    rng = np.random.default_rng(11)
+    return Dataset(y=rng.standard_normal((400, 2)), x=rng.uniform(-3.0, 3.0, (400, 1)))
+
+
+class TestGibbsParity:
+    def test_unconditional(self, data, parent_kernels):
+        direction = Direction(u=np.array([0.6, 0.8]), tau=0.2)
+        prior = PriorSpec(mean=np.zeros(3), covariance=1000.0 * np.eye(3))
+
+        def run():
+            return gibbs_unconditional(data, direction, prior, n_draws=300, burn_in=50, seed=12)
+
+        assert _same_bytes(run().draws, parent_kernels(run).draws)
+
+    def test_conditional_with_kernel_weights(self, data, parent_kernels):
+        direction = Direction(u=np.array([-0.8, 0.6]), tau=0.3)
+        basis = orthonormal_complement(direction.u)
+        x0 = np.array([0.0])
+        design = make_conditional_design(project(data, direction, basis), data.x, x0, "local-bilinear")
+        kernel = KernelSpec(bandwidth=0.1)
+        weights = kernel_weights(kernel, data.x, x0)
+        # weights range from the kernel peak down past 1e-150, where the latent
+        # draw takes its gamma limit
+        assert weights.max() > 1.0 and weights.min() < 1e-160
+        prior = PriorSpec(mean=np.zeros(4), covariance=100.0 * np.eye(4))
+
+        def run():
+            return gibbs_conditional(data, direction, design, kernel, prior,
+                                     n_draws=300, burn_in=50, seed=13)
+
+        assert _same_bytes(run().draws, parent_kernels(run).draws)
+
+    def test_simultaneous_three_blocks(self, data, parent_kernels):
+        dirs = [Direction(u=np.array([np.cos(t), np.sin(t)]), tau=0.25) for t in (0.3, 2.4, 4.5)]
+        prior = PriorSpec(mean=np.zeros(9), covariance=100.0 * np.eye(9))
+
+        def run():
+            return gibbs_simultaneous(data, dirs, prior, n_draws=200, burn_in=20, seed=14)
+
+        assert _same_bytes(run().draws, parent_kernels(run).draws)
+
+
+class TestNewtonParity:
+    @staticmethod
+    def _problem(n, seed):
+        rng = np.random.default_rng(seed)
+        z = np.column_stack([rng.standard_normal((n, 2)), np.ones(n)])
+        y = z @ np.array([0.3, -0.2, 1.0]) + rng.standard_t(3, n)
+        return z, y, rng.uniform(0.0, 2.0, n)
+
+    @pytest.mark.parametrize("n, tau, weighted", [(60, 0.2, False), (3000, 0.5, True),
+                                                  (3000, 0.9, False), (800, 0.05, True)])
+    def test_fit_check_loss(self, n, tau, weighted, parent_kernels):
+        z, y, w = self._problem(n, n)
+
+        def run():
+            return optimize.fit_check_loss(z, y, tau, weights=w if weighted else None)
+
+        new, old = run(), parent_kernels(run)
+        assert _same_bytes(new.theta, old.theta)
+        assert _same_bytes(new.objective, old.objective)
+        assert new.iterations == old.iterations
+        assert new.converged == old.converged
+        assert _same_bytes(new.stage_objectives, old.stage_objectives)
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 60])
+    def test_stage_including_iteration_cap(self, max_iter):
+        # a capped stage returns unconverged; both versions must agree on that too
+        z, y, w = self._problem(500, 15)
+        theta0 = np.linalg.lstsq(z, y, rcond=None)[0]
+        new = optimize._newton_stage(z, y, 0.3, w, theta0, 0.05, max_iter=max_iter)
+        old = ref._newton_stage(z, y, 0.3, w, theta0, 0.05, max_iter=max_iter)
+        assert _same_bytes(new[0], old[0])
+        assert _same_bytes(new[1], old[1])
+        assert new[2:] == old[2:]
+        if max_iter == 1:
+            assert new[3] is False

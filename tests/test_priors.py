@@ -1,4 +1,5 @@
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -168,6 +169,27 @@ class TestReciprocalGaussian:
         assert printed == pytest.approx(pref * math.exp(a * root / b**4), rel=1e-12)
         assert numeric == pytest.approx(pref * math.exp(a * root / (2 * b * b)), rel=1e-6)
         assert not math.isclose(printed, numeric, rel_tol=0.5)  # genuinely different here
+
+    def test_pole_is_zero_without_warning(self):
+        pole = U45[1] / U45[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = reciprocal_gaussian_pdf(np.array([pole - 0.5, pole, pole + 0.5]), self.MU, self.SD, U45)
+            at_pole = reciprocal_gaussian_pdf(pole, self.MU, self.SD, U45)
+        assert dens[1] == 0.0 and at_pole == 0.0
+        assert dens[0] > 0.0 and dens[2] > 0.0
+
+    def test_values_off_the_pole_follow_the_closed_form(self):
+        # the same float operations as the density's closed form, bit for bit
+        u1, u2 = U45
+        a = self.MU * u1 * u1 - u1 * u2
+        b = abs(u1 * u1 * self.SD)
+        pole = u2 / u1
+        phi = pole + np.linspace(-6.0, 6.0, 2000)  # an even count misses the pole
+        t = phi - pole
+        expected = 1.0 / (np.sqrt(2.0 * np.pi * b * b) * t * t) * np.exp(-((1.0 / t - a) ** 2) / (2.0 * b * b))
+        dens = reciprocal_gaussian_pdf(phi, self.MU, self.SD, U45)
+        assert dens.tobytes() == expected.tobytes()
 
     def test_vertical_direction_unsupported(self):
         with pytest.raises(DomainError):

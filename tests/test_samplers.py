@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dirquant import samplers
 from dirquant.errors import (
     DegenerateWindowError,
     InitializationError,
@@ -99,6 +102,18 @@ class TestGibbsUnconditional:
             post = chain.post_burn()[:, 1]
             widths.append(np.quantile(post, 0.75) - np.quantile(post, 0.25))
         assert widths[1] < widths[0] / 5.0
+
+    def test_unconverged_init_fit_warns(self, square_data, vertical_direction, monkeypatch):
+        real_fit = samplers.fit_check_loss
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real_fit(*args, **kwargs), iterations=7, converged=False)
+
+        monkeypatch.setattr(samplers, "fit_check_loss", unconverged)
+        with pytest.warns(RuntimeWarning, match=r"tau=0\.2, u=\[0\.0, 1\.0\], 7 iterations"):
+            chain = gibbs_unconditional(square_data, vertical_direction, PRIOR2,
+                                        n_draws=20, burn_in=5, seed=1)
+        assert chain.draws.shape == (20, 2)  # the chain still runs from that start
 
 
 class TestGibbsConditional:
