@@ -294,6 +294,15 @@ def _cmd_ci(cfg: dict, args) -> int:
     return 0
 
 
+def _write_tables(out: str, tables: dict, names) -> None:
+    """Write the named simlab tables as CSV; report each failed replication."""
+    for name in sorted(names):
+        io.write_table_csv(os.path.join(out, f"{name}.csv"), tables[name])
+    for row in tables["failures"]:
+        cell = " ".join(f"{k}={v}" for k, v in row.items() if k not in ("rep", "error"))
+        print(f"simulate: {cell} replication {row['rep']} failed: {row['error']}", file=sys.stderr)
+
+
 def _cmd_simulate(cfg: dict, args) -> int:
     profile = _get(cfg, "profile", "desk")
     if profile == "desk":
@@ -316,17 +325,16 @@ def _cmd_simulate(cfg: dict, args) -> int:
     prov = io.provenance_block(cfg, config.master_seed)
 
     which = set(_as_list(_get(cfg, "tables", "rmse,subgradient,coverage,conditional")))
-    if which & {"rmse", "subgradient"}:
-        tables = simlab.simulation_tables(config, workers=workers)
-        for name in sorted(which & {"rmse", "subgradient"}):
-            io.write_table_csv(os.path.join(out, f"{name}.csv"), tables[name])
-    if "coverage" in which:
-        cov_cfg = replace(config, dgps=tuple(d for d in config.dgps if d != 4))
-        rows = simlab.coverage_experiment(cov_cfg, workers=workers)
-        io.write_table_csv(os.path.join(out, "coverage.csv"), rows)
+    unconditional = which & {"rmse", "subgradient", "coverage"}
+    if unconditional:
+        sim_config = config
+        if unconditional == {"coverage"}:  # DGP 4 is last, so cell indices are kept
+            sim_config = replace(config, dgps=tuple(d for d in config.dgps if d != 4))
+        tables = simlab.simulation_tables(sim_config, workers=workers)
+        _write_tables(out, tables, unconditional)
     if "conditional" in which:
-        rows = simlab.conditional_rmse_experiment(config, workers=workers)
-        io.write_table_csv(os.path.join(out, "conditional.csv"), rows)
+        tables = simlab.conditional_rmse_experiment(config, workers=workers)
+        _write_tables(out, tables, {"conditional"})
     io.write_json(os.path.join(out, "provenance.json"), prov)
     print(f"simulate: wrote tables to {out}")
     return 0

@@ -205,15 +205,13 @@ def reciprocal_gaussian_pdf(phi, mu_beta: float, sigma_beta: float, u):
     a, b, pole = _implied_slope_parameters(mu_beta, sigma_beta, u)
     phi = np.asarray(phi, dtype=float)
     t = phi - pole
-    at_pole = t == 0.0
-    t = np.where(at_pole, 1.0, t)  # the density's limit at the pole is 0, set below
-    with np.errstate(divide="ignore", over="ignore"):
-        dens = (
-            1.0
-            / (np.sqrt(2.0 * np.pi * b * b) * t * t)
-            * np.exp(-((1.0 / t - a) ** 2) / (2.0 * b * b))
-        )
-    return np.where(at_pole, 0.0, dens)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = 1.0 / (np.sqrt(2.0 * np.pi * b * b) * t * t)
+        kernel = np.exp(-((1.0 / t - a) ** 2) / (2.0 * b * b))
+        dens = scale * kernel
+    # near the pole the kernel underflows to 0 long before t*t does, so where
+    # scale overflows (and at the pole itself) the density takes its limit, 0
+    return np.where(kernel == 0.0, 0.0, dens)
 
 
 def reciprocal_gaussian_modes(mu_beta: float, sigma_beta: float, u) -> tuple[float, float]:

@@ -1,9 +1,13 @@
 """Data generating processes and the Monte Carlo experiment drivers.
 
 Four DGPs: uniform square, uniform triangle, a correlated bivariate normal,
-and a normal regression model with one covariate.  The drivers replicate
-sampling + estimation over a seed-derived grid of cells and summarize RMSE,
-interval coverage, and subgradient convergence.
+and a normal regression model with one covariate.  Two drivers replicate
+sampling + estimation over a seed-derived grid of cells:
+``simulation_tables`` builds the unconditional RMSE, subgradient and
+interval-coverage tables from one pass over the same chains, and
+``conditional_rmse_experiment`` the conditional model's RMSE table.  Both run
+their replications through one fan-out (at most one worker pool per call)
+and return each failed replication with the reason it failed.
 
 The regression DGP draws (x, z) jointly normal and returns y = z + (0, x)'.
 Its conditional experiments use the correlated pair without that level
@@ -13,6 +17,7 @@ N((0, x0/2), [[1, 1.5], [1.5, 8]]), the law the conditional oracle targets.
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -36,6 +41,7 @@ from .samplers import (
     gibbs_conditional,
     gibbs_unconditional,
     make_conditional_design,
+    unconditional_param_names,
 )
 
 __all__ = [
@@ -47,7 +53,6 @@ __all__ = [
     "population_params_oracle",
     "conditional_params_oracle",
     "simulation_tables",
-    "coverage_experiment",
     "conditional_rmse_experiment",
     "make_star_like",
     "DESK_PROFILE",
@@ -202,25 +207,21 @@ def _rep_seed(master: int, cell_index: int, rep: int, stream: int = 0) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _cell_oracle(config: ExperimentConfig, dgp: int, u, tau, cache=None):
+def _cell_oracle(config: ExperimentConfig, dgp: int, u, tau, cache: dict):
     key = (dgp, tuple(u), tau)
-    if cache is not None and key in cache:
-        return cache[key]
-    direction = Direction(u=np.asarray(u), tau=tau)
-    basis = orthonormal_complement(direction.u, convention=config.basis_convention)
-    theta = population_params_oracle(
-        dgp, direction, mc_size=config.oracle_mc_size, basis=basis
-    )
-    out = (direction, basis, theta)
-    if cache is not None:
-        cache[key] = out
-    return out
+    if key not in cache:
+        direction = Direction(u=np.asarray(u), tau=tau)
+        basis = orthonormal_complement(direction.u, convention=config.basis_convention)
+        cache[key] = population_params_oracle(
+            dgp, direction, mc_size=config.oracle_mc_size, basis=basis
+        )
+    return cache[key]
 
 
 def _replicate_cell(args):
-    """One unconditional replication: sample, fit, summarize.  Top level so
-    experiment drivers can fan replications out to worker processes."""
-    (dgp, u, tau, n, data_seed, chain_seed, n_draws, burn_in, convention, level, want_ci) = args
+    """One unconditional replication: sample, fit, summarize.  Location
+    models (p = 0, k = 2) also get their asymptotic and naive intervals."""
+    (dgp, u, tau, n, n_draws, burn_in, convention, level, data_seed, chain_seed) = args
     direction = Direction(u=np.asarray(u), tau=tau)
     basis = orthonormal_complement(direction.u, convention=convention)
     data = dgp_sample(DgpSpec(id=dgp, n=n, seed=data_seed))
@@ -241,7 +242,7 @@ def _replicate_cell(args):
         "sg2": report.sg2,
         "sg2_target": tau * dgp_stacked_mean(dgp, data.k),
     }
-    if want_ci and data.p == 0 and data.k == 2:
+    if data.p == 0 and data.k == 2:
         ci = asymptotic_ci(chain, data, direction, level=level, basis=basis)
         nci = naive_ci(chain, level=level)
         out["ci"] = (ci.lower, ci.upper)
@@ -249,51 +250,60 @@ def _replicate_cell(args):
     return out
 
 
-def _safe_replicate_cell(args):
+def _replicate_conditional(args):
+    (u, tau, n, x0, n_draws, burn_in, convention, data_seed, chain_seed) = args
+    direction = Direction(u=np.asarray(u), tau=tau)
+    basis = orthonormal_complement(direction.u, convention=convention)
+    data = dgp4_conditional_sample(n, seed=data_seed)
+    projected = project(data, direction, basis)
+    design = make_conditional_design(projected, data.x, np.array([x0]), "local-constant")
+    kernel = KernelSpec(bandwidth=default_bandwidth(data.x))
+    prior = PriorSpec(mean=np.zeros(design.dim), covariance=1000.0 * np.eye(design.dim))
+    chain = gibbs_conditional(
+        data, direction, design, kernel, prior,
+        n_draws=n_draws, burn_in=burn_in, seed=chain_seed, basis=basis,
+    )
+    return {"estimate": posterior_vector(chain)}  # (alpha, beta_y)
+
+
+def _attempt(task):
+    """Run one replication; a failure comes back as its ``repr``.  Top level
+    so the fan-out can send it to worker processes."""
+    replicate, args = task
     try:
-        return ("ok", _replicate_cell(args))
+        return ("ok", replicate(args))
     except Exception as exc:
         return ("err", repr(exc))
 
 
-def _safe_replicate_conditional(args):
+def _fan_out(config: ExperimentConfig, replicate, cells, workers: int = 1):
+    """Run every replication of every cell, through at most one worker pool.
+
+    ``cells`` lists (cell_index, cell, args); replication ``rep`` runs
+    ``replicate((*args, data_seed, chain_seed))``, seeded by ``_rep_seed``.
+    Yields (cell, results, failures) per cell, a failure as (rep, repr).
+    """
+    pool = None
+    if workers > 1:  # spawn: forking a process whose BLAS may run threads is unsafe
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
-        return ("ok", _replicate_conditional(args))
-    except Exception as exc:
-        return ("err", repr(exc))
-
-
-def _run_cells(config: ExperimentConfig, want_ci: bool, workers: int = 1):
-    """Replicate every cell; yields (cell, oracle vector, names, rep results, failures)."""
-    oracle_cache = {}
-    for cell_index, (dgp, u, tau, n) in enumerate(config.cells()):
-        direction, basis, theta0 = _cell_oracle(config, dgp, u, tau, cache=oracle_cache)
-        truth = theta0.as_vector()
-        names = (
-            tuple(f"beta_y_{j}" for j in range(len(theta0.beta_y)))
-            + tuple(f"beta_x_{l}" for l in range(len(theta0.beta_x)))
-            + ("alpha",)
-        )
-        tasks = []
-        for rep in range(config.replications):
-            data_seed = _rep_seed(config.master_seed, cell_index, rep, 0)
-            chain_seed = _rep_seed(config.master_seed, cell_index, rep, 1)
-            tasks.append(
-                (dgp, u, tau, n, data_seed, chain_seed, config.n_draws, config.burn_in,
-                 config.basis_convention, config.level, want_ci)
-            )
-        results, failures = [], []
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_safe_replicate_cell, tasks))
-        else:
-            outcomes = [_safe_replicate_cell(task) for task in tasks]
-        for rep, (status, payload) in enumerate(outcomes):
-            if status == "ok":
-                results.append(payload)
-            else:  # record, never drop silently
-                failures.append((rep, payload))
-        yield (dgp, u, tau, n), truth, names, results, failures
+        for cell_index, cell, args in cells:
+            tasks = [
+                (replicate, (*args, _rep_seed(config.master_seed, cell_index, rep, 0),
+                             _rep_seed(config.master_seed, cell_index, rep, 1)))
+                for rep in range(config.replications)
+            ]
+            outcomes = pool.map(_attempt, tasks) if pool else map(_attempt, tasks)
+            results, failures = [], []
+            for rep, (status, payload) in enumerate(outcomes):
+                if status == "ok":
+                    results.append(payload)
+                else:  # record, never drop silently
+                    failures.append((rep, payload))
+            yield cell, results, failures
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def _rmse_and_se(sq_err):
@@ -313,24 +323,38 @@ def _rmse_and_se(sq_err):
         return rmse, np.where(rmse > 0, spread / (2.0 * rmse), 0.0)
 
 
-def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1):
-    """RMSE and subgradient tables from a single replication pass.
+def _coverage(lower, upper, truth) -> float:
+    return float(np.mean((lower <= truth) & (truth <= upper)))
 
-    Every RMSE carries ``rmse_se``, its Monte Carlo standard error.  The
-    ``replications`` rows keep each successful replication's chain-order
-    posterior mean (``estimate``), its Monte Carlo standard error (``mcse``)
-    and the ``data_seed`` that rebuilds its dataset with ``dgp_sample``.
+
+def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1):
+    """RMSE, subgradient and coverage tables from a single replication pass.
+
+    Every RMSE carries ``rmse_se``, its Monte Carlo standard error.  Coverage
+    rows cover the location cells (DGPs 1-3) only.  The ``replications``
+    rows keep each successful replication's chain-order posterior mean
+    (``estimate``), its Monte Carlo standard error (``mcse``) and the
+    ``data_seed`` that rebuilds its dataset with ``dgp_sample``; the
+    ``failures`` rows name each failed replication's ``rep`` and ``error``.
     """
-    rmse_rows, sg_rows, rep_rows = [], [], []
-    for (dgp, u, tau, n), truth, names, results, failures in _run_cells(config, False, workers):
+    cells = [
+        (i, cell, (*cell, config.n_draws, config.burn_in, config.basis_convention, config.level))
+        for i, cell in enumerate(config.cells())
+    ]
+    oracles = {}
+    rmse_rows, sg_rows, cov_rows, rep_rows, fail_rows = [], [], [], [], []
+    for (dgp, u, tau, n), results, failures in _fan_out(config, _replicate_cell, cells, workers):
+        theta0 = _cell_oracle(config, dgp, u, tau, oracles)
+        truth = theta0.as_vector()
+        names = unconditional_param_names(len(theta0.beta_y) + 1, len(theta0.beta_x))
         cell = {"dgp": dgp, "u": u, "tau": tau, "n": n}
         counts = {"replications": len(results), "failed": len(failures)}
+        fail_rows.extend({**cell, "rep": rep, "error": error} for rep, error in failures)
         rep_rows.extend(
             {**cell, "data_seed": r["data_seed"], "estimate": r["estimate"], "mcse": r["mcse"]}
             for r in results
         )
-        est = np.array([r["estimate"] for r in results])
-        err = est - truth
+        err = np.array([r["estimate"] for r in results]) - truth
         rmse, rmse_se = _rmse_and_se(err**2)
         bias = err.mean(axis=0)
         for j, name in enumerate(names):
@@ -350,90 +374,56 @@ def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1)
                 **cell, "statistic": statistic, "rmse": float(rmse),
                 "rmse_se": float(rmse_se), **counts,
             })
-    return {"rmse": rmse_rows, "subgradient": sg_rows, "replications": rep_rows}
-
-
-def coverage_experiment(config: ExperimentConfig = DESK_PROFILE, workers: int = 1):
-    """Interval coverage of the population parameters (location models only)."""
-    bad = [d for d in config.dgps if d == 4]
-    if bad:
-        raise DomainError("coverage experiment applies to the location DGPs (1-3)")
-    rows = []
-    for (dgp, u, tau, n), truth, names, results, failures in _run_cells(config, True, workers):
-        lo = np.array([r["ci"][0] for r in results])
-        hi = np.array([r["ci"][1] for r in results])
-        nlo = np.array([r["naive"][0] for r in results])
-        nhi = np.array([r["naive"][1] for r in results])
+        if dgp == 4:  # coverage covers the location models only
+            continue
+        lo, hi = (np.array([r["ci"][i] for r in results]) for i in (0, 1))
+        nlo, nhi = (np.array([r["naive"][i] for r in results]) for i in (0, 1))
         for j, name in enumerate(names):
-            rows.append({
-                "dgp": dgp, "u": u, "tau": tau, "n": n, "parameter": name,
-                "oracle": truth[j],
-                "coverage": float(np.mean((lo[:, j] <= truth[j]) & (truth[j] <= hi[:, j]))),
-                "naive_coverage": float(np.mean((nlo[:, j] <= truth[j]) & (truth[j] <= nhi[:, j]))),
-                "width": float(np.mean(hi[:, j] - lo[:, j])),
-                "replications": len(results), "failed": len(failures),
+            cov_rows.append({
+                **cell, "parameter": name, "oracle": truth[j],
+                "coverage": _coverage(lo[:, j], hi[:, j], truth[j]),
+                "naive_coverage": _coverage(nlo[:, j], nhi[:, j], truth[j]),
+                "width": float(np.mean(hi[:, j] - lo[:, j])), **counts,
             })
-    return rows
-
-
-def _replicate_conditional(args):
-    (u, tau, n, x0, data_seed, chain_seed, n_draws, burn_in, convention) = args
-    direction = Direction(u=np.asarray(u), tau=tau)
-    basis = orthonormal_complement(direction.u, convention=convention)
-    data = dgp4_conditional_sample(n, seed=data_seed)
-    projected = project(data, direction, basis)
-    design = make_conditional_design(projected, data.x, np.array([x0]), "local-constant")
-    kernel = KernelSpec(bandwidth=default_bandwidth(data.x))
-    prior = PriorSpec(mean=np.zeros(design.dim), covariance=1000.0 * np.eye(design.dim))
-    chain = gibbs_conditional(
-        data, direction, design, kernel, prior,
-        n_draws=n_draws, burn_in=burn_in, seed=chain_seed, basis=basis,
-    )
-    est = posterior_vector(chain)  # (alpha, beta_y)
-    return {"estimate": est}
+    return {
+        "rmse": rmse_rows, "subgradient": sg_rows, "coverage": cov_rows,
+        "replications": rep_rows, "failures": fail_rows,
+    }
 
 
 def conditional_rmse_experiment(config: ExperimentConfig = DESK_PROFILE, workers: int = 1):
-    """RMSE of the conditional local-constant fit at x0 against its oracle."""
-    rows = []
-    cell_index = 10_000  # disjoint from the unconditional cell indices
-    for u in config.directions:
-        for tau in config.taus:
+    """RMSE of the conditional local-constant fit at x0 against its oracle.
+
+    Returns the ``conditional`` rows and the ``failures`` rows, as
+    ``simulation_tables`` does.
+    """
+    keys = [(tuple(u), tau, n) for u in config.directions for tau in config.taus
+            for n in config.sample_sizes]
+    cells = [  # cell indices from 10_000 are disjoint from the unconditional ones
+        (10_000 + i, key, (*key, config.x0, config.n_draws, config.burn_in, config.basis_convention))
+        for i, key in enumerate(keys)
+    ]
+    oracles = {}
+    rows, fail_rows = [], []
+    for (u, tau, n), results, failures in _fan_out(config, _replicate_conditional, cells, workers):
+        if (u, tau) not in oracles:
             direction = Direction(u=np.asarray(u), tau=tau)
             basis = orthonormal_complement(direction.u, convention=config.basis_convention)
-            alpha0, beta0 = conditional_params_oracle(
+            oracles[u, tau] = np.array(conditional_params_oracle(
                 config.x0, direction, mc_size=config.oracle_mc_size, basis=basis
-            )
-            truth = np.array([alpha0, beta0])
-            for n in config.sample_sizes:
-                tasks = []
-                for rep in range(config.replications):
-                    data_seed = _rep_seed(config.master_seed, cell_index, rep, 0)
-                    chain_seed = _rep_seed(config.master_seed, cell_index, rep, 1)
-                    tasks.append((tuple(u), tau, n, config.x0, data_seed, chain_seed,
-                                  config.n_draws, config.burn_in, config.basis_convention))
-                results, failures = [], []
-                if workers > 1:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        outcomes = list(pool.map(_safe_replicate_conditional, tasks))
-                else:
-                    outcomes = [_safe_replicate_conditional(task) for task in tasks]
-                for rep, (status, payload) in enumerate(outcomes):
-                    if status == "ok":
-                        results.append(payload)
-                    else:
-                        failures.append((rep, payload))
-                est = np.array([r["estimate"] for r in results])
-                rmse = np.sqrt(np.mean((est - truth) ** 2, axis=0))
-                for j, name in enumerate(("alpha", "beta_y_0")):
-                    rows.append({
-                        "u": tuple(u), "tau": tau, "n": n, "x0": config.x0,
-                        "parameter": name, "oracle": float(truth[j]),
-                        "rmse": float(rmse[j]), "bias": float(np.mean(est[:, j] - truth[j])),
-                        "replications": len(results), "failed": len(failures),
-                    })
-                cell_index += 1
-    return rows
+            ))
+        truth = oracles[u, tau]
+        cell = {"u": u, "tau": tau, "n": n, "x0": config.x0}
+        fail_rows.extend({**cell, "rep": rep, "error": error} for rep, error in failures)
+        err = np.array([r["estimate"] for r in results]) - truth
+        rmse, rmse_se = _rmse_and_se(err**2)
+        for j, name in enumerate(("alpha", "beta_y_0")):
+            rows.append({
+                **cell, "parameter": name, "oracle": float(truth[j]), "rmse": float(rmse[j]),
+                "rmse_se": float(rmse_se[j]), "bias": float(np.mean(err[:, j])),
+                "replications": len(results), "failed": len(failures),
+            })
+    return {"conditional": rows, "failures": fail_rows}
 
 
 def make_star_like(n: int = 2000, seed: int = 7) -> dict:

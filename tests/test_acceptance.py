@@ -319,15 +319,17 @@ def test_criterion_4_conditional_model():
     basis = orthonormal_complement(direction.u, convention="ccw")
     alpha0, beta0 = conditional_params_oracle(1.0, direction, mc_size=1_000_000, basis=basis)
     oracle_ok = abs(alpha0 - (-1.23)) <= 0.02 and abs(beta0 - 1.167) <= 0.02
-    rows = {r["parameter"]: r for r in conditional_rmse_experiment(cfg)}
+    rows = {r["parameter"]: r for r in conditional_rmse_experiment(cfg)["conditional"]}
     ratio_a = rows["alpha"]["rmse"] / 7.10e-2
     ratio_b = rows["beta_y_0"]["rmse"] / 3.35e-2
     rmse_ok = 0.5 <= ratio_a <= 2.0 and 0.5 <= ratio_b <= 2.0
     ok = oracle_ok and rmse_ok
     report(4, ok, "conditional model at x0 = 1",
            f"oracle ({alpha0:+.3f}, {beta0:+.3f}) vs (-1.23, +1.167); "
-           f"rmse alpha {rows['alpha']['rmse']:.3e} (x{ratio_a:.2f}), "
-           f"beta {rows['beta_y_0']['rmse']:.3e} (x{ratio_b:.2f})")
+           f"rmse alpha {rows['alpha']['rmse']:.3e} "
+           f"(x{ratio_a:.2f}±{rows['alpha']['rmse_se'] / 7.10e-2:.2f}), "
+           f"beta {rows['beta_y_0']['rmse']:.3e} "
+           f"(x{ratio_b:.2f}±{rows['beta_y_0']['rmse_se'] / 3.35e-2:.2f})")
     assert ok
 
 

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dirquant
+from dirquant import simlab
 from dirquant.cli import ingest_csv, main, parse_config_text
 from dirquant.errors import ConfigError, DataError
 from dirquant.io import provenance_block, read_chain, write_chain
@@ -17,6 +19,16 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "dirquant.cli", *args], capture_output=True, text=True
     )
+
+
+@pytest.fixture
+def tiny_desk(monkeypatch):
+    """A desk profile small enough for in-process simulate runs; the command
+    reads ``simlab.DESK_PROFILE`` when it runs."""
+    monkeypatch.setattr(simlab, "DESK_PROFILE", replace(
+        simlab.DESK_PROFILE, dgps=(1, 4), directions=((0.0, 1.0),), sample_sizes=(60,),
+        replications=2, n_draws=100, burn_in=20, oracle_mc_size=100_000,
+    ))
 
 
 @pytest.fixture
@@ -203,6 +215,36 @@ class TestCommands:
         assert table[0].startswith("dgp,")
         assert len(table) > 10  # 4 dgps x 2 directions x params
         assert os.path.exists(os.path.join(out, "provenance.json"))
+
+    def test_simulate_coverage_alone_matches_the_full_run(self, tmp_path, tiny_desk):
+        full, alone = tmp_path / "full", tmp_path / "alone"
+        assert main(["simulate", "--out", str(full)]) == 0
+        assert main(["simulate", "--set", "tables=coverage", "--out", str(alone)]) == 0
+        assert sorted(os.listdir(full)) == [
+            "conditional.csv", "coverage.csv", "provenance.json", "rmse.csv", "subgradient.csv",
+        ]
+        assert sorted(os.listdir(alone)) == ["coverage.csv", "provenance.json"]
+        assert (alone / "coverage.csv").read_bytes() == (full / "coverage.csv").read_bytes()
+
+    def test_simulate_reports_failed_replications(self, tmp_path, tiny_desk, monkeypatch, capsys):
+        real = simlab.gibbs_unconditional
+        doomed = simlab._rep_seed(simlab.DESK_PROFILE.master_seed, 0, 1, 1)  # cell 0, replication 1
+
+        def sampler(*args, seed, **kwargs):
+            if seed == doomed:
+                raise RuntimeError("injected failure")
+            return real(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(simlab, "gibbs_unconditional", sampler)
+        assert main(["simulate", "--set", "tables=rmse", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "simulate: dgp=1 u=(0.0, 1.0) tau=0.2 n=60 replication 1 failed: "
+            "RuntimeError('injected failure')"
+        ]
+        rows = (tmp_path / "rmse.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        counts = {(r.split(",")[0], r.split(",")[header.index("failed")]) for r in rows[1:]}
+        assert counts == {("1", "1"), ("4", "0")}
 
     def test_exit_codes(self, tmp_path, score_csv):
         assert run_cli("fit", "--set", "tau=0.2").returncode == 2  # missing input

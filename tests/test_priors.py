@@ -179,6 +179,16 @@ class TestReciprocalGaussian:
         assert dens[1] == 0.0 and at_pole == 0.0
         assert dens[0] > 0.0 and dens[2] > 0.0
 
+    def test_near_the_pole_is_zero_without_warning(self):
+        # u2 = 0 puts the pole at 0, where t*t underflows and 1/(c t^2)
+        # overflows while the exponential is already 0; the limit is 0
+        u = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = reciprocal_gaussian_pdf(np.array([1e-160, 1e-200, -1e-170]), self.MU, self.SD, u)
+            scalar = reciprocal_gaussian_pdf(1e-160, self.MU, self.SD, u)
+        assert dens.tolist() == [0.0, 0.0, 0.0] and scalar == 0.0
+
     def test_values_off_the_pole_follow_the_closed_form(self):
         # the same float operations as the density's closed form, bit for bit
         u1, u2 = U45

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from dirquant import simlab
 from dirquant.errors import DomainError
 from dirquant.geometry import Direction
 from dirquant.priors import normal_quantile
@@ -9,7 +10,7 @@ from dirquant.simlab import (
     DgpSpec,
     ExperimentConfig,
     conditional_params_oracle,
-    coverage_experiment,
+    conditional_rmse_experiment,
     dgp4_conditional_sample,
     dgp_sample,
     make_star_like,
@@ -48,6 +49,21 @@ FROZEN_SUBGRAD = [
     ({**_CELL, "n": 400, "statistic": "subgrad1"}, (0.012183492931011211,)),
     ({**_CELL, "n": 400, "statistic": "subgrad2_y"}, (0.0023274333303511105,)),
 ]
+# SMALL's coverage rows from the separate coverage pass (coverage_experiment):
+# (cell, (oracle, coverage, naive_coverage, width))
+FROZEN_COVERAGE = [
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.003388100114787299, 1.0, 1.0, 0.5665097757768431)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.29939831992686977, 1.0, 1.0, 0.2208204295296658)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.003388100114787299, 1.0, 1.0, 0.29448915045257373)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.29939831992686977, 1.0, 1.0, 0.07318093782036345)),
+]
+
+
+def same_rows(a, b) -> bool:
+    """Row lists equal value for value, arrays compared by their bytes."""
+    def key(value):
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+    return [{k: key(v) for k, v in r.items()} for r in a] == [{k: key(v) for k, v in r.items()} for r in b]
 
 
 class TestDgpSampling:
@@ -160,9 +176,13 @@ class TestExperiments:
         assert a == b
 
     def test_workers_match_serial(self):
-        a = simulation_tables(SMALL)["rmse"]
-        b = simulation_tables(SMALL, workers=2)["rmse"]
-        assert a == b
+        a = simulation_tables(SMALL)
+        b = simulation_tables(SMALL, workers=2)
+        assert set(a) == set(b) == {"rmse", "subgradient", "coverage", "replications", "failures"}
+        for name in a:
+            assert same_rows(a[name], b[name]), name
+        small = replace(SMALL, sample_sizes=(80,), replications=3)
+        assert conditional_rmse_experiment(small) == conditional_rmse_experiment(small, workers=2)
 
     def test_combined_tables_match_individual(self):
         # rmse and subgradient rows of SMALL as the separate per-table drivers
@@ -191,18 +211,59 @@ class TestExperiments:
             assert dgp_sample(DgpSpec(id=r["dgp"], n=r["n"], seed=r["data_seed"])).n == r["n"]
         assert len({r["data_seed"] for r in reps}) == len(reps)
 
+    def test_coverage_matches_the_separate_pass(self):
+        rows = simulation_tables(SMALL)["coverage"]
+        assert len(rows) == len(FROZEN_COVERAGE)
+        for row, (cell, value) in zip(rows, FROZEN_COVERAGE):
+            assert {k: row[k] for k in cell} == cell
+            got = (row["oracle"], row["coverage"], row["naive_coverage"], row["width"])
+            assert got == pytest.approx(value, rel=1e-12)
+            assert (row["replications"], row["failed"]) == (4, 0)
+
     def test_coverage_rows(self):
         cfg = replace(SMALL, sample_sizes=(400,), replications=6)
-        rows = coverage_experiment(cfg)
+        rows = simulation_tables(cfg)["coverage"]
         assert len(rows) == 2
         for r in rows:
             assert 0.0 <= r["coverage"] <= 1.0
             assert r["naive_coverage"] >= r["coverage"] - 1e-9
             assert r["width"] > 0
 
-    def test_coverage_rejects_regression_dgp(self):
-        with pytest.raises(DomainError):
-            coverage_experiment(replace(SMALL, dgps=(4,)))
+    def test_coverage_has_no_regression_cells(self):
+        tables = simulation_tables(replace(SMALL, dgps=(1, 4), sample_sizes=(80,), replications=2))
+        assert {r["dgp"] for r in tables["rmse"]} == {1, 4}
+        assert {r["dgp"] for r in tables["coverage"]} == {1}
+
+    def test_failure_reasons_are_kept(self, monkeypatch):
+        cfg = replace(SMALL, replications=3)
+
+        def failing(real, cell_index):
+            doomed = simlab._rep_seed(cfg.master_seed, cell_index, 2, 1)  # replication 2's chain
+
+            def sampler(*args, seed, **kwargs):
+                if seed == doomed:
+                    raise RuntimeError("injected failure")
+                return real(*args, seed=seed, **kwargs)
+            return sampler
+
+        monkeypatch.setattr(simlab, "gibbs_unconditional", failing(simlab.gibbs_unconditional, 1))
+        tables = simulation_tables(cfg)
+        assert tables["failures"] == [
+            {**_CELL, "n": 400, "rep": 2, "error": "RuntimeError('injected failure')"}
+        ]
+        for name in ("rmse", "subgradient", "coverage"):
+            for row in tables[name]:
+                assert (row["replications"], row["failed"]) == ((2, 1) if row["n"] == 400 else (3, 0))
+        assert len(tables["replications"]) == 5
+
+        # conditional cells are numbered from 10_000
+        monkeypatch.setattr(simlab, "gibbs_conditional", failing(simlab.gibbs_conditional, 10_000))
+        cond = conditional_rmse_experiment(replace(cfg, sample_sizes=(80,)))
+        assert cond["failures"] == [{
+            "u": (0.0, 1.0), "tau": 0.2, "n": 80, "x0": 1.0, "rep": 2,
+            "error": "RuntimeError('injected failure')",
+        }]
+        assert [(r["replications"], r["failed"]) for r in cond["conditional"]] == [(2, 1), (2, 1)]
 
     def test_master_seed_changes_results(self):
         a = simulation_tables(SMALL)["rmse"]
