@@ -5,6 +5,24 @@ independent of the samplers.  The solver replaces the kinked loss with a
 Huberized version and shrinks the smoothing width over a fixed continuation
 schedule, running a damped (Levenberg-regularized) Newton at each stage.
 Inputs are standardized internally so the schedule is scale-appropriate.
+
+A stage allocates its n-length buffers once and writes every elementwise
+pass into them, because fresh n-length temporaries page-fault on first
+touch: at n = 1e5 on a 2-vCPU x86_64 host, the loss with fresh temporaries
+made 579 minor faults and took 1.9 ms per call, with reused buffers none
+and 0.65 ms.
+
+When no residual lies in the smoothing band |r| < eps, the Hessian is zero
+and the damped step for lam_k = lam * 10^k is -grad / lam_k: every candidate
+lies on one ray from theta.  The smoothed loss is convex, so along that ray
+the accepted set {f_c <= f + 1e-12 max(1, |f|)} is an interval containing
+theta, and acceptance is monotone in k.  A gallop-then-bisect search then
+finds the smallest accepted k, the one the sequential scan takes, in fewer
+loss evaluations.  Rounding cannot break that order: if step k is accepted,
+convexity puts step k + 1, a tenth as long, at least 0.9 of the tolerance
+1e-12 max(1, |f|) below the threshold, while summation and residual rounding
+are about 1e-15 |f|.  With curvature in the band, the damping path is a
+curve, not a ray, and the scan stays sequential.
 """
 
 from __future__ import annotations
@@ -30,69 +48,116 @@ class FitResult:
     stage_objectives: tuple = field(default=())
 
 
-def _smoothed_loss(r, w, tau, eps):
+def _smoothed_loss(r, w, tau, eps, a, q, inside):
     # sum_i w_i rho_tau(r_i), rho_tau(r) = (tau - 1/2) r + |r|/2 with |r|
-    # Huberized at width eps
-    a = np.abs(r)
-    quad = np.multiply(r, r)
-    quad /= 2.0 * eps
-    inside = a <= eps
-    hub = np.where(inside, quad, np.subtract(a, eps / 2.0, out=a))
-    hub *= 0.5
-    loss = np.multiply(tau - 0.5, r, out=quad)
-    loss += hub
-    loss *= w
-    return float(np.sum(loss))
+    # Huberized at width eps; w is None for unit weights, and a, q and inside
+    # are the stage's n-length scratch buffers
+    np.abs(r, out=a)
+    np.less_equal(a, eps, out=inside)
+    np.multiply(r, r, out=q)
+    q /= 2.0 * eps
+    a -= eps / 2.0
+    np.copyto(a, q, where=inside)
+    a *= 0.5
+    np.multiply(tau - 0.5, r, out=q)
+    q += a
+    if w is not None:
+        q *= w
+    return float(np.sum(q))
+
+
+# damping exponents the zero-curvature search tries before bisecting
+_GALLOP = (0, 1, 3, 7, 15, 31, 39)
 
 
 def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
+    n, d = z.shape
     sw = float(np.sum(w))
+    w_mul = w if np.any(w != 1.0) else None  # x * 1.0 == x: unit weights skip the multiplies
     lam = 1e-10
     z_t = z.T
-    eye = np.eye(theta.size)
+    eye = np.eye(d)
+    zero = np.zeros((d, d))
+    r, r_c, a, q, g1, curv = (np.empty(n) for _ in range(6))
+    inside = np.empty(n, dtype=bool)
     scaled = np.empty(z.shape)  # z * (w * curvature)[:, None]
-    r = z @ theta
+    np.matmul(z, theta, out=r)
     np.subtract(y, r, out=r)
-    f = _smoothed_loss(r, w, tau, eps)
+    f = _smoothed_loss(r, w_mul, tau, eps, a, q, inside)
+
+    def attempt(hess, scale, lam_k):
+        # the damped step at lam_k; on acceptance its residual becomes r
+        nonlocal r, r_c
+        try:
+            step = np.linalg.solve(hess + lam_k * scale * eye, -grad)
+        except np.linalg.LinAlgError:
+            return None
+        cand = theta + step
+        np.matmul(z, cand, out=r_c)
+        np.subtract(y, r_c, out=r_c)
+        f_c = _smoothed_loss(r_c, w_mul, tau, eps, a, q, inside)
+        if f_c > f + 1e-12 * max(1.0, abs(f)):
+            return None
+        r, r_c = r_c, r
+        return cand, f_c
+
     it = 0
     for it in range(1, max_iter + 1):
-        # the residual r belongs to the current theta: the start or the last
-        # accepted candidate
-        g1 = np.divide(r, eps)
+        # r belongs to the current theta: the start or the last accepted
+        # candidate; once grad and hess are formed, its buffer is free
+        np.divide(r, eps, out=g1)
         np.clip(g1, -1.0, 1.0, out=g1)
         g1 *= 0.5
         g1 += tau - 0.5
-        g1 *= w
+        if w_mul is not None:
+            g1 *= w
         grad = -(z_t @ g1)
         if np.max(np.abs(grad)) <= gtol * max(1.0, sw):
             return theta, f, it, True
-        curv = np.where(np.abs(r) < eps, 0.5 / eps, 0.0)
-        curv *= w
-        np.multiply(z, curv[:, None], out=scaled)
-        hess = scaled.T @ z
-        scale = max(np.max(np.abs(np.diag(hess))), 1.0)
-        accepted = False
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(hess + lam * scale * eye, -grad)
-            except np.linalg.LinAlgError:
+        np.abs(r, out=a)
+        np.less(a, eps, out=inside)
+        found = None
+        if inside.any():
+            np.multiply(inside, 0.5 / eps, out=curv)
+            if w_mul is not None:
+                curv *= w
+            np.multiply(z, curv[:, None], out=scaled)
+            hess = scaled.T @ z
+            scale = max(np.max(np.abs(np.diag(hess))), 1.0)
+            for _ in range(40):
+                found = attempt(hess, scale, lam)
+                if found is not None:
+                    break
                 lam *= 10.0
-                continue
-            cand = theta + step
-            r_c = z @ cand
-            np.subtract(y, r_c, out=r_c)
-            f_c = _smoothed_loss(r_c, w, tau, eps)
-            if f_c <= f + 1e-12 * max(1.0, abs(f)):
-                improved = f - f_c
-                theta, f, r = cand, f_c, r_c
-                lam = max(lam * 0.3, 1e-12)
-                accepted = True
-                if improved <= 1e-14 * max(1.0, abs(f)):
-                    return theta, f, it, True
-                break
-            lam *= 10.0
-        if not accepted:
+        else:
+            # zero curvature: every candidate is theta - grad / lam_k on one
+            # ray, so acceptance is monotone in k (module docstring) and a
+            # search finds the smallest accepted k that the scan would
+            lams = [lam]
+            for _ in range(39):
+                lams.append(lams[-1] * 10.0)
+            lo = -1  # the largest k known to be rejected
+            for k in _GALLOP:
+                found = attempt(zero, 1.0, lams[k])
+                if found is not None:
+                    break
+                lo = k
+            if found is not None:
+                while k - lo > 1:
+                    mid = (lo + k) // 2
+                    closer = attempt(zero, 1.0, lams[mid])
+                    if closer is None:
+                        lo = mid
+                    else:
+                        found, k = closer, mid
+                lam = lams[k]
+        if found is None:
             return theta, f, it, False
+        improved = f - found[1]
+        theta, f = found
+        lam = max(lam * 0.3, 1e-12)
+        if improved <= 1e-14 * max(1.0, abs(f)):
+            return theta, f, it, True
     return theta, f, it, False
 
 

@@ -306,15 +306,26 @@ def _fan_out(config: ExperimentConfig, replicate, cells, workers: int = 1):
             pool.shutdown()
 
 
+def _rows(values, width):
+    """Per-replication vectors as an (R, width) array, also when R = 0."""
+    return np.array(values, dtype=float).reshape(len(values), width)
+
+
+def _mean(x):
+    """Mean over replications (axis 0); NaN, without a warning, when there are none."""
+    return np.full(x.shape[1:], np.nan) if len(x) == 0 else np.mean(x, axis=0)
+
+
 def _rmse_and_se(sq_err):
     """RMSE over replications (axis 0) and its Monte Carlo standard error.
 
     The delta-method error sd(e^2) / (2 RMSE sqrt(R)) says how far the RMSE
     of R replications moves between studies, so a ratio to a reference value
-    can be read against noise.  It is NaN below two replications.
+    can be read against noise.  It is NaN below two replications, and the
+    RMSE is NaN without replications.
     """
     sq_err = np.asarray(sq_err, dtype=float)
-    rmse = np.sqrt(np.mean(sq_err, axis=0))
+    rmse = np.sqrt(_mean(sq_err))
     reps = sq_err.shape[0]
     if reps < 2:
         return rmse, np.full_like(rmse, np.nan)
@@ -324,7 +335,7 @@ def _rmse_and_se(sq_err):
 
 
 def _coverage(lower, upper, truth) -> float:
-    return float(np.mean((lower <= truth) & (truth <= upper)))
+    return float(_mean((lower <= truth) & (truth <= upper)))
 
 
 def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1):
@@ -336,6 +347,8 @@ def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1)
     (``estimate``), its Monte Carlo standard error (``mcse``) and the
     ``data_seed`` that rebuilds its dataset with ``dgp_sample``; the
     ``failures`` rows name each failed replication's ``rep`` and ``error``.
+    A cell whose every replication failed keeps its rows, with NaN
+    statistics and ``replications`` 0.
     """
     cells = [
         (i, cell, (*cell, config.n_draws, config.burn_in, config.basis_convention, config.level))
@@ -354,17 +367,17 @@ def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1)
             {**cell, "data_seed": r["data_seed"], "estimate": r["estimate"], "mcse": r["mcse"]}
             for r in results
         )
-        err = np.array([r["estimate"] for r in results]) - truth
+        err = _rows([r["estimate"] for r in results], truth.size) - truth
         rmse, rmse_se = _rmse_and_se(err**2)
-        bias = err.mean(axis=0)
+        bias = _mean(err)
         for j, name in enumerate(names):
             rmse_rows.append({
                 **cell, "parameter": name, "oracle": truth[j], "rmse": float(rmse[j]),
                 "rmse_se": float(rmse_se[j]), "bias": float(bias[j]), **counts,
             })
         sg1 = np.array([r["sg1"] for r in results])
-        sg2 = np.array([r["sg2"] for r in results])
-        tgt = np.array([r["sg2_target"] for r in results])
+        sg2 = _rows([r["sg2"] for r in results], truth.size - 1)
+        tgt = _rows([r["sg2_target"] for r in results], truth.size - 1)
         stats = [("subgrad1", (sg1 - tau) ** 2), ("subgrad2_y", (sg2[:, 0] - tgt[:, 0]) ** 2)]
         if sg2.shape[1] > 1:
             stats.append(("subgrad2_x", np.mean((sg2[:, 1:] - tgt[:, 1:]) ** 2, axis=1)))
@@ -376,14 +389,14 @@ def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1)
             })
         if dgp == 4:  # coverage covers the location models only
             continue
-        lo, hi = (np.array([r["ci"][i] for r in results]) for i in (0, 1))
-        nlo, nhi = (np.array([r["naive"][i] for r in results]) for i in (0, 1))
+        lo, hi = (_rows([r["ci"][i] for r in results], truth.size) for i in (0, 1))
+        nlo, nhi = (_rows([r["naive"][i] for r in results], truth.size) for i in (0, 1))
         for j, name in enumerate(names):
             cov_rows.append({
                 **cell, "parameter": name, "oracle": truth[j],
                 "coverage": _coverage(lo[:, j], hi[:, j], truth[j]),
                 "naive_coverage": _coverage(nlo[:, j], nhi[:, j], truth[j]),
-                "width": float(np.mean(hi[:, j] - lo[:, j])), **counts,
+                "width": float(_mean(hi[:, j] - lo[:, j])), **counts,
             })
     return {
         "rmse": rmse_rows, "subgradient": sg_rows, "coverage": cov_rows,
@@ -415,12 +428,12 @@ def conditional_rmse_experiment(config: ExperimentConfig = DESK_PROFILE, workers
         truth = oracles[u, tau]
         cell = {"u": u, "tau": tau, "n": n, "x0": config.x0}
         fail_rows.extend({**cell, "rep": rep, "error": error} for rep, error in failures)
-        err = np.array([r["estimate"] for r in results]) - truth
+        err = _rows([r["estimate"] for r in results], 2) - truth
         rmse, rmse_se = _rmse_and_se(err**2)
         for j, name in enumerate(("alpha", "beta_y_0")):
             rows.append({
                 **cell, "parameter": name, "oracle": float(truth[j]), "rmse": float(rmse[j]),
-                "rmse_se": float(rmse_se[j]), "bias": float(np.mean(err[:, j])),
+                "rmse_se": float(rmse_se[j]), "bias": float(_mean(err[:, j])),
                 "replications": len(results), "failed": len(failures),
             })
     return {"conditional": rows, "failures": fail_rows}

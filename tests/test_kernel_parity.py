@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from dirquant import optimize, samplers
+from dirquant import optimize, samplers, simlab
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
 from dirquant.samplers import (
     KernelSpec,
@@ -153,6 +153,14 @@ class TestNewtonParity:
         y = z @ np.array([0.3, -0.2, 1.0]) + rng.standard_t(3, n)
         return z, y, rng.uniform(0.0, 2.0, n)
 
+    @staticmethod
+    def _assert_same_fit(new, old):
+        assert _same_bytes(new.theta, old.theta)
+        assert _same_bytes(new.objective, old.objective)
+        assert new.iterations == old.iterations
+        assert new.converged == old.converged
+        assert _same_bytes(new.stage_objectives, old.stage_objectives)
+
     @pytest.mark.parametrize("n, tau, weighted", [(60, 0.2, False), (3000, 0.5, True),
                                                   (3000, 0.9, False), (800, 0.05, True)])
     def test_fit_check_loss(self, n, tau, weighted, parent_kernels):
@@ -161,12 +169,54 @@ class TestNewtonParity:
         def run():
             return optimize.fit_check_loss(z, y, tau, weights=w if weighted else None)
 
-        new, old = run(), parent_kernels(run)
-        assert _same_bytes(new.theta, old.theta)
-        assert _same_bytes(new.objective, old.objective)
-        assert new.iterations == old.iterations
-        assert new.converged == old.converged
-        assert _same_bytes(new.stage_objectives, old.stage_objectives)
+        self._assert_same_fit(run(), parent_kernels(run))
+
+    @pytest.fixture(scope="class")
+    def scores(self):
+        # the frequentist contour's fit: 1e5 jittered integer test scores,
+        # design [y_perp, 1]; its late stages start with empty smoothing
+        # bands, so the zero-curvature search runs
+        cols = simlab.make_star_like(100_000, seed=3)
+        jitter = np.random.default_rng(4).uniform(0.0, 1.0, (100_000, 2))
+        direction = Direction(u=np.array([np.cos(0.7), np.sin(0.7)]), tau=0.5)
+        projected = project(Dataset(y=np.column_stack([cols["math"], cols["read"]]) + jitter),
+                            direction, orthonormal_complement(direction.u))
+        return np.column_stack([projected.y_perp, np.ones(100_000)]), projected.y_u
+
+    @pytest.mark.parametrize("tau", [0.05, 0.4])
+    def test_fit_check_loss_at_contour_scale(self, tau, scores, parent_kernels):
+        z, y = scores
+
+        def run():
+            return optimize.fit_check_loss(z, y, tau)
+
+        self._assert_same_fit(run(), parent_kernels(run))
+
+    def test_unit_weights_match_no_weights(self):
+        z, y, _ = self._problem(3000, 3000)
+        self._assert_same_fit(optimize.fit_check_loss(z, y, 0.9, weights=np.ones(3000)),
+                              optimize.fit_check_loss(z, y, 0.9))
+
+    def test_fewer_loss_evaluations(self, monkeypatch):
+        # with an empty band the damping search visits fewer candidates than
+        # the reference's scan and must still pick the same one
+        z, y, _ = self._problem(60, 60)
+        counts = {"new": 0, "old": 0}
+
+        def counting(real, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(optimize, "_smoothed_loss", counting(optimize._smoothed_loss, "new"))
+        new = optimize.fit_check_loss(z, y, 0.2)
+        monkeypatch.setattr(ref, "_smoothed_loss_terms", counting(ref._smoothed_loss_terms, "old"))
+        monkeypatch.setattr(optimize, "_newton_stage", ref._newton_stage)
+        old = optimize.fit_check_loss(z, y, 0.2)
+        self._assert_same_fit(new, old)
+        # the reference also calls the loss once per iteration for the gradient
+        assert 0 < counts["new"] < counts["old"] - old.iterations
 
     @pytest.mark.parametrize("max_iter", [1, 3, 60])
     def test_stage_including_iteration_cap(self, max_iter):

@@ -265,6 +265,32 @@ class TestExperiments:
         }]
         assert [(r["replications"], r["failed"]) for r in cond["conditional"]] == [(2, 1), (2, 1)]
 
+    def test_cell_with_every_replication_failed_is_kept(self, monkeypatch):
+        cfg = replace(SMALL, sample_sizes=(80,), replications=2)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(simlab, "gibbs_unconditional", failing)
+        tables = simulation_tables(cfg)
+        error = "RuntimeError('injected failure')"
+        assert tables["failures"] == [{**_CELL, "n": 80, "rep": rep, "error": error} for rep in (0, 1)]
+        assert tables["replications"] == []
+        stats = {"rmse": ("rmse", "rmse_se", "bias"), "subgradient": ("rmse", "rmse_se"),
+                 "coverage": ("coverage", "naive_coverage", "width")}
+        for name, keys in stats.items():
+            assert len(tables[name]) == 2  # two parameters, or two subgradient statistics
+            for row in tables[name]:
+                assert (row["replications"], row["failed"]) == (0, 2)
+                assert all(np.isnan(row[key]) for key in keys)
+
+        monkeypatch.setattr(simlab, "gibbs_conditional", failing)
+        cond = conditional_rmse_experiment(cfg)
+        assert [(r["rep"], r["error"]) for r in cond["failures"]] == [(0, error), (1, error)]
+        for row in cond["conditional"]:
+            assert (row["replications"], row["failed"]) == (0, 2)
+            assert all(np.isnan(row[key]) for key in ("rmse", "rmse_se", "bias"))
+
     def test_master_seed_changes_results(self):
         a = simulation_tables(SMALL)["rmse"]
         b = simulation_tables(replace(SMALL, master_seed=12))["rmse"]
