@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, DirquantError, NumericalError
 from .geometry import Dataset, Direction
 from .inference import asymptotic_ci, naive_ci, posterior_mean, subgradient_diagnostics
 from .priors import spherical_prior
-from .samplers import KernelSpec, PriorSpec, default_bandwidth, gibbs_unconditional
+from .samplers import KernelSpec, PriorSpec, _rng_from_seed, default_bandwidth, gibbs_unconditional
 
 __all__ = ["main", "run", "parse_config_file", "ingest_csv"]
 
@@ -139,8 +139,7 @@ def ingest_csv(path: str, response_cols, covariate_cols=(), jitter: bool = False
     y = arr[:, : len(r_idx)]
     x = arr[:, len(r_idx) :] if c_idx else None
     if jitter:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-        y = y + rng.uniform(size=y.shape)
+        y = y + _rng_from_seed(seed).uniform(size=y.shape)
     report = {"rows_in": len(rows), "rows_used": len(parsed), "rows_dropped": dropped}
     return Dataset(y=y, x=x), report
 

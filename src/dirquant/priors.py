@@ -23,7 +23,6 @@ from .samplers import PriorSpec
 
 __all__ = [
     "SphericalPrior",
-    "ImpliedSlopePrior",
     "normal_quantile",
     "normal_cdf",
     "normal_radius",
@@ -92,18 +91,6 @@ class SphericalPrior:
     family: str
     radius: float
     spec: PriorSpec
-
-
-@dataclass(frozen=True)
-class ImpliedSlopePrior:
-    """Parameters (a, b) of the implied reciprocal-Gaussian / ratio-normal priors."""
-
-    a_underline: float
-    b_underline: float
-
-    def __post_init__(self):
-        if self.b_underline <= 0:
-            raise DomainError("b parameter must be positive")
 
 
 def normal_radius(tau: float) -> float:

@@ -4,10 +4,14 @@ Three samplers are provided: a Gibbs sampler for the unconditional model, a
 kernel-weighted Gibbs sampler for the conditional model, and a random-walk
 Metropolis-Hastings fallback for non-normal priors.  Multi-direction
 simultaneous estimation stacks independent blocks under a block-diagonal
-normal prior.
+normal prior.  The three Gibbs samplers run one engine over stacked chains
+that share (n, d): the unconditional and conditional samplers as one chain,
+the simultaneous sampler as one chain per direction on a shared Generator.
 
 Latent-scale draws use the nu = 1/2 generalized inverse Gaussian, sampled
-exactly through the reciprocal inverse-Gaussian identity.  The conditional
+exactly through the reciprocal inverse-Gaussian identity; ``sample_gig_half``
+takes one Generator, or one per row of a 2-D draw, so that stacked chains
+keep their own streams.  The conditional
 sampler carries the unit-exponential latent variable internally (the
 kernel-scaled latent is a deterministic rescaling of it, so the chain law is
 identical) because that parametrization stays finite for arbitrarily small
@@ -51,7 +55,6 @@ __all__ = [
     "kernel_weights",
     "make_conditional_design",
     "default_bandwidth",
-    "conjugate_normal_update",
     "unconditional_param_names",
 ]
 
@@ -197,7 +200,9 @@ def sample_gig_half(a, b, rng, size=None):
     mean b/a and shape b^2, which is sampled exactly by the
     Michael-Schucany-Haas method; a = 0 degenerates to a Gamma(1/2) variable.
     Requires b > 0 (the density is not normalizable at b = 0 for this nu)
-    and a >= 0.
+    and a >= 0.  ``rng`` is one Generator, or a sequence of them with one per
+    row of a 2-D draw; each row then takes its normals and then its uniforms
+    from its own Generator, row by row.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -212,8 +217,16 @@ def sample_gig_half(a, b, rng, size=None):
         shape = (size,) if np.isscalar(size) else tuple(size)
         np.broadcast_to(a, shape), np.broadcast_to(b, shape)  # parameters must fit size
 
-    nu = rng.standard_normal(shape)
-    u = rng.random(shape)  # the values and stream of rng.uniform(size=shape)
+    if isinstance(rng, (list, tuple)):
+        if len(shape) != 2 or len(rng) != shape[0]:
+            raise ShapeError("a sequence of Generators needs one per row of a 2-D draw")
+        nu, u = np.empty(shape), np.empty(shape)
+        for g, nu_j, u_j in zip(rng, nu, u):
+            g.standard_normal(out=nu_j)
+            g.random(out=u_j)
+    else:
+        nu = rng.standard_normal(shape)
+        u = rng.random(shape)  # the values and stream of rng.uniform(size=shape)
     if not shape:  # 0-d draws become 1-d so the in-place steps below apply
         nu, u = nu.reshape(1), u.reshape(1)
     y = nu * nu
@@ -255,94 +268,69 @@ def sample_gig_half(a, b, rng, size=None):
 # Gibbs machinery
 
 
-def conjugate_normal_update(design, response, variances, prior: PriorSpec):
-    """Mean and covariance of theta | latent scales in the augmented model.
+def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
+    """The Gibbs engine over B independent chains that share (n, d).
 
-    ``variances`` are the per-observation conditional variances and
-    ``response`` the shifted responses entering the weighted least-squares
-    algebra.  Exposed for direct verification against closed forms.
+    ``y`` and the kernel ``weights`` are (B, n) and ``design`` is (B, n, d);
+    ``taus``, ``priors``, the start points ``thetas`` and the Generators
+    ``rngs`` hold one entry per chain, and one Generator may serve several
+    chains.  Each sweep draws every chain's latents, then every chain's
+    theta, in chain order, so a lone chain consumes its stream exactly like a
+    standalone run and chains sharing a Generator interleave chain by chain.
+    Returns the draws as (n_draws, B, d).
     """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
-    response = np.asarray(response, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    prior_prec = np.linalg.inv(prior.covariance)
-    prec = prior_prec + (design / variances[:, None]).T @ design
-    rhs = prior_prec @ prior.mean + design.T @ (response / variances)
-    cov = np.linalg.inv(prec)
-    return cov @ rhs, cov
-
-
-def _block_prior_pieces(prior: PriorSpec):
-    prec = np.linalg.inv(prior.covariance)
-    return prec, prec @ prior.mean
-
-
-def _gibbs_sweeps(blocks, n_draws, rng, thetas):
-    """Shared Gibbs engine over independent parameter blocks.
-
-    Each block is a dict with keys y, design, weights, eta, gamma, b_lat,
-    prior_prec, prior_rhs.  Per sweep: all latent draws block by block, then
-    all parameter draws block by block, so a single block consumes the stream
-    exactly like a standalone run.
-    """
-    dims = [b["design"].shape[1] for b in blocks]
-    out = np.empty((n_draws, int(np.sum(dims))))
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    # the loop-invariant pieces of each block, and a buffer for design * wq
-    latent_terms = [(b["y"], b["design"], b["weights"], b["gamma"], b["b_lat"]) for b in blocks]
-    draw_terms = [
-        (b["design"], b["design"].T, b["weights"], b["weights"] * b["weights"],
-         b["weights"] * b["y"], b["eta"], b["gamma"] ** 2, b["prior_prec"], b["prior_rhs"],
-         np.empty(b["design"].shape))
-        for b in blocks
-    ]
+    n_chains, _, d = design.shape
+    mcs = [mixture_constants(tau) for tau in taus]
+    eta = np.array([[mc.eta] for mc in mcs])
+    gamma = np.array([[mc.gamma] for mc in mcs])
+    gam2 = np.array([[mc.gamma**2] for mc in mcs])
+    b_lat = np.array([[np.sqrt(2.0 + mc.eta**2 / mc.gamma**2)] for mc in mcs])
+    precs = [np.linalg.inv(prior.covariance) for prior in priors]
+    prior_prec = np.array(precs)
+    # theta, the right-hand side and the noise are kept as (B, d, 1) columns
+    prior_rhs = np.array([prec @ prior.mean for prec, prior in zip(precs, priors)])[:, :, None]
+    # the loop-invariant pieces, and a buffer for design * wq
+    design_t = design.transpose(0, 2, 1)
+    kw2, kwy = weights * weights, weights * y
+    scaled = np.empty(design.shape)
+    theta = np.array(thetas, dtype=float)[:, :, None]
+    noise = np.empty((n_chains, d, 1))
+    out = np.empty((n_draws, n_chains, d))
     for m in range(n_draws):
-        latents = []
-        for (y, design, kw, gamma, b_lat), theta in zip(latent_terms, thetas):
-            a_lat = design @ theta
-            np.subtract(y, a_lat, out=a_lat)
-            np.abs(a_lat, out=a_lat)
-            a_lat *= kw
-            a_lat /= gamma  # kw * |y - design @ theta| / gamma
-            w = sample_gig_half(a_lat, b_lat, rng)
-            latents.append(np.maximum(w, constants.LATENT_FLOOR, out=w))
-        for j, (terms, w) in enumerate(zip(draw_terms, latents)):
-            design, design_t, kw, kw2, kwy, eta, gam2, prior_prec, prior_rhs, scaled = terms
-            gw = np.multiply(gam2, w)
-            np.multiply(design, np.divide(kw2, gw)[:, None], out=scaled)
-            prec = prior_prec + scaled.T @ design
-            resp = np.multiply(eta, w, out=w)
-            np.subtract(kwy, resp, out=resp)
-            resp *= kw
-            resp /= gw  # kw * (kw * y - eta * w) / (gamma^2 * w)
-            rhs = prior_rhs + design_t @ resp
-            try:
-                chol = np.linalg.cholesky(prec)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"conditional precision not positive definite in block {j} "
-                    f"(sweep {m}): diag={np.diag(prec)!r}"
-                ) from exc
-            mean = np.linalg.solve(prec, rhs)
-            theta = mean + np.linalg.solve(chol.T, rng.standard_normal(prec.shape[0]))
-            thetas[j] = theta
-            out[m, offsets[j] : offsets[j + 1]] = theta
+        a_lat = np.matmul(design, theta)[:, :, 0]
+        np.subtract(y, a_lat, out=a_lat)
+        np.abs(a_lat, out=a_lat)
+        a_lat *= weights
+        a_lat /= gamma  # kw * |y - design @ theta| / gamma
+        w = sample_gig_half(a_lat, b_lat, rngs)
+        np.maximum(w, constants.LATENT_FLOOR, out=w)
+        gw = np.multiply(gam2, w)
+        np.multiply(design, np.divide(kw2, gw)[:, :, None], out=scaled)
+        prec = prior_prec + np.matmul(scaled.transpose(0, 2, 1), design)
+        resp = np.multiply(eta, w, out=w)
+        np.subtract(kwy, resp, out=resp)
+        resp *= weights
+        resp /= gw  # kw * (kw * y - eta * w) / (gamma^2 * w)
+        rhs = prior_rhs + np.matmul(design_t, resp[:, :, None])
+        try:
+            chol = np.linalg.cholesky(prec)
+        except np.linalg.LinAlgError as exc:
+            # the stacked call fails as a whole; name the first chain that fails
+            for j, prec_j in enumerate(prec):
+                try:
+                    np.linalg.cholesky(prec_j)
+                except np.linalg.LinAlgError:
+                    raise NumericalError(
+                        f"conditional precision not positive definite in block {j} "
+                        f"(sweep {m}): diag={np.diag(prec_j)!r}"
+                    ) from exc
+            raise
+        theta = np.linalg.solve(prec, rhs)
+        for rng, z in zip(rngs, noise[:, :, 0]):
+            rng.standard_normal(out=z)
+        theta += np.linalg.solve(chol.transpose(0, 2, 1), noise)
+        out[m] = theta[:, :, 0]
     return out
-
-
-def _make_block(y, design, weights, tau, prior):
-    mc = mixture_constants(tau)
-    prior_prec, prior_rhs = _block_prior_pieces(prior)
-    return {
-        "y": np.asarray(y, dtype=float),
-        "design": np.atleast_2d(np.asarray(design, dtype=float)),
-        "weights": np.asarray(weights, dtype=float),
-        "eta": mc.eta,
-        "gamma": mc.gamma,
-        "b_lat": float(np.sqrt(2.0 + mc.eta**2 / mc.gamma**2)),
-        "prior_prec": prior_prec,
-        "prior_rhs": prior_rhs,
-    }
 
 
 def _resolve_init(init, design, y, direction, weights, prior, allow_hyperplane=True):
@@ -412,13 +400,11 @@ def gibbs_unconditional(
         projected = project(data, direction, basis)
         y = projected.y_u
         design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
-    weights = np.ones(y.size)
     theta0 = _resolve_init(init, design, y, direction, None, prior)
-    rng = _rng_from_seed(seed)
-    block = _make_block(y, design, weights, direction.tau, prior)
-    draws = _gibbs_sweeps([block], n_draws, rng, [theta0])
+    draws = _gibbs(y[None], design[None], np.ones((1, y.size)), [direction.tau], [prior],
+                   [theta0], [_rng_from_seed(seed)], n_draws)
     return Chain(
-        draws=draws,
+        draws=draws[:, 0],
         burn_in=burn_in,
         seed=int(seed),
         sampler="gibbs-unconditional",
@@ -504,11 +490,10 @@ def gibbs_conditional(
         raise DegenerateWindowError("all kernel weights underflowed at this x0")
     theta0 = _resolve_init(init, design.regressors, projected.y_u, direction,
                            weights, prior, allow_hyperplane=False)
-    rng = _rng_from_seed(seed)
-    block = _make_block(projected.y_u, design.regressors, weights, direction.tau, prior)
-    draws = _gibbs_sweeps([block], n_draws, rng, [theta0])
+    draws = _gibbs(projected.y_u[None], design.regressors[None], weights[None], [direction.tau],
+                   [prior], [theta0], [_rng_from_seed(seed)], n_draws)
     return Chain(
-        draws=draws,
+        draws=draws[:, 0],
         burn_in=burn_in,
         seed=int(seed),
         sampler="gibbs-conditional",
@@ -546,15 +531,14 @@ def gibbs_simultaneous(
             f"stacked prior dimension must be {d_block * m_blocks}, got {prior.dim}"
         )
     cov = prior.covariance
-    for i in range(m_blocks):
-        for j in range(m_blocks):
-            if i == j:
-                continue
-            blk = cov[i * d_block : (i + 1) * d_block, j * d_block : (j + 1) * d_block]
-            if np.max(np.abs(blk)) > constants.SYMMETRY_TOL:
-                raise UnsupportedPriorError(
-                    "simultaneous estimation requires a block-diagonal prior covariance"
-                )
+    blocks = [slice(m * d_block, (m + 1) * d_block) for m in range(m_blocks)]
+    off_diagonal = cov.copy()
+    for s in blocks:
+        off_diagonal[s, s] = 0.0
+    if np.max(np.abs(off_diagonal)) > constants.SYMMETRY_TOL:
+        raise UnsupportedPriorError(
+            "simultaneous estimation requires a block-diagonal prior covariance"
+        )
     if bases is None:
         bases = [orthonormal_complement(d.u) for d in directions]
     if init is not None:
@@ -562,26 +546,24 @@ def gibbs_simultaneous(
         if init.size != prior.dim:
             raise ShapeError("initial point does not match the stacked dimension")
 
-    blocks, thetas, names = [], [], []
-    for m, (direction, basis) in enumerate(zip(directions, bases)):
+    sub_priors = [PriorSpec(mean=prior.mean[s], covariance=cov[s, s]) for s in blocks]
+    ys, designs, thetas = [], [], []
+    for s, direction, basis, sub_prior in zip(blocks, directions, bases, sub_priors):
         projected = project(data, direction, basis)
         design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
-        sub_prior = PriorSpec(
-            mean=prior.mean[m * d_block : (m + 1) * d_block],
-            covariance=cov[m * d_block : (m + 1) * d_block, m * d_block : (m + 1) * d_block],
-        )
         if init is None:
-            theta0 = _resolve_init(None, design, projected.y_u, direction, None, sub_prior)
+            thetas.append(_resolve_init(None, design, projected.y_u, direction, None, sub_prior))
         else:
-            theta0 = init[m * d_block : (m + 1) * d_block]
-        blocks.append(_make_block(projected.y_u, design, np.ones(data.n), direction.tau, sub_prior))
-        thetas.append(theta0)
-        names.extend(f"m{m}_{s}" for s in unconditional_param_names(k, p))
+            thetas.append(init[s])
+        ys.append(projected.y_u)
+        designs.append(design)
 
-    rng = _rng_from_seed(seed)
-    draws = _gibbs_sweeps(blocks, n_draws, rng, thetas)
+    draws = _gibbs(np.array(ys), np.array(designs), np.ones((m_blocks, data.n)),
+                   [d.tau for d in directions], sub_priors, thetas,
+                   [_rng_from_seed(seed)] * m_blocks, n_draws)
+    names = [f"m{m}_{s}" for m in range(m_blocks) for s in unconditional_param_names(k, p)]
     return Chain(
-        draws=draws,
+        draws=draws.reshape(n_draws, -1),
         burn_in=burn_in,
         seed=int(seed),
         sampler="gibbs-unconditional",

@@ -37,6 +37,7 @@ from .optimize import frequentist_fit
 from .samplers import (
     KernelSpec,
     PriorSpec,
+    _rng_from_seed,
     default_bandwidth,
     gibbs_conditional,
     gibbs_unconditional,
@@ -85,13 +86,9 @@ class DgpSpec:
             raise DomainError("sample size must be positive")
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def dgp_sample(spec: DgpSpec) -> Dataset:
     """Draw n i.i.d. rows from the requested process."""
-    rng = _rng(int(spec.seed))
+    rng = _rng_from_seed(spec.seed)
     n = spec.n
     if spec.id == 1:
         return Dataset(y=rng.uniform(-0.5, 0.5, size=(n, 2)))
@@ -117,7 +114,7 @@ def dgp_sample(spec: DgpSpec) -> Dataset:
 def dgp4_conditional_sample(n: int, seed: int = 0) -> Dataset:
     """Correlated (x, response) pair whose response given x = x0 is
     N((0, x0/2), [[1, 1.5], [1.5, 8]])."""
-    rng = _rng(int(seed))
+    rng = _rng_from_seed(seed)
     chol = np.linalg.cholesky(_SIGMA_JOINT)
     xz = rng.standard_normal((n, 3)) @ chol.T
     return Dataset(y=xz[:, 1:], x=xz[:, :1])
@@ -160,7 +157,7 @@ def conditional_params_oracle(
     """Location-model parameters of the regression DGP's conditional law at x0."""
     if mc_size < 100_000:
         raise DomainError("oracle needs at least 1e5 Monte Carlo draws")
-    rng = _rng(int(seed))
+    rng = _rng_from_seed(seed)
     chol = np.linalg.cholesky(_SIGMA_COND)
     y = rng.standard_normal((mc_size, 2)) @ chol.T
     y[:, 1] += 0.5 * float(x0)
@@ -446,7 +443,7 @@ def make_star_like(n: int = 2000, seed: int = 7) -> dict:
     occur), a small-classroom indicator, and years of teacher experience with
     a concave effect on scores.
     """
-    rng = _rng(int(seed))
+    rng = _rng_from_seed(seed)
     small = rng.integers(0, 2, size=n)
     experience = rng.integers(0, 26, size=n)
     gain = 12.0 * np.log1p(experience) / np.log(26.0)

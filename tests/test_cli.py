@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,14 @@ class TestProvenance:
     def test_version_is_the_package_version(self):
         assert provenance_block({"a": 1}, 7)["version"] == dirquant.__version__
 
+    def test_pyproject_reads_the_package_version(self):
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # setuptools marks [tool.setuptools] as beta
+            config = pyprojecttoml.read_configuration(path)
+        assert config["project"]["version"] == dirquant.__version__
+
 
 class TestCommands:
     def test_fit_outputs_and_determinism(self, score_csv, tmp_path):
@@ -204,17 +213,21 @@ class TestCommands:
         assert payload["family"] == "uniform-ball"
         assert payload["mean"][-1] == pytest.approx(-payload["radius"])
 
-    def test_simulate_desk_profile_reduced(self, tmp_path):
-        out = str(tmp_path / "os")
-        res = run_cli(
+    def test_simulate_desk_profile_reduced(self, tmp_path, tiny_desk):
+        assert main([
             "simulate", "--set", "profile=desk", "--set", "replications=2",
-            "--set", "sample_sizes=80", "--set", "tables=rmse", "--out", out,
-        )
-        assert res.returncode == 0
-        table = open(os.path.join(out, "rmse.csv")).read().splitlines()
+            "--set", "sample_sizes=80", "--set", "tables=rmse", "--out", str(tmp_path),
+        ]) == 0
+        table = (tmp_path / "rmse.csv").read_text().splitlines()
         assert table[0].startswith("dgp,")
-        assert len(table) > 10  # 4 dgps x 2 directions x params
-        assert os.path.exists(os.path.join(out, "provenance.json"))
+        # one row per cell and parameter: beta_y_0 and alpha, plus beta_x_0
+        # for the regression DGP 4; the override leaves one sample size
+        config = simlab.DESK_PROFILE
+        params = sum(3 if dgp == 4 else 2 for dgp in config.dgps)
+        assert len(table) == 1 + params * len(config.directions) * len(config.taus)
+        header = table[0].split(",")
+        assert {row.split(",")[header.index("n")] for row in table[1:]} == {"80"}
+        assert (tmp_path / "provenance.json").exists()
 
     def test_simulate_coverage_alone_matches_the_full_run(self, tmp_path, tiny_desk):
         full, alone = tmp_path / "full", tmp_path / "alone"

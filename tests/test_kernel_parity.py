@@ -3,14 +3,21 @@
 The library kernels were rewritten for speed on the promise that no output
 bit changes.  Each test runs the library kernels and the copies in
 ``reference_kernels.py`` in this process, on the same inputs and seeds, and
-compares bytes, so the check holds under whichever BLAS numpy uses.
+compares bytes, so the check holds under whichever BLAS numpy uses.  The
+library's Gibbs engine runs stacked chains; the reference sweep runs a list
+of per-block dicts on one Generator, and ``_reference_gibbs`` adapts the one
+to the other.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
 from dirquant import optimize, samplers, simlab
+from dirquant.ald import mixture_constants
+from dirquant.errors import NumericalError, ShapeError
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
 from dirquant.samplers import (
     KernelSpec,
@@ -87,6 +94,53 @@ class TestGigParity:
         old = ref.sample_gig_half(a, 1.2, Stream())
         assert _same_bytes(new, old)
 
+    def test_one_generator_per_row(self):
+        # each row draws its normals, then its uniforms, from its own Generator
+        rng = np.random.default_rng(21)
+        a = np.abs(rng.standard_normal((4, 300)))
+        a[1, ::5] = 0.0
+        a[2, 7] = 1e-300
+        b = rng.uniform(0.5, 2.0, (4, 1))
+        rows, gens = [], []
+        for j in range(4):
+            g = np.random.default_rng(30 + j)
+            rows.append(sample_gig_half(a[j], b[j], g))
+            gens.append(g)
+        stacked_gens = [np.random.default_rng(30 + j) for j in range(4)]
+        assert _same_bytes(sample_gig_half(a, b, stacked_gens), np.array(rows))
+        assert [g.bit_generator.state for g in stacked_gens] == [g.bit_generator.state for g in gens]
+
+    def test_shared_generator_interleaves_rows(self):
+        a = np.abs(np.random.default_rng(22).standard_normal((3, 50)))
+        g_rows, g_stacked = np.random.default_rng(23), np.random.default_rng(23)
+        rows = np.array([sample_gig_half(a[j], 1.1, g_rows) for j in range(3)])
+        assert _same_bytes(sample_gig_half(a, 1.1, [g_stacked] * 3), rows)
+        assert g_rows.bit_generator.state == g_stacked.bit_generator.state
+
+    def test_generator_count_must_match_rows(self):
+        gens = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ShapeError):
+            sample_gig_half(np.ones((3, 4)), 1.0, gens)
+        with pytest.raises(ShapeError):
+            sample_gig_half(np.ones(4), 1.0, gens)
+
+
+def _reference_gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
+    """The engine's interface over the reference sweep: one per-block dict per
+    chain, and every chain on the one Generator the reference takes."""
+    assert all(g is rngs[0] for g in rngs)
+    blocks = []
+    for y_j, design_j, weights_j, tau, prior in zip(y, design, weights, taus, priors):
+        mc = mixture_constants(tau)
+        prec = np.linalg.inv(prior.covariance)
+        blocks.append({
+            "y": y_j, "design": design_j, "weights": weights_j, "eta": mc.eta,
+            "gamma": mc.gamma, "b_lat": float(np.sqrt(2.0 + mc.eta**2 / mc.gamma**2)),
+            "prior_prec": prec, "prior_rhs": prec @ prior.mean,
+        })
+    draws = ref._gibbs_sweeps(blocks, n_draws, rngs[0], list(thetas))
+    return draws.reshape(n_draws, len(blocks), -1)
+
 
 @pytest.fixture
 def parent_kernels(monkeypatch):
@@ -94,7 +148,7 @@ def parent_kernels(monkeypatch):
 
     def run(fn):
         with monkeypatch.context() as m:
-            m.setattr(samplers, "_gibbs_sweeps", ref._gibbs_sweeps)
+            m.setattr(samplers, "_gibbs", _reference_gibbs)
             m.setattr(optimize, "_newton_stage", ref._newton_stage)
             return fn()
 
@@ -143,6 +197,59 @@ class TestGibbsParity:
             return gibbs_simultaneous(data, dirs, prior, n_draws=200, burn_in=20, seed=14)
 
         assert _same_bytes(run().draws, parent_kernels(run).draws)
+
+
+def _stacked_problem(n_chains, n, seed, tiny_weights=False):
+    """Engine inputs for chains with their own data, tau, prior and start."""
+    rng = np.random.default_rng(seed)
+    design = np.concatenate([rng.standard_normal((n_chains, n, 2)), np.ones((n_chains, n, 1))], axis=2)
+    y = design @ np.array([0.5, -0.3, 1.0]) + rng.standard_t(3, (n_chains, n))
+    weights = rng.uniform(0.2, 3.0, (n_chains, n))
+    if tiny_weights:
+        # weights far below 1e-160 send the latent draw to its a <= b * 1e-150
+        # gamma limit; exact zeros do too
+        weights[:, ::3] = 10.0 ** rng.uniform(-300.0, -161.0, weights[:, ::3].shape)
+        weights[:, 1::7] = 0.0
+    taus = list(rng.uniform(0.05, 0.95, n_chains))
+    priors = [PriorSpec(mean=rng.standard_normal(3), covariance=np.diag(rng.uniform(1.0, 100.0, 3)))
+              for _ in range(n_chains)]
+    thetas = list(rng.standard_normal((n_chains, 3)))
+    return y, design, weights, taus, priors, thetas
+
+
+class TestStackedGibbsParity:
+    @pytest.mark.parametrize("n_chains, tiny_weights", [(1, False), (3, True), (25, False), (25, True)])
+    def test_own_generators_match_one_chain_runs(self, n_chains, tiny_weights):
+        y, design, weights, taus, priors, thetas = _stacked_problem(n_chains, 120, n_chains,
+                                                                    tiny_weights)
+        gens = [np.random.default_rng(100 + j) for j in range(n_chains)]
+        draws = samplers._gibbs(y, design, weights, taus, priors, thetas, gens, 60)
+        assert draws.shape == (60, n_chains, 3)
+        for j in range(n_chains):
+            g = np.random.default_rng(100 + j)
+            alone = _reference_gibbs(y[j:j + 1], design[j:j + 1], weights[j:j + 1], taus[j:j + 1],
+                                     priors[j:j + 1], thetas[j:j + 1], [g], 60)
+            assert _same_bytes(draws[:, j], alone[:, 0])
+            assert gens[j].bit_generator.state == g.bit_generator.state
+
+    @pytest.mark.parametrize("tiny_weights", [False, True])
+    def test_shared_generator_matches_the_reference_blocks(self, tiny_weights):
+        y, design, weights, taus, priors, thetas = _stacked_problem(4, 150, 9, tiny_weights)
+        g_new, g_old = np.random.default_rng(41), np.random.default_rng(41)
+        new = samplers._gibbs(y, design, weights, taus, priors, thetas, [g_new] * 4, 80)
+        old = _reference_gibbs(y, design, weights, taus, priors, thetas, [g_old] * 4, 80)
+        assert _same_bytes(new, old)
+        assert g_new.bit_generator.state == g_old.bit_generator.state
+
+    def test_failed_chain_is_named(self):
+        # an indefinite prior precision fails the stacked Cholesky; the error
+        # names the chain and sweep, as the per-block sweep did
+        y, design, weights, taus, priors, thetas = _stacked_problem(3, 4, 5)
+        weights[:] = 0.0  # no data term: the precision is the prior's alone
+        priors[1] = SimpleNamespace(mean=np.zeros(3), covariance=-np.eye(3))
+        gens = [np.random.default_rng(0)] * 3
+        with pytest.raises(NumericalError, match=r"in block 1 \(sweep 0\)"):
+            samplers._gibbs(y, design, weights, taus, priors, thetas, gens, 5)
 
 
 class TestNewtonParity:

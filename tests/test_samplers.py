@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirquant import samplers
+from dirquant.ald import mixture_constants
 from dirquant.errors import (
     DegenerateWindowError,
     InitializationError,
@@ -16,7 +17,6 @@ from dirquant.samplers import (
     Chain,
     KernelSpec,
     PriorSpec,
-    conjugate_normal_update,
     default_bandwidth,
     gibbs_conditional,
     gibbs_simultaneous,
@@ -51,20 +51,85 @@ class TestChainType:
             Chain(draws=draws, burn_in=0, seed=0, sampler="metropolis")
 
 
+def conjugate_normal_update(design, response, variances, prior: PriorSpec):
+    """Mean and covariance of theta given the latent scales: the oracle.
+
+    ``variances`` are the per-observation conditional variances and
+    ``response`` the latent-shifted responses of the augmented model.  The
+    algebra uses explicit inverses and shares no code with the samplers.
+    """
+    prior_prec = np.linalg.inv(prior.covariance)
+    prec = prior_prec + (design / variances[:, None]).T @ design
+    rhs = prior_prec @ prior.mean + design.T @ (response / variances)
+    cov = np.linalg.inv(prec)
+    return cov @ rhs, cov
+
+
 class TestConjugateUpdate:
-    def test_two_observation_hand_case(self):
-        # weighted least-squares algebra with a known prior
-        design = np.array([[1.0, 0.0], [1.0, 2.0]])
-        response = np.array([1.0, 3.0])
-        variances = np.array([0.5, 2.0])
-        prior = PriorSpec(mean=np.array([0.5, -0.5]), covariance=np.diag([4.0, 9.0]))
-        mean, cov = conjugate_normal_update(design, response, variances, prior)
-        prec = np.diag([0.25, 1.0 / 9.0]) + (design / variances[:, None]).T @ design
-        rhs = np.diag([0.25, 1.0 / 9.0]) @ prior.mean + design.T @ (response / variances)
-        expected_cov = np.linalg.inv(prec)
-        expected_mean = expected_cov @ rhs
-        assert np.max(np.abs(cov - expected_cov)) < 1e-10
-        assert np.max(np.abs(mean - expected_mean)) < 1e-10
+    """With the latent scales held fixed, theta draws are i.i.d. from the
+    conjugate update, so the engine's stacked solve is checked against the
+    oracle's explicit inverses."""
+
+    N_DRAWS = 4000
+
+    @staticmethod
+    def _fix_latents(monkeypatch, latents):
+        def stub(a, b, rng):
+            assert a.shape == latents.shape
+            return latents.copy()
+
+        monkeypatch.setattr(samplers, "sample_gig_half", stub)
+
+    @staticmethod
+    def _oracle(design, y, weights, tau, latents, prior):
+        # y_i = x_i theta + eta w_i / k_i + gamma sqrt(w_i) / k_i * N(0, 1)
+        mc = mixture_constants(tau)
+        return conjugate_normal_update(design, y - mc.eta * latents / weights,
+                                       mc.gamma**2 * latents / weights**2, prior)
+
+    def _assert_draws_follow(self, draws, mean, cov):
+        # standardized draws are i.i.d. N(0, I): the mean's squared norm is
+        # chi^2_d / N (below 25 with probability > 0.9999 for d <= 4) and the
+        # covariance entries have sd <= sqrt(2 / N)
+        z = np.linalg.solve(np.linalg.cholesky(cov), (draws - mean).T).T
+        assert self.N_DRAWS * z.mean(axis=0) @ z.mean(axis=0) < 25.0
+        assert np.max(np.abs(np.cov(z.T) - np.eye(z.shape[1]))) < 5.0 * np.sqrt(2.0 / self.N_DRAWS)
+
+    def test_conditional_chain_with_kernel_weights(self, monkeypatch, diag_direction):
+        rng = np.random.default_rng(41)
+        data = Dataset(y=rng.normal(size=(150, 2)), x=rng.uniform(-2.0, 2.0, (150, 1)))
+        x0 = np.array([0.0])
+        basis = orthonormal_complement(diag_direction.u)
+        projected = project(data, diag_direction, basis)
+        design = make_conditional_design(projected, data.x, x0, "local-bilinear")
+        kernel = KernelSpec(bandwidth=1.0)
+        weights = kernel_weights(kernel, data.x, x0)
+        assert 0.05 < weights.min() and weights.max() < 0.4
+        prior = PriorSpec(mean=np.array([0.3, -0.2, 0.1, 0.0]), covariance=np.diag([4.0, 2.0, 9.0, 1.0]))
+        latents = rng.exponential(size=(1, 150)) + 0.05
+        self._fix_latents(monkeypatch, latents)
+        chain = gibbs_conditional(data, diag_direction, design, kernel, prior, n_draws=self.N_DRAWS,
+                                  burn_in=1, seed=42, init=np.zeros(4), basis=basis)
+        mean, cov = self._oracle(design.regressors, projected.y_u, weights, diag_direction.tau,
+                                 latents[0], prior)
+        self._assert_draws_follow(chain.draws, mean, cov)
+
+    def test_one_block_of_a_simultaneous_run(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        data = Dataset(y=rng.normal(size=(120, 2)), x=rng.normal(size=(120, 1)))
+        dirs = [Direction(u=np.array([np.cos(t), np.sin(t)]), tau=tau)
+                for t, tau in ((0.4, 0.2), (2.0, 0.35), (4.1, 0.6))]
+        bases = [orthonormal_complement(d.u) for d in dirs]
+        prior = PriorSpec(mean=rng.normal(size=9), covariance=np.diag(rng.uniform(1.0, 10.0, 9)))
+        latents = rng.exponential(size=(3, 120)) + 0.05
+        self._fix_latents(monkeypatch, latents)
+        chain = gibbs_simultaneous(data, dirs, prior, n_draws=self.N_DRAWS, burn_in=1, seed=44,
+                                   init=np.zeros(9), bases=bases)
+        projected = project(data, dirs[1], bases[1])
+        design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
+        block = PriorSpec(mean=prior.mean[3:6], covariance=prior.covariance[3:6, 3:6])
+        mean, cov = self._oracle(design, projected.y_u, np.ones(data.n), dirs[1].tau, latents[1], block)
+        self._assert_draws_follow(chain.draws[:, 3:6], mean, cov)
 
 
 class TestGibbsUnconditional:
