@@ -5,8 +5,12 @@ kernel-weighted Gibbs sampler for the conditional model, and a random-walk
 Metropolis-Hastings fallback for non-normal priors.  Multi-direction
 simultaneous estimation stacks independent blocks under a block-diagonal
 normal prior.  The three Gibbs samplers run one engine over stacked chains
-that share (n, d): the unconditional and conditional samplers as one chain,
-the simultaneous sampler as one chain per direction on a shared Generator.
+that share (n, d): the unconditional and conditional samplers prepare one
+chain (``_unconditional_problem``, ``_conditional_problem``) and run it
+alone (``_run_chains``), the simultaneous sampler runs one chain per
+direction on a shared Generator, and ``simlab`` runs many prepared chains
+in one ``_run_chains`` call, each on a Generator of its own seed.  Each
+chain's bytes are the same whatever chains share its call.
 
 Latent-scale draws use the nu = 1/2 generalized inverse Gaussian, sampled
 exactly through the reciprocal inverse-Gaussian identity; ``sample_gig_half``
@@ -355,7 +359,7 @@ def _resolve_init(init, design, y, direction, weights, prior, allow_hyperplane=T
                 f"u={direction.u.tolist()}, {fit.iterations} iterations); the chain starts "
                 "from its last iterate",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         return np.asarray(fit.theta, dtype=float)
     return prior.mean.copy()
@@ -363,6 +367,65 @@ def _resolve_init(init, design, y, direction, weights, prior, allow_hyperplane=T
 
 def _rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+
+
+@dataclass(frozen=True)
+class _ChainProblem:
+    """One Gibbs chain, ready for the engine: response ``y`` and kernel
+    ``weights`` (n,), ``design`` (n, d), and the chain's tau, prior, start
+    point and seed, with the names its draws carry."""
+
+    y: np.ndarray
+    design: np.ndarray
+    weights: np.ndarray
+    tau: float
+    prior: PriorSpec
+    theta0: np.ndarray
+    seed: int
+    sampler: str
+    names: tuple
+    layout: tuple | None = None
+
+
+def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None) -> _ChainProblem:
+    """The chain ``gibbs_unconditional`` runs: design [y_perp, x, 1] and unit weights."""
+    k = direction.k
+    if data is None:
+        p = prior.dim - k
+        if p < 0:
+            raise ShapeError("prior dimension below the response dimension")
+        y = np.zeros(0)
+        design = np.zeros((0, prior.dim))
+    else:
+        p = data.p
+        if prior.dim != k + p:
+            raise ShapeError(f"prior dimension must be {k + p}, got {prior.dim}")
+        if basis is None:
+            basis = orthonormal_complement(direction.u)
+        projected = project(data, direction, basis)
+        y = projected.y_u
+        design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
+    theta0 = _resolve_init(init, design, y, direction, None, prior)
+    return _ChainProblem(y, design, np.ones(y.size), direction.tau, prior, theta0, int(seed),
+                         "gibbs-unconditional", unconditional_param_names(k, p), (k, p))
+
+
+def _engine_inputs(problems):
+    """The engine's stacked data and per-chain settings, before its Generators."""
+    return (np.array([q.y for q in problems]), np.array([q.design for q in problems]),
+            np.array([q.weights for q in problems]), [q.tau for q in problems],
+            [q.prior for q in problems], [q.theta0 for q in problems])
+
+
+def _run_chains(problems, n_draws, burn_in):
+    """Run prepared chains that share (n, d) through one engine call, each on
+    a Generator of its own seed; returns one Chain per problem."""
+    draws = _gibbs(*_engine_inputs(problems), [_rng_from_seed(q.seed) for q in problems], n_draws)
+    return [
+        Chain(draws=np.ascontiguousarray(draws[:, j]), burn_in=burn_in, seed=q.seed,
+              sampler=q.sampler, acceptance_rate=1.0, names=q.names, layout=q.layout)
+        for j, q in enumerate(problems)
+    ]
 
 
 def gibbs_unconditional(
@@ -384,34 +447,8 @@ def gibbs_unconditional(
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")
-    k = direction.k
-    if data is None:
-        p = prior.dim - k
-        if p < 0:
-            raise ShapeError("prior dimension below the response dimension")
-        y = np.zeros(0)
-        design = np.zeros((0, prior.dim))
-    else:
-        p = data.p
-        if prior.dim != k + p:
-            raise ShapeError(f"prior dimension must be {k + p}, got {prior.dim}")
-        if basis is None:
-            basis = orthonormal_complement(direction.u)
-        projected = project(data, direction, basis)
-        y = projected.y_u
-        design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
-    theta0 = _resolve_init(init, design, y, direction, None, prior)
-    draws = _gibbs(y[None], design[None], np.ones((1, y.size)), [direction.tau], [prior],
-                   [theta0], [_rng_from_seed(seed)], n_draws)
-    return Chain(
-        draws=draws[:, 0],
-        burn_in=burn_in,
-        seed=int(seed),
-        sampler="gibbs-unconditional",
-        acceptance_rate=1.0,
-        names=unconditional_param_names(k, p),
-        layout=(k, p),
-    )
+    problem = _unconditional_problem(data, direction, prior, seed, init, basis)
+    return _run_chains([problem], n_draws, burn_in)[0]
 
 
 def kernel_weights(kernel: KernelSpec, x, x0) -> np.ndarray:
@@ -458,6 +495,26 @@ def make_conditional_design(projected, x, x0, kind: str) -> ConditionalDesign:
     return ConditionalDesign(kind=kind, x0=x0, regressors=regressors, k=k, p=p)
 
 
+def _conditional_problem(data, direction, design, kernel, prior, seed=0, init=None,
+                         basis=None) -> _ChainProblem:
+    """The chain ``gibbs_conditional`` runs: the design's regressors and the
+    kernel weights K_h(x_i - x0)."""
+    if prior.dim != design.dim:
+        raise ShapeError(f"prior dimension must be {design.dim}, got {prior.dim}")
+    if basis is None:
+        basis = orthonormal_complement(direction.u)
+    projected = project(data, direction, basis)
+    if design.regressors.shape[0] != data.n:
+        raise ShapeError("design rows do not match the data")
+    weights = kernel_weights(kernel, data.x, design.x0)
+    if float(np.max(weights, initial=0.0)) < constants.WEIGHT_FLOOR:
+        raise DegenerateWindowError("all kernel weights underflowed at this x0")
+    theta0 = _resolve_init(init, design.regressors, projected.y_u, direction,
+                           weights, prior, allow_hyperplane=False)
+    return _ChainProblem(projected.y_u, design.regressors, weights, direction.tau, prior, theta0,
+                         int(seed), "gibbs-conditional", design.names())
+
+
 def gibbs_conditional(
     data: Dataset,
     direction: Direction,
@@ -478,28 +535,8 @@ def gibbs_conditional(
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")
-    if prior.dim != design.dim:
-        raise ShapeError(f"prior dimension must be {design.dim}, got {prior.dim}")
-    if basis is None:
-        basis = orthonormal_complement(direction.u)
-    projected = project(data, direction, basis)
-    if design.regressors.shape[0] != data.n:
-        raise ShapeError("design rows do not match the data")
-    weights = kernel_weights(kernel, data.x, design.x0)
-    if float(np.max(weights, initial=0.0)) < constants.WEIGHT_FLOOR:
-        raise DegenerateWindowError("all kernel weights underflowed at this x0")
-    theta0 = _resolve_init(init, design.regressors, projected.y_u, direction,
-                           weights, prior, allow_hyperplane=False)
-    draws = _gibbs(projected.y_u[None], design.regressors[None], weights[None], [direction.tau],
-                   [prior], [theta0], [_rng_from_seed(seed)], n_draws)
-    return Chain(
-        draws=draws[:, 0],
-        burn_in=burn_in,
-        seed=int(seed),
-        sampler="gibbs-conditional",
-        acceptance_rate=1.0,
-        names=design.names(),
-    )
+    problem = _conditional_problem(data, direction, design, kernel, prior, seed, init, basis)
+    return _run_chains([problem], n_draws, burn_in)[0]
 
 
 def gibbs_simultaneous(
@@ -546,21 +583,12 @@ def gibbs_simultaneous(
         if init.size != prior.dim:
             raise ShapeError("initial point does not match the stacked dimension")
 
-    sub_priors = [PriorSpec(mean=prior.mean[s], covariance=cov[s, s]) for s in blocks]
-    ys, designs, thetas = [], [], []
-    for s, direction, basis, sub_prior in zip(blocks, directions, bases, sub_priors):
-        projected = project(data, direction, basis)
-        design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
-        if init is None:
-            thetas.append(_resolve_init(None, design, projected.y_u, direction, None, sub_prior))
-        else:
-            thetas.append(init[s])
-        ys.append(projected.y_u)
-        designs.append(design)
-
-    draws = _gibbs(np.array(ys), np.array(designs), np.ones((m_blocks, data.n)),
-                   [d.tau for d in directions], sub_priors, thetas,
-                   [_rng_from_seed(seed)] * m_blocks, n_draws)
+    problems = [
+        _unconditional_problem(data, direction, PriorSpec(mean=prior.mean[s], covariance=cov[s, s]),
+                               seed, None if init is None else init[s], basis)
+        for s, direction, basis in zip(blocks, directions, bases)
+    ]
+    draws = _gibbs(*_engine_inputs(problems), [_rng_from_seed(seed)] * m_blocks, n_draws)
     names = [f"m{m}_{s}" for m in range(m_blocks) for s in unconditional_param_names(k, p)]
     return Chain(
         draws=draws.reshape(n_draws, -1),

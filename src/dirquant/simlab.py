@@ -9,6 +9,21 @@ interval-coverage tables from one pass over the same chains, and
 their replications through one fan-out (at most one worker pool per call)
 and return each failed replication with the reason it failed.
 
+The fan-out groups a driver's replications by sample size n, across cells,
+into chunks of at most ``_ROW_BUDGET`` chain rows (chains x n).  A chunk
+prepares each replication (dataset, projected response, design, kernel
+weights, init fit and chain seed), stacks the prepared chains by (n, d)
+into one call of the samplers' engine each, with one Generator per chain,
+and summarises each replication from its chain.  A chain's bytes do not
+depend on the chains stacked with it, so the tables are those of one chain
+per replication.  Stacking B chains pays at small n and stops paying near
+n = 1e4, hence the budget: per chain-sweep, 96/30/16/14 us at n = 1e2 for
+B = 1/4/16/64, 170/97/78/73 us at n = 1e3, and 651/603/638 us at n = 1e4
+for B = 1/4/16 (2-vCPU x86_64, numpy 2.4, one BLAS thread).  If an engine
+call raises, its chains are rerun one by one, so only the failing
+replication fails.  With ``workers`` > 1 the chunks go to one ``spawn``
+pool.
+
 The regression DGP draws (x, z) jointly normal and returns y = z + (0, x)'.
 Its conditional experiments use the correlated pair without that level
 shift (``dgp4_conditional_sample``), so the response given x = x0 is
@@ -37,10 +52,11 @@ from .optimize import frequentist_fit
 from .samplers import (
     KernelSpec,
     PriorSpec,
+    _conditional_problem,
     _rng_from_seed,
+    _run_chains,
+    _unconditional_problem,
     default_bandwidth,
-    gibbs_conditional,
-    gibbs_unconditional,
     make_conditional_design,
     unconditional_param_names,
 )
@@ -199,6 +215,11 @@ PAPER_PROFILE = ExperimentConfig(
 )
 
 
+# chain rows (chains x observations) per engine call: per chain-sweep, stacking
+# B chains pays at n = 1e2 and 1e3 and stops paying at n = 1e4
+_ROW_BUDGET = 65_536
+
+
 def _rep_seed(master: int, cell_index: int, rep: int, stream: int = 0) -> int:
     ss = np.random.SeedSequence((int(master), int(cell_index), int(rep), int(stream)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -215,19 +236,24 @@ def _cell_oracle(config: ExperimentConfig, dgp: int, u, tau, cache: dict):
     return cache[key]
 
 
-def _replicate_cell(args):
-    """One unconditional replication: sample, fit, summarize.  Location
-    models (p = 0, k = 2) also get their asymptotic and naive intervals."""
-    (dgp, u, tau, n, n_draws, burn_in, convention, level, data_seed, chain_seed) = args
+def _prepare_cell(args):
+    """One unconditional replication up to its chain: dataset, prior and the
+    prepared chain, plus what ``_summarise_cell`` needs of them."""
+    (dgp, u, tau, n, convention, level, data_seed, chain_seed) = args
     direction = Direction(u=np.asarray(u), tau=tau)
     basis = orthonormal_complement(direction.u, convention=convention)
     data = dgp_sample(DgpSpec(id=dgp, n=n, seed=data_seed))
     prior = PriorSpec(
         mean=np.zeros(data.k + data.p), covariance=1000.0 * np.eye(data.k + data.p)
     )
-    chain = gibbs_unconditional(
-        data, direction, prior, n_draws=n_draws, burn_in=burn_in, seed=chain_seed, basis=basis
-    )
+    problem = _unconditional_problem(data, direction, prior, seed=chain_seed, basis=basis)
+    return problem, (dgp, level, data_seed, data, direction, basis)
+
+
+def _summarise_cell(context, chain):
+    """One unconditional replication's summary.  Location models (p = 0,
+    k = 2) also get their asymptotic and naive intervals."""
+    dgp, level, data_seed, data, direction, basis = context
     estimate = posterior_vector(chain)
     theta = HyperplaneParams.from_vector(estimate, data.k, data.p)
     report = subgradient_diagnostics(data, direction, theta, basis=basis)
@@ -237,7 +263,7 @@ def _replicate_cell(args):
         "mcse": posterior_mcse(chain),
         "sg1": report.sg1,
         "sg2": report.sg2,
-        "sg2_target": tau * dgp_stacked_mean(dgp, data.k),
+        "sg2_target": direction.tau * dgp_stacked_mean(dgp, data.k),
     }
     if data.p == 0 and data.k == 2:
         ci = asymptotic_ci(chain, data, direction, level=level, basis=basis)
@@ -247,8 +273,9 @@ def _replicate_cell(args):
     return out
 
 
-def _replicate_conditional(args):
-    (u, tau, n, x0, n_draws, burn_in, convention, data_seed, chain_seed) = args
+def _prepare_conditional(args):
+    """One conditional replication up to its chain; its summary needs no context."""
+    (u, tau, n, x0, convention, data_seed, chain_seed) = args
     direction = Direction(u=np.asarray(u), tau=tau)
     basis = orthonormal_complement(direction.u, convention=convention)
     data = dgp4_conditional_sample(n, seed=data_seed)
@@ -256,51 +283,134 @@ def _replicate_conditional(args):
     design = make_conditional_design(projected, data.x, np.array([x0]), "local-constant")
     kernel = KernelSpec(bandwidth=default_bandwidth(data.x))
     prior = PriorSpec(mean=np.zeros(design.dim), covariance=1000.0 * np.eye(design.dim))
-    chain = gibbs_conditional(
-        data, direction, design, kernel, prior,
-        n_draws=n_draws, burn_in=burn_in, seed=chain_seed, basis=basis,
-    )
+    problem = _conditional_problem(data, direction, design, kernel, prior,
+                                   seed=chain_seed, basis=basis)
+    return problem, None
+
+
+def _summarise_conditional(context, chain):
     return {"estimate": posterior_vector(chain)}  # (alpha, beta_y)
 
 
-def _attempt(task):
-    """Run one replication; a failure comes back as its ``repr``.  Top level
-    so the fan-out can send it to worker processes."""
-    replicate, args = task
-    try:
-        return ("ok", replicate(args))
-    except Exception as exc:
-        return ("err", repr(exc))
+def _isolated_chains(problems, n_draws, burn_in):
+    """Chains of problems that share (n, d), from one engine call.
 
-
-def _fan_out(config: ExperimentConfig, replicate, cells, workers: int = 1):
-    """Run every replication of every cell, through at most one worker pool.
-
-    ``cells`` lists (cell_index, cell, args); replication ``rep`` runs
-    ``replicate((*args, data_seed, chain_seed))``, seeded by ``_rep_seed``.
-    Yields (cell, results, failures) per cell, a failure as (rep, repr).
+    If that call raises, each chain is rerun alone at B = 1, so that only a
+    failing chain fails, with its own error (a ``NumericalError`` then names
+    block 0 and its sweep), and its siblings keep the bytes they would have
+    had.  Returns a Chain, or the exception, per problem.
     """
+    try:
+        return _run_chains(problems, n_draws, burn_in)
+    except Exception as exc:
+        if len(problems) == 1:
+            return [exc]
+    out = []
+    for problem in problems:
+        try:
+            out.append(_run_chains([problem], n_draws, burn_in)[0])
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _run_chunk(task):
+    """Prepare, run and summarise one chunk of replications that share n.
+
+    The prepared chains are stacked by (n, d), one engine call per shape.
+    Returns ("ok", summary) or ("err", repr) per replication, in order: a
+    failure anywhere fails only its own replication.  Top level so the
+    fan-out can send it to worker processes.
+    """
+    prepare, summarise, n_draws, burn_in, chunk = task
+    outcomes = [None] * len(chunk)
+    shapes = {}  # (n, d) -> [(position, problem, context)]
+    for i, args in enumerate(chunk):
+        try:
+            problem, context = prepare(args)
+        except Exception as exc:
+            outcomes[i] = ("err", repr(exc))
+            continue
+        shapes.setdefault(problem.design.shape, []).append((i, problem, context))
+    for group in shapes.values():
+        chains = _isolated_chains([problem for _, problem, _ in group], n_draws, burn_in)
+        for (i, _, context), chain in zip(group, chains):
+            if isinstance(chain, Exception):
+                outcomes[i] = ("err", repr(chain))
+                continue
+            try:
+                outcomes[i] = ("ok", summarise(context, chain))
+            except Exception as exc:
+                outcomes[i] = ("err", repr(exc))
+    return outcomes
+
+
+def _chunks(sizes, workers=1):
+    """Positions of replications split into engine chunks.
+
+    Replications of one sample size n are taken in order and split into
+    chunks of at most ``_ROW_BUDGET // n`` (at least one) replications, and
+    into at least ``workers`` chunks where there are that many replications.
+    """
+    by_n = {}
+    for i, n in enumerate(sizes):
+        by_n.setdefault(n, []).append(i)
+    chunks = []
+    for n, positions in by_n.items():
+        size = max(1, min(_ROW_BUDGET // max(n, 1), -(-len(positions) // workers)))
+        chunks.extend(positions[i:i + size] for i in range(0, len(positions), size))
+    return chunks
+
+
+def _run_replications(prepare, summarise, tasks, n_draws, burn_in, workers=1):
+    """("ok", summary) or ("err", repr) for each (n, args) in ``tasks``, in
+    order, run in engine chunks through at most one worker pool."""
+    chunks = _chunks([n for n, _ in tasks], workers)
+    jobs = [(prepare, summarise, n_draws, burn_in, [tasks[i][1] for i in chunk]) for chunk in chunks]
+    outcomes = [None] * len(tasks)
     pool = None
     if workers > 1:  # spawn: forking a process whose BLAS may run threads is unsafe
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
-        for cell_index, cell, args in cells:
-            tasks = [
-                (replicate, (*args, _rep_seed(config.master_seed, cell_index, rep, 0),
-                             _rep_seed(config.master_seed, cell_index, rep, 1)))
-                for rep in range(config.replications)
-            ]
-            outcomes = pool.map(_attempt, tasks) if pool else map(_attempt, tasks)
-            results, failures = [], []
-            for rep, (status, payload) in enumerate(outcomes):
-                if status == "ok":
-                    results.append(payload)
-                else:  # record, never drop silently
-                    failures.append((rep, payload))
-            yield cell, results, failures
+        run = pool.map if pool else map
+        for chunk, results in zip(chunks, run(_run_chunk, jobs)):
+            for i, outcome in zip(chunk, results):
+                outcomes[i] = outcome
     finally:
         if pool is not None:
             pool.shutdown()
+    return outcomes
+
+
+def _fan_out(config: ExperimentConfig, prepare, summarise, cells, workers: int = 1):
+    """Run every replication of every cell in engine chunks.
+
+    ``cells`` lists (cell_index, cell, n, args); replication ``rep`` is
+    ``prepare((*args, data_seed, chain_seed))``, seeded by ``_rep_seed``,
+    then its chain, then ``summarise(context, chain)``.  Replications that
+    share n are grouped across cells into chunks of at most ``_ROW_BUDGET``
+    chain rows, each run by ``_run_chunk`` (its chains stacked by (n, d));
+    with ``workers`` > 1 the chunks go to one ``spawn`` pool, so scripts
+    that call a driver that way need a ``__main__`` guard.  Returns
+    (cell, results, failures) per cell, a failure as (rep, repr).
+    """
+    reps = config.replications
+    tasks = [
+        (n, (*args, _rep_seed(config.master_seed, cell_index, rep, 0),
+             _rep_seed(config.master_seed, cell_index, rep, 1)))
+        for cell_index, _, n, args in cells for rep in range(reps)
+    ]
+    outcomes = _run_replications(prepare, summarise, tasks, config.n_draws, config.burn_in, workers)
+    out = []
+    for c, (_, cell, _, _) in enumerate(cells):
+        results, failures = [], []
+        for rep, (status, payload) in enumerate(outcomes[c * reps:(c + 1) * reps]):
+            if status == "ok":
+                results.append(payload)
+            else:  # record, never drop silently
+                failures.append((rep, payload))
+        out.append((cell, results, failures))
+    return out
 
 
 def _rows(values, width):
@@ -348,12 +458,14 @@ def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1)
     statistics and ``replications`` 0.
     """
     cells = [
-        (i, cell, (*cell, config.n_draws, config.burn_in, config.basis_convention, config.level))
+        (i, cell, cell[3], (*cell, config.basis_convention, config.level))
         for i, cell in enumerate(config.cells())
     ]
     oracles = {}
     rmse_rows, sg_rows, cov_rows, rep_rows, fail_rows = [], [], [], [], []
-    for (dgp, u, tau, n), results, failures in _fan_out(config, _replicate_cell, cells, workers):
+    for (dgp, u, tau, n), results, failures in _fan_out(
+        config, _prepare_cell, _summarise_cell, cells, workers
+    ):
         theta0 = _cell_oracle(config, dgp, u, tau, oracles)
         truth = theta0.as_vector()
         names = unconditional_param_names(len(theta0.beta_y) + 1, len(theta0.beta_x))
@@ -410,12 +522,14 @@ def conditional_rmse_experiment(config: ExperimentConfig = DESK_PROFILE, workers
     keys = [(tuple(u), tau, n) for u in config.directions for tau in config.taus
             for n in config.sample_sizes]
     cells = [  # cell indices from 10_000 are disjoint from the unconditional ones
-        (10_000 + i, key, (*key, config.x0, config.n_draws, config.burn_in, config.basis_convention))
+        (10_000 + i, key, key[2], (*key, config.x0, config.basis_convention))
         for i, key in enumerate(keys)
     ]
     oracles = {}
     rows, fail_rows = [], []
-    for (u, tau, n), results, failures in _fan_out(config, _replicate_conditional, cells, workers):
+    for (u, tau, n), results, failures in _fan_out(
+        config, _prepare_conditional, _summarise_conditional, cells, workers
+    ):
         if (u, tau) not in oracles:
             direction = Direction(u=np.asarray(u), tau=tau)
             basis = orthonormal_complement(direction.u, convention=config.basis_convention)

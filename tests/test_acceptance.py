@@ -27,10 +27,17 @@ from dirquant.inference import (
     subgradient_diagnostics,
 )
 from dirquant.optimize import frequentist_fit
-from dirquant.samplers import PriorSpec, gibbs_unconditional, metropolis_hastings, sample_gig_half
+from dirquant.samplers import (
+    PriorSpec,
+    _unconditional_problem,
+    gibbs_unconditional,
+    metropolis_hastings,
+    sample_gig_half,
+)
 from dirquant.simlab import (
     ExperimentConfig,
     _rmse_and_se,
+    _run_replications,
     conditional_params_oracle,
     conditional_rmse_experiment,
     dgp_sample,
@@ -226,23 +233,34 @@ def test_criterion_3_coverage():
         data_seed = int(np.random.SeedSequence((MASTER_SEED, 3, rep)).generate_state(1)[0])
         return dgp_sample(DgpSpec(id=2, n=1000, seed=data_seed))
 
+    def prepare(rep):
+        data = dataset(rep)
+        return _unconditional_problem(data, direction, prior, seed=rep, basis=basis), (rep, data)
+
+    def summarise(context, chain):
+        rep, data = context
+        z_rep = None
+        if rep < oracle_reps:
+            z_rep = mcse_z(chain, exact_posterior(data, direction, basis=basis).mean)
+        return asymptotic_ci(chain, data, direction, basis=basis), naive_ci(chain), z_rep
+
+    # the chains run stacked, in engine calls that share (n, d), as in simlab
+    outcomes = _run_replications(prepare, summarise, [(1000, rep) for rep in range(reps)],
+                                 n_draws=1000, burn_in=200)
+    failed_reps = [(rep, payload) for rep, (status, payload) in enumerate(outcomes) if status != "ok"]
+    assert not failed_reps, failed_reps
     naive_covered = np.zeros(2)
     estimates = np.zeros((reps, 2))
     std_errors = np.zeros((reps, 2))
     lower = np.zeros((reps, 2))
     upper = np.zeros((reps, 2))
     z = []
-    for rep in range(reps):
-        data = dataset(rep)
-        chain = gibbs_unconditional(data, direction, prior, n_draws=1000, burn_in=200,
-                                    seed=rep, basis=basis)
-        ci = asymptotic_ci(chain, data, direction, basis=basis)
-        nci = naive_ci(chain)
+    for rep, (_, (ci, nci, z_rep)) in enumerate(outcomes):
         estimates[rep], std_errors[rep] = ci.estimate, ci.std_error
         lower[rep], upper[rep] = ci.lower, ci.upper
         naive_covered += (nci.lower <= truth) & (truth <= nci.upper)
         if rep < oracle_reps:
-            z.append(mcse_z(chain, exact_posterior(data, direction, basis=basis).mean))
+            z.append(z_rep)
     raw = np.mean((lower <= truth) & (truth <= upper), axis=0)
     cov_beta, cov_alpha = raw
     ncov_beta, ncov_alpha = naive_covered / reps

@@ -240,15 +240,15 @@ class TestCommands:
         assert (alone / "coverage.csv").read_bytes() == (full / "coverage.csv").read_bytes()
 
     def test_simulate_reports_failed_replications(self, tmp_path, tiny_desk, monkeypatch, capsys):
-        real = simlab.gibbs_unconditional
+        real = simlab._run_chains
         doomed = simlab._rep_seed(simlab.DESK_PROFILE.master_seed, 0, 1, 1)  # cell 0, replication 1
 
-        def sampler(*args, seed, **kwargs):
-            if seed == doomed:
+        def run_chains(problems, *args):  # one engine call of chains sharing (n, d)
+            if any(problem.seed == doomed for problem in problems):
                 raise RuntimeError("injected failure")
-            return real(*args, seed=seed, **kwargs)
+            return real(problems, *args)
 
-        monkeypatch.setattr(simlab, "gibbs_unconditional", sampler)
+        monkeypatch.setattr(simlab, "_run_chains", run_chains)
         assert main(["simulate", "--set", "tables=rmse", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "simulate: dgp=1 u=(0.0, 1.0) tau=0.2 n=60 replication 1 failed: "

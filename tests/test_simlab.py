@@ -6,6 +6,16 @@ from dirquant import simlab
 from dirquant.errors import DomainError
 from dirquant.geometry import Direction
 from dirquant.priors import normal_quantile
+from dirquant.inference import posterior_mcse, posterior_vector
+from dirquant.geometry import orthonormal_complement, project
+from dirquant.samplers import (
+    KernelSpec,
+    PriorSpec,
+    default_bandwidth,
+    gibbs_conditional,
+    gibbs_unconditional,
+    make_conditional_design,
+)
 from dirquant.simlab import (
     DgpSpec,
     ExperimentConfig,
@@ -240,13 +250,13 @@ class TestExperiments:
         def failing(real, cell_index):
             doomed = simlab._rep_seed(cfg.master_seed, cell_index, 2, 1)  # replication 2's chain
 
-            def sampler(*args, seed, **kwargs):
-                if seed == doomed:
+            def run_chains(problems, *args):  # one engine call of chains sharing (n, d)
+                if any(problem.seed == doomed for problem in problems):
                     raise RuntimeError("injected failure")
-                return real(*args, seed=seed, **kwargs)
-            return sampler
+                return real(problems, *args)
+            return run_chains
 
-        monkeypatch.setattr(simlab, "gibbs_unconditional", failing(simlab.gibbs_unconditional, 1))
+        monkeypatch.setattr(simlab, "_run_chains", failing(simlab._run_chains, 1))
         tables = simulation_tables(cfg)
         assert tables["failures"] == [
             {**_CELL, "n": 400, "rep": 2, "error": "RuntimeError('injected failure')"}
@@ -257,7 +267,7 @@ class TestExperiments:
         assert len(tables["replications"]) == 5
 
         # conditional cells are numbered from 10_000
-        monkeypatch.setattr(simlab, "gibbs_conditional", failing(simlab.gibbs_conditional, 10_000))
+        monkeypatch.setattr(simlab, "_run_chains", failing(simlab._run_chains, 10_000))
         cond = conditional_rmse_experiment(replace(cfg, sample_sizes=(80,)))
         assert cond["failures"] == [{
             "u": (0.0, 1.0), "tau": 0.2, "n": 80, "x0": 1.0, "rep": 2,
@@ -271,7 +281,7 @@ class TestExperiments:
         def failing(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(simlab, "gibbs_unconditional", failing)
+        monkeypatch.setattr(simlab, "_run_chains", failing)
         tables = simulation_tables(cfg)
         error = "RuntimeError('injected failure')"
         assert tables["failures"] == [{**_CELL, "n": 80, "rep": rep, "error": error} for rep in (0, 1)]
@@ -284,12 +294,51 @@ class TestExperiments:
                 assert (row["replications"], row["failed"]) == (0, 2)
                 assert all(np.isnan(row[key]) for key in keys)
 
-        monkeypatch.setattr(simlab, "gibbs_conditional", failing)
+        monkeypatch.setattr(simlab, "_run_chains", failing)
         cond = conditional_rmse_experiment(cfg)
         assert [(r["rep"], r["error"]) for r in cond["failures"]] == [(0, error), (1, error)]
         for row in cond["conditional"]:
             assert (row["replications"], row["failed"]) == (0, 2)
             assert all(np.isnan(row[key]) for key in ("rmse", "rmse_se", "bias"))
+
+    @staticmethod
+    def _nan_response(problem):
+        problem.y[0] = np.nan  # the chain runs on, its draws turn NaN
+
+    @staticmethod
+    def _negative_prior_precision(problem):
+        problem.prior.covariance[:] = -1e-12 * np.eye(problem.prior.dim)
+
+    @pytest.mark.parametrize("poison, error", [
+        ("_nan_response", "NumericalError('chain contains non-finite draws')"),
+        # run alone, the poisoned chain is block 0 and fails at its first sweep
+        ("_negative_prior_precision",
+         "NumericalError('conditional precision not positive definite in block 0 (sweep 0)"),
+    ])
+    def test_failed_chain_leaves_its_siblings_alone(self, monkeypatch, poison, error):
+        cfg = replace(SMALL, replications=3)
+        clean = simulation_tables(cfg)
+        real = simlab._unconditional_problem
+        doomed = simlab._rep_seed(cfg.master_seed, 1, 1, 1)  # n = 400, replication 1's chain
+
+        def poisoned(*args, seed, **kwargs):
+            problem = real(*args, seed=seed, **kwargs)
+            if seed == doomed:
+                getattr(self, poison)(problem)
+            return problem
+
+        # the engine call of the three n = 400 chains fails as a whole, and
+        # each of them is rerun alone
+        monkeypatch.setattr(simlab, "_unconditional_problem", poisoned)
+        tables = simulation_tables(cfg)
+        [failure] = tables["failures"]
+        assert {k: failure[k] for k in ("n", "rep")} == {"n": 400, "rep": 1}
+        assert failure["error"].startswith(error)
+        by_seed = {r["data_seed"]: r for r in clean["replications"]}
+        assert len(tables["replications"]) == 5
+        for row in tables["replications"]:
+            assert row["estimate"].tobytes() == by_seed[row["data_seed"]]["estimate"].tobytes()
+            assert row["mcse"].tobytes() == by_seed[row["data_seed"]]["mcse"].tobytes()
 
     def test_master_seed_changes_results(self):
         a = simulation_tables(SMALL)["rmse"]
@@ -310,3 +359,99 @@ class TestStarFixture:
         young = cols["experience"] <= 3
         seasoned = cols["experience"] >= 20
         assert cols["math"][seasoned].mean() > cols["math"][young].mean() + 3.0
+
+
+class TestBatchedChains:
+    """Chains stacked into engine calls by (n, d) against one chain per run."""
+
+    CFG = ExperimentConfig(
+        dgps=(1, 4),
+        taus=(0.2,),
+        sample_sizes=(60, 120),
+        replications=3,
+        n_draws=120,
+        burn_in=20,
+        master_seed=5,
+        oracle_mc_size=100_000,
+    )
+
+    def test_tables_match_per_replication_chains(self, monkeypatch):
+        cfg = self.CFG
+        # 250 rows per call: chunks of 4 chains at n = 60 and 2 at n = 120,
+        # so every (n, d) group is split and one chunk mixes d = 2 and 3
+        monkeypatch.setattr(simlab, "_ROW_BUDGET", 250)
+        calls = []
+        real = simlab._run_chains
+
+        def counted(problems, *args):
+            calls.append((len(problems), *problems[0].design.shape))
+            return real(problems, *args)
+
+        monkeypatch.setattr(simlab, "_run_chains", counted)
+        tables = simulation_tables(cfg)
+        cond = conditional_rmse_experiment(cfg)["conditional"]
+        assert all(b * n <= 250 for b, n, _ in calls) and max(b for b, _, _ in calls) > 1
+        assert len(calls) > 6  # more calls than the six (n, d) groups of the two drivers
+
+        seed = simlab._rep_seed
+        assert tables["failures"] == [] and len(tables["replications"]) == 24
+        for i, (dgp, u, tau, n) in enumerate(cfg.cells()):
+            direction = Direction(u=np.asarray(u), tau=tau)
+            basis = orthonormal_complement(direction.u, convention=cfg.basis_convention)
+            rows = [r for r in tables["replications"] if (r["dgp"], r["u"], r["n"]) == (dgp, u, n)]
+            assert [r["data_seed"] for r in rows] == [seed(cfg.master_seed, i, rep, 0) for rep in range(3)]
+            for rep, row in enumerate(rows):
+                data = dgp_sample(DgpSpec(id=dgp, n=n, seed=row["data_seed"]))
+                d = data.k + data.p
+                chain = gibbs_unconditional(
+                    data, direction, PriorSpec(mean=np.zeros(d), covariance=1000.0 * np.eye(d)),
+                    n_draws=cfg.n_draws, burn_in=cfg.burn_in,
+                    seed=seed(cfg.master_seed, i, rep, 1), basis=basis,
+                )
+                assert posterior_vector(chain).tobytes() == row["estimate"].tobytes()
+                assert posterior_mcse(chain).tobytes() == row["mcse"].tobytes()
+
+        keys = [(u, tau, n) for u in cfg.directions for tau in cfg.taus for n in cfg.sample_sizes]
+        assert len(cond) == 2 * len(keys)
+        for i, (u, tau, n) in enumerate(keys):
+            direction = Direction(u=np.asarray(u), tau=tau)
+            basis = orthonormal_complement(direction.u, convention=cfg.basis_convention)
+            estimates = []
+            for rep in range(cfg.replications):
+                data = dgp4_conditional_sample(n, seed=seed(cfg.master_seed, 10_000 + i, rep, 0))
+                design = make_conditional_design(
+                    project(data, direction, basis), data.x, np.array([cfg.x0]), "local-constant"
+                )
+                chain = gibbs_conditional(
+                    data, direction, design, KernelSpec(bandwidth=default_bandwidth(data.x)),
+                    PriorSpec(mean=np.zeros(2), covariance=1000.0 * np.eye(2)),
+                    n_draws=cfg.n_draws, burn_in=cfg.burn_in,
+                    seed=seed(cfg.master_seed, 10_000 + i, rep, 1), basis=basis,
+                )
+                estimates.append(posterior_vector(chain))
+            rows = cond[2 * i:2 * i + 2]
+            assert [(r["u"], r["n"], r["parameter"]) for r in rows] == [
+                (tuple(u), n, "alpha"), (tuple(u), n, "beta_y_0")
+            ]
+            err = np.array(estimates) - np.array([r["oracle"] for r in rows])
+            rmse, rmse_se = _rmse_and_se(err**2)
+            for j, r in enumerate(rows):
+                assert (r["rmse"], r["rmse_se"], r["bias"]) == (
+                    float(rmse[j]), float(rmse_se[j]), float(np.mean(err[:, j]))
+                )
+
+        # the same chunks through a two-worker pool
+        pooled = simulation_tables(cfg, workers=2)
+        for name in tables:
+            assert same_rows(tables[name], pooled[name]), name
+        assert conditional_rmse_experiment(cfg, workers=2)["conditional"] == cond
+
+    def test_chunks_respect_the_row_budget_and_the_workers(self, monkeypatch):
+        monkeypatch.setattr(simlab, "_ROW_BUDGET", 1000)
+        sizes = [100] * 25 + [1000] * 3 + [100] * 2 + [5000]
+        chunks = simlab._chunks(sizes)
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(len(sizes)))
+        assert [len(c) for c in chunks] == [10, 10, 7, 1, 1, 1, 1]
+        assert chunks[2] == [20, 21, 22, 23, 24, 28, 29]  # n = 100 across the gap, in order
+        assert [len(c) for c in simlab._chunks([100] * 9, workers=2)] == [5, 4]
+        assert [len(c) for c in simlab._chunks([100] * 30, workers=2)] == [10, 10, 10]
