@@ -5,6 +5,14 @@ A fitted hyperplane for direction u maps to the closed upper halfplane
 over a grid of directions yields the depth region whose boundary is the
 quantile contour.  Intersection uses the classic angular-sweep deque
 algorithm over directed boundary lines with the feasible side on the left.
+
+A Bayes-mean contour (independent chains) and a tube slice run their
+directions' chains stacked: in grid order, in chunks of at most
+``samplers._ROW_BUDGET`` chain rows, one engine call per chunk, and a chunk
+is prepared (projection, design, init fit) only when it runs, so at most one
+chunk of prepared chains is alive.  Each direction keeps the seed
+``_direction_seed(seed, index)``, so every chain, posterior mean and polygon
+is that of one chain per direction.  A chain that fails names its direction.
 """
 
 from __future__ import annotations
@@ -23,9 +31,11 @@ from .optimize import frequentist_fit
 from .samplers import (
     KernelSpec,
     PriorSpec,
-    gibbs_conditional,
+    _chains_per_call,
+    _conditional_problem,
+    _run_chains,
+    _unconditional_problem,
     gibbs_simultaneous,
-    gibbs_unconditional,
     make_conditional_design,
     project,
 )
@@ -244,6 +254,39 @@ def _direction_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1)[0])
 
 
+def _direction_chains(prepare, dirs, n, n_draws, burn_in):
+    """(chain, context) per direction, in order, from stacked engine calls.
+
+    ``prepare(index)`` returns direction ``index``'s prepared chain and the
+    context its caller needs.  The directions run in chunks of
+    ``_chains_per_call(n)``, one engine call each, and a chunk is prepared
+    only when it runs, so at most one chunk of problems is alive.  Each chain
+    keeps its own seed, so its bytes are those of a lone run.  A failed call
+    is rerun chain by chain to raise the failing direction's error, naming
+    the direction.
+    """
+    if n_draws <= burn_in:
+        raise ShapeError("n_draws must exceed burn_in")
+    size = _chains_per_call(n)
+    for start in range(0, len(dirs), size):
+        indices = range(start, min(start + size, len(dirs)))
+        prepared = [prepare(i) for i in indices]
+        problems = [problem for problem, _ in prepared]
+        try:
+            chains = _run_chains(problems, n_draws, burn_in)
+        except NumericalError:
+            for i, problem in zip(indices, problems):
+                try:
+                    _run_chains([problem], n_draws, burn_in)
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"chain of direction {i} (u={dirs[i].u.tolist()}, tau={dirs[i].tau}) "
+                        f"failed: {exc}"
+                    ) from exc
+            raise
+        yield from zip(chains, (context for _, context in prepared))
+
+
 def tau_contour(
     data: Dataset,
     tau: float,
@@ -300,16 +343,12 @@ def tau_contour(
     else:
         if prior is None:
             prior = PriorSpec(mean=np.zeros(d_block), covariance=1000.0 * np.eye(d_block))
-        for idx, (direction, basis) in enumerate(zip(dirs, bases)):
-            chain = gibbs_unconditional(
-                data,
-                direction,
-                prior,
-                n_draws=n_draws,
-                burn_in=burn_in,
-                seed=_direction_seed(seed, idx),
-                basis=basis,
-            )
+
+        def prepare(idx):
+            return _unconditional_problem(data, dirs[idx], prior, seed=_direction_seed(seed, idx),
+                                          basis=bases[idx]), None
+
+        for chain, _ in _direction_chains(prepare, dirs, data.n, n_draws, burn_in):
             thetas.append(posterior_mean(chain))
 
     planes = [
@@ -351,25 +390,20 @@ def tube_slice(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     dirs = [Direction(u=u, tau=tau) for u in unit_directions(n_directions)]
     bases = [orthonormal_complement(d.u) for d in dirs]
-    planes = []
-    for idx, (direction, basis) in enumerate(zip(dirs, bases)):
-        projected = project(data, direction, basis)
+
+    def prepare(idx):
+        projected = project(data, dirs[idx], bases[idx])
         design = make_conditional_design(projected, data.x, x0, design_kind)
         block_prior = prior
         if block_prior is None:
             block_prior = PriorSpec(mean=np.zeros(design.dim), covariance=1000.0 * np.eye(design.dim))
-        chain = gibbs_conditional(
-            data,
-            direction,
-            design,
-            kernel,
-            block_prior,
-            n_draws=n_draws,
-            burn_in=burn_in,
-            seed=_direction_seed(seed, idx),
-            basis=basis,
-        )
+        problem = _conditional_problem(data, dirs[idx], design, kernel, block_prior,
+                                       seed=_direction_seed(seed, idx), basis=bases[idx])
+        return problem, design
+
+    planes = []
+    for idx, (chain, design) in enumerate(_direction_chains(prepare, dirs, data.n, n_draws, burn_in)):
         alpha, beta_y = design.params_at_x0(chain.post_burn().mean(axis=0))
         theta = HyperplaneParams(alpha=alpha, beta_y=beta_y, beta_x=None)
-        planes.append(to_upper_halfplane(theta, direction, basis))
+        planes.append(to_upper_halfplane(theta, dirs[idx], bases[idx]))
     return intersect_halfplanes(planes, tau=tau, n_directions=n_directions)

@@ -8,12 +8,26 @@ normal prior.  The three Gibbs samplers run one engine over stacked chains
 that share (n, d): the unconditional and conditional samplers prepare one
 chain (``_unconditional_problem``, ``_conditional_problem``) and run it
 alone (``_run_chains``), the simultaneous sampler runs one chain per
-direction on a shared Generator, and ``simlab`` runs many prepared chains
-in one ``_run_chains`` call, each on a Generator of its own seed.  Each
-chain's bytes are the same whatever chains share its call.
+direction on a shared Generator, and ``contours`` (a contour's or tube
+slice's directions) and ``simlab`` (a study's replications) run many
+prepared chains per ``_run_chains`` call, each on a Generator of its own
+seed.  Each chain's bytes are the same whatever chains share its call.
+
+The engine allocates its (B, n) work arrays once per call, the nu = 1/2 GIG
+draw among them, and skips the kernel-weight products when every weight is
+1.  Callers that stack chains take at most ``_ROW_BUDGET`` chain rows
+(chains x n) per call, because stacking pays up to about that many rows and
+no further.  Per chain-sweep, measured on the engine at d = 2 with unit
+weights (best of 7 interleaved runs, 2-vCPU x86_64, numpy 2.4, one BLAS
+thread): 107/11.8/12.0/13.0 us at n = 1e2 for B = 1/40/163/655;
+157/72/66/77/83 us at n = 1e3 for B = 1/8/16/32/65; 273/192/182/174/183 us
+at n = 2e3 for B = 1/4/8/16/32; 852/812/807 us at n = 1e4 for B = 1/2/4.
+Every stacked chain adds its rows to the call's memory, so the budget also
+bounds peak RSS.
 
 Latent-scale draws use the nu = 1/2 generalized inverse Gaussian, sampled
-exactly through the reciprocal inverse-Gaussian identity; ``sample_gig_half``
+exactly through the reciprocal inverse-Gaussian identity by one kernel
+(``_gig_half_kernel``) that works in caller buffers; ``sample_gig_half``
 takes one Generator, or one per row of a 2-D draw, so that stacked chains
 keep their own streams.  The conditional
 sampler carries the unit-exponential latent variable internally (the
@@ -196,7 +210,7 @@ def unconditional_param_names(k: int, p: int) -> tuple:
 # random variates
 
 
-def sample_gig_half(a, b, rng, size=None):
+def sample_gig_half(a, b, rng, size=None, *, out=None):
     """Draw from the nu = 1/2 generalized inverse Gaussian distribution.
 
     The target density is proportional to x^(-1/2) * exp(-(a^2/x + b^2 x)/2)
@@ -206,7 +220,10 @@ def sample_gig_half(a, b, rng, size=None):
     Requires b > 0 (the density is not normalizable at b = 0 for this nu)
     and a >= 0.  ``rng`` is one Generator, or a sequence of them with one per
     row of a 2-D draw; each row then takes its normals and then its uniforms
-    from its own Generator, row by row.
+    from its own Generator, row by row.  ``out``, a ``_GigWork`` of the
+    draw's shape, lends the draw its buffers and holds it on return, so a
+    caller that draws repeatedly (the Gibbs engine) allocates nothing per
+    draw; the values are the same either way.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -220,31 +237,52 @@ def sample_gig_half(a, b, rng, size=None):
     else:
         shape = (size,) if np.isscalar(size) else tuple(size)
         np.broadcast_to(a, shape), np.broadcast_to(b, shape)  # parameters must fit size
+    if out is not None and out.u.shape != shape:
+        raise ShapeError(f"GIG workspace has shape {out.u.shape}, the draw {shape}")
 
+    # 0-d draws become 1-d so the in-place steps of the kernel apply
+    work = _GigWork(shape or (1,)) if out is None else out
     if isinstance(rng, (list, tuple)):
         if len(shape) != 2 or len(rng) != shape[0]:
             raise ShapeError("a sequence of Generators needs one per row of a 2-D draw")
-        nu, u = np.empty(shape), np.empty(shape)
-        for g, nu_j, u_j in zip(rng, nu, u):
+        for g, nu_j, u_j in zip(rng, work.nu, work.u):
             g.standard_normal(out=nu_j)
             g.random(out=u_j)
     else:
-        nu = rng.standard_normal(shape)
-        u = rng.random(shape)  # the values and stream of rng.uniform(size=shape)
-    if not shape:  # 0-d draws become 1-d so the in-place steps below apply
-        nu, u = nu.reshape(1), u.reshape(1)
-    y = nu * nu
+        work.nu[...] = rng.standard_normal(shape)
+        work.u[...] = rng.random(shape)  # the values and stream of rng.uniform(size=shape)
+    x = _gig_half_kernel(a, b, work)
+    if scalar:
+        return float(x[0])
+    return x.reshape(shape)
 
+
+class _GigWork:
+    """Buffers of one shape for ``_gig_half_kernel``: the normals ``nu`` and
+    uniforms ``u`` it reads, and its scratch ``t`` and ``root``.  The draw is
+    returned in ``u``; ``nu``, ``t`` and ``root`` are free between draws."""
+
+    def __init__(self, shape):
+        self.nu, self.u, self.t, self.root = (np.empty(shape) for _ in range(4))
+        self.small, self.accept = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+
+
+def _gig_half_kernel(a, b, work):
+    """The nu = 1/2 GIG arithmetic over ``work.nu`` and ``work.u``, in place;
+    returns the draw, which is ``work.u``.  ``a`` and ``b`` broadcast to the
+    buffers' shape."""
+    nu, u, t, root = work.nu, work.u, work.t, work.root
     # where a <= b * 1e-150 the gamma limit (nu / b)^2 replaces the draw, and
-    # ab and ratio hold placeholders
-    small = a <= b * 1e-150
+    # ab and ratio hold placeholders; only then is nu needed after y = nu^2
+    small = np.less_equal(a, np.multiply(b, 1e-150), out=work.small)
     any_small = small.any()
-    t = np.multiply(a, b, out=np.empty(y.shape))
+    y = np.multiply(nu, nu, out=None if any_small else nu)
+    np.multiply(a, b, out=t)
     if any_small:
-        t = np.where(small, 1.0, t)
+        np.copyto(t, 1.0, where=small)
     t *= 4.0
     t *= y  # 4ab * y
-    root = y * y
+    np.multiply(y, y, out=root)
     root += t
     np.sqrt(root, out=root)
     # h = T/mu for the smaller inverse-Gaussian root; the rationalized form
@@ -256,20 +294,29 @@ def sample_gig_half(a, b, rng, size=None):
     if not y.all():
         h[y == 0.0] = 1.0
     bound = np.add(1.0, h, out=denom)
-    accept = u <= np.divide(1.0, bound, out=bound)
-    ratio = a / b
+    accept = np.less_equal(u, np.divide(1.0, bound, out=bound), out=work.accept)
+    ratio = np.divide(a, b, out=root)
     if any_small:
-        ratio = np.where(small, 1.0, ratio)
-    x = np.where(accept, ratio / h, np.multiply(ratio, h, out=h))
+        np.copyto(ratio, 1.0, where=small)
+    x = np.multiply(ratio, h, out=u)
+    np.divide(ratio, h, out=x, where=accept)  # x = ratio / h where accepted, else ratio * h
     if any_small:
-        x = np.where(small, (nu / b) ** 2, x)
-    if scalar:
-        return float(x[0])
-    return x.reshape(shape)
+        np.divide(nu, b, out=nu)
+        np.copyto(x, np.multiply(nu, nu, out=nu), where=small)
+    return x
 
 
 # ---------------------------------------------------------------------------
 # Gibbs machinery
+
+# chain rows (chains x observations) per engine call (the sweep in the
+# module docstring)
+_ROW_BUDGET = 16_384
+
+
+def _chains_per_call(n: int) -> int:
+    """How many chains of n observations one engine call takes: at least one."""
+    return max(1, _ROW_BUDGET // max(n, 1))
 
 
 def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
@@ -281,9 +328,11 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     chains.  Each sweep draws every chain's latents, then every chain's
     theta, in chain order, so a lone chain consumes its stream exactly like a
     standalone run and chains sharing a Generator interleave chain by chain.
+    The (B, n) work arrays are allocated once per call, and the kernel-weight
+    products are skipped when every weight is 1 (they would not change a bit).
     Returns the draws as (n_draws, B, d).
     """
-    n_chains, _, d = design.shape
+    n_chains, n, d = design.shape
     mcs = [mixture_constants(tau) for tau in taus]
     eta = np.array([[mc.eta] for mc in mcs])
     gamma = np.array([[mc.gamma] for mc in mcs])
@@ -293,27 +342,33 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     prior_prec = np.array(precs)
     # theta, the right-hand side and the noise are kept as (B, d, 1) columns
     prior_rhs = np.array([prec @ prior.mean for prec, prior in zip(precs, priors)])[:, :, None]
-    # the loop-invariant pieces, and a buffer for design * wq
+    # the loop-invariant pieces, and the work arrays every sweep reuses
     design_t = design.transpose(0, 2, 1)
-    kw2, kwy = weights * weights, weights * y
+    unit = bool((weights == 1.0).all())
+    kw2, kwy = (1.0, y) if unit else (weights * weights, weights * y)
+    fit = np.empty((n_chains, n, 1))
     scaled = np.empty(design.shape)
+    gig = _GigWork((n_chains, n))
     theta = np.array(thetas, dtype=float)[:, :, None]
     noise = np.empty((n_chains, d, 1))
     out = np.empty((n_draws, n_chains, d))
     for m in range(n_draws):
-        a_lat = np.matmul(design, theta)[:, :, 0]
+        a_lat = np.matmul(design, theta, out=fit)[:, :, 0]
         np.subtract(y, a_lat, out=a_lat)
         np.abs(a_lat, out=a_lat)
-        a_lat *= weights
+        if not unit:
+            a_lat *= weights
         a_lat /= gamma  # kw * |y - design @ theta| / gamma
-        w = sample_gig_half(a_lat, b_lat, rngs)
+        w = sample_gig_half(a_lat, b_lat, rngs, out=gig)
         np.maximum(w, constants.LATENT_FLOOR, out=w)
-        gw = np.multiply(gam2, w)
-        np.multiply(design, np.divide(kw2, gw)[:, :, None], out=scaled)
+        # a_lat's buffer, and the GIG scratch, are free until the next sweep
+        gw = np.multiply(gam2, w, out=a_lat)
+        np.multiply(design, np.divide(kw2, gw, out=gig.t)[:, :, None], out=scaled)
         prec = prior_prec + np.matmul(scaled.transpose(0, 2, 1), design)
         resp = np.multiply(eta, w, out=w)
         np.subtract(kwy, resp, out=resp)
-        resp *= weights
+        if not unit:
+            resp *= weights
         resp /= gw  # kw * (kw * y - eta * w) / (gamma^2 * w)
         rhs = prior_rhs + np.matmul(design_t, resp[:, :, None])
         try:
@@ -406,7 +461,8 @@ def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None
         y = projected.y_u
         design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
     theta0 = _resolve_init(init, design, y, direction, None, prior)
-    return _ChainProblem(y, design, np.ones(y.size), direction.tau, prior, theta0, int(seed),
+    weights = np.broadcast_to(1.0, y.shape)  # unit weights, without a buffer
+    return _ChainProblem(y, design, weights, direction.tau, prior, theta0, int(seed),
                          "gibbs-unconditional", unconditional_param_names(k, p), (k, p))
 
 

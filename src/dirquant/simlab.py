@@ -10,19 +10,18 @@ their replications through one fan-out (at most one worker pool per call)
 and return each failed replication with the reason it failed.
 
 The fan-out groups a driver's replications by sample size n, across cells,
-into chunks of at most ``_ROW_BUDGET`` chain rows (chains x n).  A chunk
-prepares each replication (dataset, projected response, design, kernel
-weights, init fit and chain seed), stacks the prepared chains by (n, d)
-into one call of the samplers' engine each, with one Generator per chain,
-and summarises each replication from its chain.  A chain's bytes do not
-depend on the chains stacked with it, so the tables are those of one chain
-per replication.  Stacking B chains pays at small n and stops paying near
-n = 1e4, hence the budget: per chain-sweep, 96/30/16/14 us at n = 1e2 for
-B = 1/4/16/64, 170/97/78/73 us at n = 1e3, and 651/603/638 us at n = 1e4
-for B = 1/4/16 (2-vCPU x86_64, numpy 2.4, one BLAS thread).  If an engine
-call raises, its chains are rerun one by one, so only the failing
-replication fails.  With ``workers`` > 1 the chunks go to one ``spawn``
-pool.
+into chunks of at most ``samplers._ROW_BUDGET`` chain rows (chains x n), the
+budget the contours use too.  A chunk prepares each replication (dataset,
+projected response, design, kernel weights, init fit and chain seed),
+stacks the prepared chains by (n, d) into one call of the samplers' engine
+each, with one Generator per chain, and summarises each replication from
+its chain.  A chain's bytes do not depend on the chains stacked with it, so
+the tables are those of one chain per replication; the budget and its
+measured sweep are in the ``samplers`` docstring.  If an engine call
+raises, its chains are rerun one by one, so only the failing replication
+fails.  With ``workers`` > 1 the chunks go to one ``spawn`` pool.  The
+unconditional oracles of a study fit every direction of a DGP on one Monte
+Carlo sample, drawn once per DGP, and free it before the next DGP's.
 
 The regression DGP draws (x, z) jointly normal and returns y = z + (0, x)'.
 Its conditional experiments use the correlated pair without that level
@@ -52,6 +51,7 @@ from .optimize import frequentist_fit
 from .samplers import (
     KernelSpec,
     PriorSpec,
+    _chains_per_call,
     _conditional_problem,
     _rng_from_seed,
     _run_chains,
@@ -149,17 +149,24 @@ def dgp_stacked_mean(dgp_id: int, k: int = 2) -> np.ndarray:
     return np.zeros(k - 1 + p)
 
 
+_ORACLE_SEED = 987_654_321
+
+
+def _oracle_sample(dgp_id: int, mc_size: int, seed: int = _ORACLE_SEED) -> Dataset:
+    if mc_size < 100_000:
+        raise DomainError("oracle needs at least 1e5 Monte Carlo draws")
+    return dgp_sample(DgpSpec(id=dgp_id, n=mc_size, seed=seed))
+
+
 def population_params_oracle(
     dgp_id: int,
     direction: Direction,
     mc_size: int = 1_000_000,
-    seed: int = 987_654_321,
+    seed: int = _ORACLE_SEED,
     basis=None,
 ) -> HyperplaneParams:
     """Population hyperplane parameters by check-loss fit on a large MC sample."""
-    if mc_size < 100_000:
-        raise DomainError("oracle needs at least 1e5 Monte Carlo draws")
-    data = dgp_sample(DgpSpec(id=dgp_id, n=mc_size, seed=seed))
+    data = _oracle_sample(dgp_id, mc_size, seed)
     return frequentist_fit(data, direction, basis=basis).theta
 
 
@@ -215,24 +222,23 @@ PAPER_PROFILE = ExperimentConfig(
 )
 
 
-# chain rows (chains x observations) per engine call: per chain-sweep, stacking
-# B chains pays at n = 1e2 and 1e3 and stops paying at n = 1e4
-_ROW_BUDGET = 65_536
-
-
 def _rep_seed(master: int, cell_index: int, rep: int, stream: int = 0) -> int:
     ss = np.random.SeedSequence((int(master), int(cell_index), int(rep), int(stream)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _cell_oracle(config: ExperimentConfig, dgp: int, u, tau, cache: dict):
+def _cell_oracle(config: ExperimentConfig, dgp: int, u, tau, cache: dict, sample: dict):
+    """``population_params_oracle`` of a cell, fitted on its DGP's Monte Carlo
+    sample.  ``sample`` keeps the last DGP's sample only: cells come DGP by
+    DGP, so each sample is drawn once and at most one is alive."""
     key = (dgp, tuple(u), tau)
     if key not in cache:
+        if dgp not in sample:
+            sample.clear()  # free the previous DGP's sample before drawing the next
+            sample[dgp] = _oracle_sample(dgp, config.oracle_mc_size)
         direction = Direction(u=np.asarray(u), tau=tau)
         basis = orthonormal_complement(direction.u, convention=config.basis_convention)
-        cache[key] = population_params_oracle(
-            dgp, direction, mc_size=config.oracle_mc_size, basis=basis
-        )
+        cache[key] = frequentist_fit(sample[dgp], direction, basis=basis).theta
     return cache[key]
 
 
@@ -349,7 +355,7 @@ def _chunks(sizes, workers=1):
     """Positions of replications split into engine chunks.
 
     Replications of one sample size n are taken in order and split into
-    chunks of at most ``_ROW_BUDGET // n`` (at least one) replications, and
+    chunks of at most ``samplers._chains_per_call(n)`` replications, and
     into at least ``workers`` chunks where there are that many replications.
     """
     by_n = {}
@@ -357,7 +363,7 @@ def _chunks(sizes, workers=1):
         by_n.setdefault(n, []).append(i)
     chunks = []
     for n, positions in by_n.items():
-        size = max(1, min(_ROW_BUDGET // max(n, 1), -(-len(positions) // workers)))
+        size = max(1, min(_chains_per_call(n), -(-len(positions) // workers)))
         chunks.extend(positions[i:i + size] for i in range(0, len(positions), size))
     return chunks
 
@@ -388,10 +394,11 @@ def _fan_out(config: ExperimentConfig, prepare, summarise, cells, workers: int =
     ``cells`` lists (cell_index, cell, n, args); replication ``rep`` is
     ``prepare((*args, data_seed, chain_seed))``, seeded by ``_rep_seed``,
     then its chain, then ``summarise(context, chain)``.  Replications that
-    share n are grouped across cells into chunks of at most ``_ROW_BUDGET``
-    chain rows, each run by ``_run_chunk`` (its chains stacked by (n, d));
-    with ``workers`` > 1 the chunks go to one ``spawn`` pool, so scripts
-    that call a driver that way need a ``__main__`` guard.  Returns
+    share n are grouped across cells into chunks of at most
+    ``samplers._ROW_BUDGET`` chain rows, each run by ``_run_chunk`` (its
+    chains stacked by (n, d)); with ``workers`` > 1 the chunks go to one
+    ``spawn`` pool, so scripts that call a driver that way need a
+    ``__main__`` guard.  Returns
     (cell, results, failures) per cell, a failure as (rep, repr).
     """
     reps = config.replications
@@ -461,12 +468,12 @@ def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1)
         (i, cell, cell[3], (*cell, config.basis_convention, config.level))
         for i, cell in enumerate(config.cells())
     ]
-    oracles = {}
+    oracles, sample = {}, {}
     rmse_rows, sg_rows, cov_rows, rep_rows, fail_rows = [], [], [], [], []
     for (dgp, u, tau, n), results, failures in _fan_out(
         config, _prepare_cell, _summarise_cell, cells, workers
     ):
-        theta0 = _cell_oracle(config, dgp, u, tau, oracles)
+        theta0 = _cell_oracle(config, dgp, u, tau, oracles, sample)
         truth = theta0.as_vector()
         names = unconditional_param_names(len(theta0.beta_y) + 1, len(theta0.beta_x))
         cell = {"dgp": dgp, "u": u, "tau": tau, "n": n}

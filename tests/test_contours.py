@@ -1,12 +1,13 @@
 import dataclasses
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirquant import contours
+from dirquant import contours, samplers
 from dirquant.ald import HyperplaneParams
 from dirquant.contours import (
     Halfplane,
@@ -18,9 +19,24 @@ from dirquant.contours import (
     tube_slice,
     tukey_depth,
 )
-from dirquant.errors import DomainError, ShapeError, UnboundedRegionError
-from dirquant.geometry import Dataset, orthonormal_complement, unit_directions
-from dirquant.samplers import KernelSpec
+from dirquant.errors import (
+    DegenerateWindowError,
+    DomainError,
+    NumericalError,
+    ShapeError,
+    UnboundedRegionError,
+)
+from dirquant.geometry import Dataset, Direction, orthonormal_complement, project, unit_directions
+from dirquant.inference import posterior_mean
+from dirquant.samplers import (
+    KernelSpec,
+    PriorSpec,
+    gibbs_conditional,
+    gibbs_unconditional,
+    kernel_weights,
+    make_conditional_design,
+)
+from test_kernel_parity import _reference_gibbs
 
 
 class TestHalfplaneMapping:
@@ -266,3 +282,134 @@ class TestTubeSlice:
     def test_requires_covariates(self, square_data):
         with pytest.raises(DomainError):
             tube_slice(square_data, 0.2, 0.0, KernelSpec(bandwidth=1.0))
+
+
+class TestBatchedDirections:
+    """Directions stacked into engine calls against one chain per direction.
+
+    The row budget is set to five chains of the data's n, so 12 directions
+    run in chunks of 5, 5 and 2.
+    """
+
+    N_DIR, DRAWS, BURN, SEED = 12, 150, 30, 11
+
+    @staticmethod
+    def _count_calls(monkeypatch, n):
+        monkeypatch.setattr(samplers, "_ROW_BUDGET", 5 * n)
+        calls = []
+        real = contours._run_chains
+
+        def counted(problems, *args):
+            calls.append(len(problems))
+            return real(problems, *args)
+
+        monkeypatch.setattr(contours, "_run_chains", counted)
+        return calls
+
+    def _directions(self, tau):
+        dirs = [Direction(u=u, tau=tau) for u in unit_directions(self.N_DIR)]
+        return dirs, [orthonormal_complement(d.u) for d in dirs]
+
+    def test_contour_matches_per_direction_chains(self, square_data, monkeypatch):
+        calls = self._count_calls(monkeypatch, square_data.n)
+        poly = tau_contour(square_data, 0.3, self.N_DIR, n_draws=self.DRAWS, burn_in=self.BURN,
+                           seed=self.SEED)
+        assert calls == [5, 5, 2]
+        dirs, bases = self._directions(0.3)
+        prior = PriorSpec(mean=np.zeros(2), covariance=1000.0 * np.eye(2))
+        planes = []
+        for i, (direction, basis) in enumerate(zip(dirs, bases)):
+            chain = gibbs_unconditional(square_data, direction, prior, n_draws=self.DRAWS,
+                                        burn_in=self.BURN, seed=contours._direction_seed(self.SEED, i),
+                                        basis=basis)
+            planes.append(to_upper_halfplane(posterior_mean(chain), direction, basis))
+        ref = intersect_halfplanes(planes, tau=0.3, n_directions=self.N_DIR)
+        assert poly.vertices.shape[0] >= 3
+        assert poly.vertices.tobytes() == ref.vertices.tobytes()
+
+    def test_simultaneous_contour_matches_the_reference_sweep(self, square_data, monkeypatch):
+        def run():
+            return tau_contour(square_data, 0.3, 8, n_draws=self.DRAWS, burn_in=self.BURN,
+                               seed=self.SEED, simultaneous=True).vertices
+
+        new = run()
+        monkeypatch.setattr(samplers, "_gibbs", _reference_gibbs)
+        assert new.shape[0] >= 3 and new.tobytes() == run().tobytes()
+
+    @staticmethod
+    def _regression_data():
+        rng = np.random.default_rng(49)
+        x = rng.standard_normal((800, 1))
+        x[::40] = 9.0  # kernel weights near 1e-196 at bandwidth 0.3
+        y = rng.standard_normal((800, 2))
+        y[:, 1] += 0.5 * x[:, 0]
+        return Dataset(y=y, x=x)
+
+    @pytest.mark.parametrize("kind", ["local-constant", "local-bilinear"])
+    def test_tube_matches_per_direction_chains(self, kind, monkeypatch):
+        data = self._regression_data()
+        kernel = KernelSpec(bandwidth=0.3)
+        x0 = np.array([0.0])
+        weights = kernel_weights(kernel, data.x, x0)
+        assert 0.0 < weights.min() < 1e-160
+        calls = self._count_calls(monkeypatch, data.n)
+        poly = tube_slice(data, 0.3, x0, kernel, design_kind=kind, n_directions=self.N_DIR,
+                          n_draws=self.DRAWS, burn_in=self.BURN, seed=self.SEED)
+        assert calls == [5, 5, 2]
+        dirs, bases = self._directions(0.3)
+        planes = []
+        for i, (direction, basis) in enumerate(zip(dirs, bases)):
+            design = make_conditional_design(project(data, direction, basis), data.x, x0, kind)
+            prior = PriorSpec(mean=np.zeros(design.dim), covariance=1000.0 * np.eye(design.dim))
+            chain = gibbs_conditional(data, direction, design, kernel, prior, n_draws=self.DRAWS,
+                                      burn_in=self.BURN, seed=contours._direction_seed(self.SEED, i),
+                                      basis=basis)
+            alpha, beta_y = design.params_at_x0(chain.post_burn().mean(axis=0))
+            theta = HyperplaneParams(alpha=alpha, beta_y=beta_y, beta_x=None)
+            planes.append(to_upper_halfplane(theta, direction, basis))
+        ref = intersect_halfplanes(planes, tau=0.3, n_directions=self.N_DIR)
+        assert poly.vertices.shape[0] >= 3
+        assert poly.vertices.tobytes() == ref.vertices.tobytes()
+
+    @staticmethod
+    def _indefinite_prior(monkeypatch, name, u):
+        # the sixth direction's chain gets a prior precision of -1e9 I, which no
+        # data term repairs, so its stacked Cholesky fails in the first sweep
+        real = getattr(contours, name)
+
+        def patched(data, direction, *args, **kwargs):
+            problem = real(data, direction, *args, **kwargs)
+            if np.array_equal(direction.u, u):
+                d = problem.design.shape[1]
+                bad = SimpleNamespace(mean=np.zeros(d), covariance=-1e-9 * np.eye(d))
+                problem = dataclasses.replace(problem, prior=bad)
+            return problem
+
+        monkeypatch.setattr(contours, name, patched)
+
+    def test_failed_contour_chain_names_its_direction(self, square_data, monkeypatch):
+        calls = self._count_calls(monkeypatch, square_data.n)
+        u = unit_directions(self.N_DIR)[6]
+        self._indefinite_prior(monkeypatch, "_unconditional_problem", u)
+        with pytest.raises(NumericalError) as caught:
+            tau_contour(square_data, 0.3, self.N_DIR, n_draws=self.DRAWS, burn_in=self.BURN)
+        message = str(caught.value)
+        assert message.startswith(f"chain of direction 6 (u={u.tolist()}, tau=0.3) failed: ")
+        assert "in block 0 (sweep 0)" in message
+        # the first chunk ran; the second failed stacked, then chain by chain up to direction 6
+        assert calls == [5, 5, 1, 1]
+
+    def test_failed_tube_chain_names_its_direction(self, monkeypatch):
+        data = self._regression_data()
+        self._count_calls(monkeypatch, data.n)
+        u = unit_directions(self.N_DIR)[6]
+        self._indefinite_prior(monkeypatch, "_conditional_problem", u)
+        with pytest.raises(NumericalError, match=r"^chain of direction 6 \(u=\[.*\], tau=0\.3\) failed"):
+            tube_slice(data, 0.3, 0.0, KernelSpec(bandwidth=0.3), n_directions=self.N_DIR,
+                       n_draws=self.DRAWS, burn_in=self.BURN)
+
+    def test_degenerate_window_propagates_from_preparation(self):
+        data = self._regression_data()
+        with pytest.raises(DegenerateWindowError, match="^all kernel weights underflowed"):
+            tube_slice(data, 0.3, 1e6, KernelSpec(bandwidth=0.3), n_directions=self.N_DIR,
+                       n_draws=self.DRAWS, burn_in=self.BURN)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from dirquant import simlab
+from dirquant import samplers, simlab
 from dirquant.errors import DomainError
 from dirquant.geometry import Direction
 from dirquant.priors import normal_quantile
@@ -158,6 +158,29 @@ class TestOracles:
     def test_small_mc_rejected(self):
         with pytest.raises(DomainError):
             population_params_oracle(1, Direction(u=U01, tau=0.2), mc_size=10)
+
+    def test_study_oracles_share_one_sample_per_dgp(self, monkeypatch):
+        # two DGPs x two directions x two taus: each DGP's Monte Carlo sample
+        # is drawn once, and every table oracle is population_params_oracle's
+        cfg = ExperimentConfig(dgps=(1, 4), taus=(0.2, 0.4), sample_sizes=(60,), replications=1,
+                               n_draws=60, burn_in=10, master_seed=3, oracle_mc_size=100_000)
+        draws = []
+        real = simlab.dgp_sample
+
+        def recorded(spec):
+            draws.append((spec.id, spec.n))
+            return real(spec)
+
+        monkeypatch.setattr(simlab, "dgp_sample", recorded)
+        tables = simulation_tables(cfg)
+        assert [d for d in draws if d[1] == cfg.oracle_mc_size] == [(1, 100_000), (4, 100_000)]
+        for dgp, u, tau, n in cfg.cells():
+            direction = Direction(u=np.asarray(u), tau=tau)
+            basis = orthonormal_complement(direction.u, convention=cfg.basis_convention)
+            truth = population_params_oracle(dgp, direction, mc_size=cfg.oracle_mc_size,
+                                             basis=basis).as_vector()
+            rows = [r for r in tables["rmse"] if (r["dgp"], r["u"], r["tau"]) == (dgp, u, tau)]
+            assert np.array([r["oracle"] for r in rows]).tobytes() == truth.tobytes()
 
 
 class TestExperiments:
@@ -379,7 +402,7 @@ class TestBatchedChains:
         cfg = self.CFG
         # 250 rows per call: chunks of 4 chains at n = 60 and 2 at n = 120,
         # so every (n, d) group is split and one chunk mixes d = 2 and 3
-        monkeypatch.setattr(simlab, "_ROW_BUDGET", 250)
+        monkeypatch.setattr(samplers, "_ROW_BUDGET", 250)
         calls = []
         real = simlab._run_chains
 
@@ -447,7 +470,7 @@ class TestBatchedChains:
         assert conditional_rmse_experiment(cfg, workers=2)["conditional"] == cond
 
     def test_chunks_respect_the_row_budget_and_the_workers(self, monkeypatch):
-        monkeypatch.setattr(simlab, "_ROW_BUDGET", 1000)
+        monkeypatch.setattr(samplers, "_ROW_BUDGET", 1000)
         sizes = [100] * 25 + [1000] * 3 + [100] * 2 + [5000]
         chunks = simlab._chunks(sizes)
         assert sorted(i for chunk in chunks for i in chunk) == list(range(len(sizes)))
