@@ -20,7 +20,6 @@ from .samplers import (
     KernelSpec,
     PriorSpec,
     gibbs_conditional,
-    gibbs_simultaneous,
     gibbs_unconditional,
     metropolis_hastings,
     sample_gig_half,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .geometry import Dataset, Direction, ProjectedData, check_loss, orthonormal_complement, project
+from .geometry import Direction, ProjectedData, check_loss
 
 __all__ = [
     "HyperplaneParams",
@@ -21,7 +21,6 @@ __all__ = [
     "mixture_constants",
     "loglik_unconditional",
     "loglik_conditional",
-    "loglik_aggregate",
 ]
 
 
@@ -131,22 +130,3 @@ def loglik_conditional(y_u, design_matrix, theta, tau: float, weights) -> float:
     return float(
         np.sum(np.log(tau * (1.0 - tau)) + np.log(weights) - weights * check_loss(resid, tau))
     )
-
-
-def loglik_aggregate(data: Dataset, thetas, directions, bases=None) -> float:
-    """Product likelihood across several directional quantile models.
-
-    Blocks do not interact: the result is the sum of the per-direction
-    unconditional log likelihoods, each under its own projection.
-    """
-    if len(thetas) != len(directions):
-        raise ShapeError("need one parameter set per direction")
-    if len(thetas) == 0:
-        raise ShapeError("aggregate likelihood needs at least one block")
-    if bases is None:
-        bases = [orthonormal_complement(d.u) for d in directions]
-    total = 0.0
-    for theta, direction, basis in zip(thetas, directions, bases):
-        projected = project(data, direction, basis)
-        total += loglik_unconditional(projected, data.x, theta, direction)
-    return total

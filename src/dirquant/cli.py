@@ -219,6 +219,11 @@ def _cmd_fit(cfg: dict, args) -> int:
 
 
 def _cmd_contour(cfg: dict, args) -> int:
+    if "simultaneous" in cfg:
+        raise ConfigError(
+            "config key 'simultaneous' is no longer supported: independent per-direction "
+            "chains give the same posterior, and every bayes-mean contour runs them"
+        )
     data, report, seed = _load_common(cfg)
     taus = _as_floats(_get(cfg, "tau", required=True))
     n_dir = int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)))
@@ -230,7 +235,6 @@ def _cmd_contour(cfg: dict, args) -> int:
         poly = tau_contour(
             data, tau, n_directions=n_dir, estimator=estimator,
             n_draws=draws, burn_in=burn, seed=seed,
-            simultaneous=_get(cfg, "simultaneous", "false").lower() in ("1", "true", "yes"),
         )
         tag = f"{tau:g}".replace(".", "p")
         io.write_polygon(poly, os.path.join(out, f"contour_tau{tag}.csv"),

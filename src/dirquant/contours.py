@@ -6,10 +6,11 @@ over a grid of directions yields the depth region whose boundary is the
 quantile contour.  Intersection uses the classic angular-sweep deque
 algorithm over directed boundary lines with the feasible side on the left.
 
-A Bayes-mean contour (independent chains) and a tube slice run their
-directions' chains stacked: in grid order, in chunks of at most
-``samplers._ROW_BUDGET`` chain rows, one engine call per chunk, and a chunk
-is prepared (projection, design, init fit) only when it runs, so at most one
+A Bayes-mean contour and a tube slice run one chain per direction, through
+the samplers' runner: the directions go in grid order, in chunks of at most
+``samplers._ROW_BUDGET`` chain rows (``samplers._chunks``), one stacked
+engine call per chunk (``samplers._isolated_chains``), and a chunk is
+prepared (projection, design, init fit) only when it runs, so at most one
 chunk of prepared chains is alive.  Each direction keeps the seed
 ``_direction_seed(seed, index)``, so every chain, posterior mean and polygon
 is that of one chain per direction.  A chain that fails names its direction.
@@ -31,11 +32,10 @@ from .optimize import frequentist_fit
 from .samplers import (
     KernelSpec,
     PriorSpec,
-    _chains_per_call,
+    _chunks,
     _conditional_problem,
-    _run_chains,
+    _isolated_chains,
     _unconditional_problem,
-    gibbs_simultaneous,
     make_conditional_design,
     project,
 )
@@ -258,33 +258,26 @@ def _direction_chains(prepare, dirs, n, n_draws, burn_in):
     """(chain, context) per direction, in order, from stacked engine calls.
 
     ``prepare(index)`` returns direction ``index``'s prepared chain and the
-    context its caller needs.  The directions run in chunks of
-    ``_chains_per_call(n)``, one engine call each, and a chunk is prepared
+    context its caller needs.  Each chunk of ``samplers._chunks`` is prepared
     only when it runs, so at most one chunk of problems is alive.  Each chain
-    keeps its own seed, so its bytes are those of a lone run.  A failed call
-    is rerun chain by chain to raise the failing direction's error, naming
-    the direction.
+    keeps its own seed, so its bytes are those of a lone run.  The first
+    failed chain raises: a ``NumericalError`` again, naming the direction,
+    and any other exception as it is.
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")
-    size = _chains_per_call(n)
-    for start in range(0, len(dirs), size):
-        indices = range(start, min(start + size, len(dirs)))
-        prepared = [prepare(i) for i in indices]
-        problems = [problem for problem, _ in prepared]
-        try:
-            chains = _run_chains(problems, n_draws, burn_in)
-        except NumericalError:
-            for i, problem in zip(indices, problems):
-                try:
-                    _run_chains([problem], n_draws, burn_in)
-                except NumericalError as exc:
-                    raise NumericalError(
-                        f"chain of direction {i} (u={dirs[i].u.tolist()}, tau={dirs[i].tau}) "
-                        f"failed: {exc}"
-                    ) from exc
-            raise
-        yield from zip(chains, (context for _, context in prepared))
+    for chunk in _chunks([n] * len(dirs)):
+        prepared = [prepare(i) for i in chunk]
+        chains = _isolated_chains([problem for problem, _ in prepared], n_draws, burn_in)
+        for i, chain, (_, context) in zip(chunk, chains, prepared):
+            if isinstance(chain, NumericalError):
+                raise NumericalError(
+                    f"chain of direction {i} (u={dirs[i].u.tolist()}, tau={dirs[i].tau}) "
+                    f"failed: {chain}"
+                ) from chain
+            if isinstance(chain, Exception):
+                raise chain
+            yield chain, context
 
 
 def tau_contour(
@@ -296,14 +289,12 @@ def tau_contour(
     n_draws: int = constants.DEFAULT_N_DRAWS,
     burn_in: int = constants.DEFAULT_BURN_IN,
     seed: int = 0,
-    simultaneous: bool = False,
     x_eval=None,
 ) -> ContourPolygon:
     """Quantile contour from one hyperplane fit per grid direction.
 
-    ``estimator`` selects posterior means from per-direction chains
-    (``"bayes-mean"``, independent chains by default, jointly sampled when
-    ``simultaneous=True``) or deterministic check-loss fits
+    ``estimator`` selects posterior means from independent per-direction
+    chains (``"bayes-mean"``) or deterministic check-loss fits
     (``"frequentist"``).
     """
     if data.k != 2:
@@ -326,20 +317,6 @@ def tau_contour(
                     stacklevel=2,
                 )
             thetas.append(fit.theta)
-    elif simultaneous:
-        if prior is None:
-            prior = PriorSpec(
-                mean=np.zeros(d_block * n_directions),
-                covariance=1000.0 * np.eye(d_block * n_directions),
-            )
-        chain = gibbs_simultaneous(
-            data, dirs, prior, n_draws=n_draws, burn_in=burn_in, seed=seed, bases=bases
-        )
-        vec = chain.post_burn().mean(axis=0)
-        for m in range(n_directions):
-            thetas.append(
-                HyperplaneParams.from_vector(vec[m * d_block : (m + 1) * d_block], data.k, data.p)
-            )
     else:
         if prior is None:
             prior = PriorSpec(mean=np.zeros(d_block), covariance=1000.0 * np.eye(d_block))

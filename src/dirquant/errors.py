@@ -41,9 +41,5 @@ class UnboundedRegionError(NumericalError):
     """Halfplane intersection is unbounded."""
 
 
-class UnsupportedPriorError(ConfigError):
-    """Prior structure not supported by the requested sampler."""
-
-
 class InitializationError(NumericalError):
     """Sampler cannot start from the supplied initial point."""

@@ -2,16 +2,16 @@
 
 Three samplers are provided: a Gibbs sampler for the unconditional model, a
 kernel-weighted Gibbs sampler for the conditional model, and a random-walk
-Metropolis-Hastings fallback for non-normal priors.  Multi-direction
-simultaneous estimation stacks independent blocks under a block-diagonal
-normal prior.  The three Gibbs samplers run one engine over stacked chains
-that share (n, d): the unconditional and conditional samplers prepare one
-chain (``_unconditional_problem``, ``_conditional_problem``) and run it
-alone (``_run_chains``), the simultaneous sampler runs one chain per
-direction on a shared Generator, and ``contours`` (a contour's or tube
-slice's directions) and ``simlab`` (a study's replications) run many
-prepared chains per ``_run_chains`` call, each on a Generator of its own
-seed.  Each chain's bytes are the same whatever chains share its call.
+Metropolis-Hastings fallback for non-normal priors.  Both Gibbs samplers run
+one engine (``_gibbs``) over stacked chains that share (n, d): a sampler
+prepares its chain (``_unconditional_problem``, ``_conditional_problem``)
+and runs it alone (``_run_chains``), and ``contours`` (a contour's or tube
+slice's directions) and ``simlab`` (a study's replications) split many
+prepared chains into chunks (``_chunks``), each run in one stacked call that
+reruns a failed call's chains one at a time (``_isolated_chains``).  Each
+chain has a Generator of its own seed, so its bytes are the same whatever
+chains share its call.  Under a prior independent across directions, one
+chain per direction samples the joint posterior of a contour's hyperplanes.
 
 The engine allocates its (B, n) work arrays once per call, the nu = 1/2 GIG
 draw among them, and skips the kernel-weight products when every weight is
@@ -55,7 +55,6 @@ from .errors import (
     InitializationError,
     NumericalError,
     ShapeError,
-    UnsupportedPriorError,
 )
 from .geometry import Dataset, Direction, OrthoBasis, orthonormal_complement, project
 from .optimize import fit_check_loss
@@ -68,7 +67,6 @@ __all__ = [
     "sample_gig_half",
     "gibbs_unconditional",
     "gibbs_conditional",
-    "gibbs_simultaneous",
     "metropolis_hastings",
     "kernel_weights",
     "make_conditional_design",
@@ -314,11 +312,6 @@ def _gig_half_kernel(a, b, work):
 _ROW_BUDGET = 16_384
 
 
-def _chains_per_call(n: int) -> int:
-    """How many chains of n observations one engine call takes: at least one."""
-    return max(1, _ROW_BUDGET // max(n, 1))
-
-
 def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     """The Gibbs engine over B independent chains that share (n, d).
 
@@ -466,22 +459,59 @@ def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None
                          "gibbs-unconditional", unconditional_param_names(k, p), (k, p))
 
 
-def _engine_inputs(problems):
-    """The engine's stacked data and per-chain settings, before its Generators."""
-    return (np.array([q.y for q in problems]), np.array([q.design for q in problems]),
-            np.array([q.weights for q in problems]), [q.tau for q in problems],
-            [q.prior for q in problems], [q.theta0 for q in problems])
-
-
 def _run_chains(problems, n_draws, burn_in):
     """Run prepared chains that share (n, d) through one engine call, each on
     a Generator of its own seed; returns one Chain per problem."""
-    draws = _gibbs(*_engine_inputs(problems), [_rng_from_seed(q.seed) for q in problems], n_draws)
+    draws = _gibbs(np.array([q.y for q in problems]), np.array([q.design for q in problems]),
+                   np.array([q.weights for q in problems]), [q.tau for q in problems],
+                   [q.prior for q in problems], [q.theta0 for q in problems],
+                   [_rng_from_seed(q.seed) for q in problems], n_draws)
     return [
         Chain(draws=np.ascontiguousarray(draws[:, j]), burn_in=burn_in, seed=q.seed,
               sampler=q.sampler, acceptance_rate=1.0, names=q.names, layout=q.layout)
         for j, q in enumerate(problems)
     ]
+
+
+def _isolated_chains(problems, n_draws, burn_in):
+    """Chains of problems that share (n, d), from one engine call.
+
+    Yields a Chain, or the exception that failed it, per problem, in order.
+    If the stacked call raises, each chain is rerun alone at B = 1 as it is
+    reached, so that only a failing chain fails, with its own error (a
+    ``NumericalError`` then names block 0 and its sweep), and its siblings
+    keep the bytes they would have had.
+    """
+    try:
+        chains = _run_chains(problems, n_draws, burn_in)
+    except Exception as exc:
+        chains = [exc] if len(problems) == 1 else None
+    if chains is not None:
+        yield from chains
+        return
+    for problem in problems:
+        try:
+            chain = _run_chains([problem], n_draws, burn_in)[0]
+        except Exception as exc:
+            chain = exc
+        yield chain
+
+
+def _chunks(sizes, workers=1):
+    """Positions of chains split into engine chunks.
+
+    Chains of one sample size n are taken in order and split into chunks of
+    at most ``_ROW_BUDGET`` chain rows (at least one chain), and into at
+    least ``workers`` chunks where there are that many chains.
+    """
+    by_n = {}
+    for i, n in enumerate(sizes):
+        by_n.setdefault(n, []).append(i)
+    chunks = []
+    for n, positions in by_n.items():
+        size = max(1, min(_ROW_BUDGET // max(n, 1), -(-len(positions) // workers)))
+        chunks.extend(positions[i:i + size] for i in range(0, len(positions), size))
+    return chunks
 
 
 def gibbs_unconditional(
@@ -593,67 +623,6 @@ def gibbs_conditional(
         raise ShapeError("n_draws must exceed burn_in")
     problem = _conditional_problem(data, direction, design, kernel, prior, seed, init, basis)
     return _run_chains([problem], n_draws, burn_in)[0]
-
-
-def gibbs_simultaneous(
-    data: Dataset,
-    directions,
-    prior: PriorSpec,
-    n_draws: int = constants.DEFAULT_N_DRAWS,
-    burn_in: int = constants.DEFAULT_BURN_IN,
-    seed: int = 0,
-    init=None,
-    bases=None,
-) -> Chain:
-    """Joint Gibbs sampler over several directions under one aggregate model.
-
-    The stacked prior covariance must be block diagonal across directions;
-    each block then mixes exactly as a standalone chain (the latent scales
-    are block specific) and the blocks stay independent a posteriori.
-    """
-    if n_draws <= burn_in:
-        raise ShapeError("n_draws must exceed burn_in")
-    directions = list(directions)
-    if not directions:
-        raise ShapeError("need at least one direction")
-    k, p = data.k, data.p
-    d_block = k + p
-    m_blocks = len(directions)
-    if prior.dim != d_block * m_blocks:
-        raise ShapeError(
-            f"stacked prior dimension must be {d_block * m_blocks}, got {prior.dim}"
-        )
-    cov = prior.covariance
-    blocks = [slice(m * d_block, (m + 1) * d_block) for m in range(m_blocks)]
-    off_diagonal = cov.copy()
-    for s in blocks:
-        off_diagonal[s, s] = 0.0
-    if np.max(np.abs(off_diagonal)) > constants.SYMMETRY_TOL:
-        raise UnsupportedPriorError(
-            "simultaneous estimation requires a block-diagonal prior covariance"
-        )
-    if bases is None:
-        bases = [orthonormal_complement(d.u) for d in directions]
-    if init is not None:
-        init = np.atleast_1d(np.asarray(init, dtype=float))
-        if init.size != prior.dim:
-            raise ShapeError("initial point does not match the stacked dimension")
-
-    problems = [
-        _unconditional_problem(data, direction, PriorSpec(mean=prior.mean[s], covariance=cov[s, s]),
-                               seed, None if init is None else init[s], basis)
-        for s, direction, basis in zip(blocks, directions, bases)
-    ]
-    draws = _gibbs(*_engine_inputs(problems), [_rng_from_seed(seed)] * m_blocks, n_draws)
-    names = [f"m{m}_{s}" for m in range(m_blocks) for s in unconditional_param_names(k, p)]
-    return Chain(
-        draws=draws.reshape(n_draws, -1),
-        burn_in=burn_in,
-        seed=int(seed),
-        sampler="gibbs-unconditional",
-        acceptance_rate=1.0,
-        names=tuple(names),
-    )
 
 
 def metropolis_hastings(

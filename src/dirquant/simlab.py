@@ -9,19 +9,20 @@ interval-coverage tables from one pass over the same chains, and
 their replications through one fan-out (at most one worker pool per call)
 and return each failed replication with the reason it failed.
 
-The fan-out groups a driver's replications by sample size n, across cells,
-into chunks of at most ``samplers._ROW_BUDGET`` chain rows (chains x n), the
-budget the contours use too.  A chunk prepares each replication (dataset,
-projected response, design, kernel weights, init fit and chain seed),
-stacks the prepared chains by (n, d) into one call of the samplers' engine
-each, with one Generator per chain, and summarises each replication from
-its chain.  A chain's bytes do not depend on the chains stacked with it, so
-the tables are those of one chain per replication; the budget and its
-measured sweep are in the ``samplers`` docstring.  If an engine call
-raises, its chains are rerun one by one, so only the failing replication
-fails.  With ``workers`` > 1 the chunks go to one ``spawn`` pool.  The
-unconditional oracles of a study fit every direction of a DGP on one Monte
-Carlo sample, drawn once per DGP, and free it before the next DGP's.
+The fan-out runs a driver's replications through the samplers' runner, as
+the contours do: grouped by sample size n, across cells, into chunks of at
+most ``samplers._ROW_BUDGET`` chain rows (chains x n).  A chunk prepares
+each replication (dataset, projected response, design, kernel weights, init
+fit and chain seed), stacks the prepared chains by (n, d) into one call of
+the samplers' engine each, with one Generator per chain, and summarises each
+replication from its chain.  A chain's bytes do not depend on the chains
+stacked with it, so the tables are those of one chain per replication.  If
+an engine call raises, its chains are rerun one by one, so only the failing
+replication fails.  With ``workers`` > 1 the chunks go to one ``spawn``
+pool.  The unconditional oracles of a study fit every direction of a DGP on
+one Monte Carlo sample, drawn once per DGP and freed before the next DGP's;
+the conditional oracles fit every (u, tau) on one sample, drawn once per
+study.
 
 The regression DGP draws (x, z) jointly normal and returns y = z + (0, x)'.
 Its conditional experiments use the correlated pair without that level
@@ -51,10 +52,10 @@ from .optimize import frequentist_fit
 from .samplers import (
     KernelSpec,
     PriorSpec,
-    _chains_per_call,
+    _chunks,
     _conditional_problem,
+    _isolated_chains,
     _rng_from_seed,
-    _run_chains,
     _unconditional_problem,
     default_bandwidth,
     make_conditional_design,
@@ -170,22 +171,31 @@ def population_params_oracle(
     return frequentist_fit(data, direction, basis=basis).theta
 
 
-def conditional_params_oracle(
-    x0: float,
-    direction: Direction,
-    mc_size: int = 1_000_000,
-    seed: int = 192_837_465,
-    basis=None,
-) -> tuple[float, float]:
-    """Location-model parameters of the regression DGP's conditional law at x0."""
+_CONDITIONAL_ORACLE_SEED = 192_837_465
+
+
+def _conditional_oracle_sample(x0: float, mc_size: int, seed: int = _CONDITIONAL_ORACLE_SEED) -> Dataset:
+    """Monte Carlo sample of the regression DGP's conditional law at x0."""
     if mc_size < 100_000:
         raise DomainError("oracle needs at least 1e5 Monte Carlo draws")
     rng = _rng_from_seed(seed)
     chol = np.linalg.cholesky(_SIGMA_COND)
     y = rng.standard_normal((mc_size, 2)) @ chol.T
     y[:, 1] += 0.5 * float(x0)
-    fit = frequentist_fit(Dataset(y=y), direction, basis=basis)
-    return float(fit.theta.alpha), float(fit.theta.beta_y[0])
+    return Dataset(y=y)
+
+
+def conditional_params_oracle(
+    x0: float,
+    direction: Direction,
+    mc_size: int = 1_000_000,
+    seed: int = _CONDITIONAL_ORACLE_SEED,
+    basis=None,
+) -> tuple[float, float]:
+    """Location-model parameters of the regression DGP's conditional law at x0."""
+    sample = _conditional_oracle_sample(x0, mc_size, seed)
+    theta = frequentist_fit(sample, direction, basis=basis).theta
+    return float(theta.alpha), float(theta.beta_y[0])
 
 
 @dataclass(frozen=True)
@@ -298,28 +308,6 @@ def _summarise_conditional(context, chain):
     return {"estimate": posterior_vector(chain)}  # (alpha, beta_y)
 
 
-def _isolated_chains(problems, n_draws, burn_in):
-    """Chains of problems that share (n, d), from one engine call.
-
-    If that call raises, each chain is rerun alone at B = 1, so that only a
-    failing chain fails, with its own error (a ``NumericalError`` then names
-    block 0 and its sweep), and its siblings keep the bytes they would have
-    had.  Returns a Chain, or the exception, per problem.
-    """
-    try:
-        return _run_chains(problems, n_draws, burn_in)
-    except Exception as exc:
-        if len(problems) == 1:
-            return [exc]
-    out = []
-    for problem in problems:
-        try:
-            out.append(_run_chains([problem], n_draws, burn_in)[0])
-        except Exception as exc:
-            out.append(exc)
-    return out
-
-
 def _run_chunk(task):
     """Prepare, run and summarise one chunk of replications that share n.
 
@@ -349,23 +337,6 @@ def _run_chunk(task):
             except Exception as exc:
                 outcomes[i] = ("err", repr(exc))
     return outcomes
-
-
-def _chunks(sizes, workers=1):
-    """Positions of replications split into engine chunks.
-
-    Replications of one sample size n are taken in order and split into
-    chunks of at most ``samplers._chains_per_call(n)`` replications, and
-    into at least ``workers`` chunks where there are that many replications.
-    """
-    by_n = {}
-    for i, n in enumerate(sizes):
-        by_n.setdefault(n, []).append(i)
-    chunks = []
-    for n, positions in by_n.items():
-        size = max(1, min(_chains_per_call(n), -(-len(positions) // workers)))
-        chunks.extend(positions[i:i + size] for i in range(0, len(positions), size))
-    return chunks
 
 
 def _run_replications(prepare, summarise, tasks, n_draws, burn_in, workers=1):
@@ -532,17 +503,18 @@ def conditional_rmse_experiment(config: ExperimentConfig = DESK_PROFILE, workers
         (10_000 + i, key, key[2], (*key, config.x0, config.basis_convention))
         for i, key in enumerate(keys)
     ]
-    oracles = {}
+    oracles, sample = {}, None
     rows, fail_rows = [], []
     for (u, tau, n), results, failures in _fan_out(
         config, _prepare_conditional, _summarise_conditional, cells, workers
     ):
         if (u, tau) not in oracles:
+            if sample is None:  # one sample serves every (u, tau) of the study
+                sample = _conditional_oracle_sample(config.x0, config.oracle_mc_size)
             direction = Direction(u=np.asarray(u), tau=tau)
             basis = orthonormal_complement(direction.u, convention=config.basis_convention)
-            oracles[u, tau] = np.array(conditional_params_oracle(
-                config.x0, direction, mc_size=config.oracle_mc_size, basis=basis
-            ))
+            theta = frequentist_fit(sample, direction, basis=basis).theta
+            oracles[u, tau] = np.array([theta.alpha, theta.beta_y[0]])
         truth = oracles[u, tau]
         cell = {"u": u, "tau": tau, "n": n, "x0": config.x0}
         fail_rows.extend({**cell, "rep": rep, "error": error} for rep, error in failures)

@@ -7,12 +7,11 @@ from dirquant.ald import (
     HyperplaneParams,
     ald_cdf,
     ald_logpdf,
-    loglik_aggregate,
     loglik_conditional,
     loglik_unconditional,
     mixture_constants,
 )
-from dirquant.errors import DomainError, ShapeError
+from dirquant.errors import DomainError
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
 
 
@@ -146,43 +145,6 @@ class TestConditionalLikelihood:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(DomainError):
             loglik_conditional(np.zeros(1), np.ones((1, 1)), np.zeros(1), 0.2, np.zeros(1))
-
-
-class TestAggregateLikelihood:
-    def test_singleton_equals_unconditional(self, square_data, diag_direction):
-        pr, _ = _projected(square_data, diag_direction)
-        theta = HyperplaneParams(alpha=-0.26, beta_y=np.array([0.0]))
-        agg = loglik_aggregate(square_data, [theta], [diag_direction])
-        assert agg == pytest.approx(
-            loglik_unconditional(pr, square_data.x, theta, diag_direction), rel=1e-12
-        )
-
-    def test_two_identical_blocks_double(self, square_data, diag_direction):
-        theta = HyperplaneParams(alpha=-0.26, beta_y=np.array([0.0]))
-        one = loglik_aggregate(square_data, [theta], [diag_direction])
-        two = loglik_aggregate(square_data, [theta, theta], [diag_direction, diag_direction])
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
-
-    def test_blocks_do_not_interact(self, square_data, diag_direction, vertical_direction):
-        # finite-difference gradient of block 1 must not move with block 2
-        theta1 = HyperplaneParams(alpha=-0.2, beta_y=np.array([0.1]))
-        theta2a = HyperplaneParams(alpha=-0.3, beta_y=np.array([0.0]))
-        theta2b = HyperplaneParams(alpha=0.4, beta_y=np.array([-0.8]))
-        h = 1e-5
-
-        def grad_block1(theta2):
-            up = HyperplaneParams(alpha=theta1.alpha + h, beta_y=theta1.beta_y)
-            dn = HyperplaneParams(alpha=theta1.alpha - h, beta_y=theta1.beta_y)
-            f_up = loglik_aggregate(square_data, [up, theta2], [diag_direction, vertical_direction])
-            f_dn = loglik_aggregate(square_data, [dn, theta2], [diag_direction, vertical_direction])
-            return (f_up - f_dn) / (2 * h)
-
-        assert grad_block1(theta2a) == pytest.approx(grad_block1(theta2b), rel=1e-9, abs=1e-9)
-
-    def test_length_mismatch(self, square_data, diag_direction):
-        theta = HyperplaneParams(alpha=0.0, beta_y=np.array([0.0]))
-        with pytest.raises(ShapeError):
-            loglik_aggregate(square_data, [theta, theta], [diag_direction])
 
 
 class TestConcavity:

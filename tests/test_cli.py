@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dirquant
-from dirquant import simlab
+from dirquant import samplers, simlab
 from dirquant.cli import ingest_csv, main, parse_config_text
 from dirquant.errors import ConfigError, DataError
 from dirquant.io import provenance_block, read_chain, write_chain
@@ -176,6 +176,18 @@ class TestCommands:
         for v in polys[0.4]:
             assert polygon_contains(mid, v, tol=1e-6)
 
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_contour_refuses_the_removed_simultaneous_key(self, score_csv, tmp_path, capsys, value):
+        # a key that once selected a different chain stream must not be ignored
+        argv = ["contour", "--set", f"input={score_csv}", "--set", "response=math,read",
+                "--set", "tau=0.2", "--set", "directions=8", "--set", f"simultaneous={value}",
+                "--out", str(tmp_path / "oc")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'simultaneous'" in err
+        assert "independent per-direction chains give the same posterior" in err
+        assert not os.path.exists(tmp_path / "oc")
+
     def test_tube_slices_shift_with_covariate(self, score_csv, tmp_path):
         cfg = tmp_path / "tube.cfg"
         cfg.write_text(
@@ -240,7 +252,7 @@ class TestCommands:
         assert (alone / "coverage.csv").read_bytes() == (full / "coverage.csv").read_bytes()
 
     def test_simulate_reports_failed_replications(self, tmp_path, tiny_desk, monkeypatch, capsys):
-        real = simlab._run_chains
+        real = samplers._run_chains
         doomed = simlab._rep_seed(simlab.DESK_PROFILE.master_seed, 0, 1, 1)  # cell 0, replication 1
 
         def run_chains(problems, *args):  # one engine call of chains sharing (n, d)
@@ -248,7 +260,7 @@ class TestCommands:
                 raise RuntimeError("injected failure")
             return real(problems, *args)
 
-        monkeypatch.setattr(simlab, "_run_chains", run_chains)
+        monkeypatch.setattr(samplers, "_run_chains", run_chains)
         assert main(["simulate", "--set", "tables=rmse", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "simulate: dgp=1 u=(0.0, 1.0) tau=0.2 n=60 replication 1 failed: "

@@ -36,7 +36,6 @@ from dirquant.samplers import (
     kernel_weights,
     make_conditional_design,
 )
-from test_kernel_parity import _reference_gibbs
 
 
 class TestHalfplaneMapping:
@@ -297,13 +296,13 @@ class TestBatchedDirections:
     def _count_calls(monkeypatch, n):
         monkeypatch.setattr(samplers, "_ROW_BUDGET", 5 * n)
         calls = []
-        real = contours._run_chains
+        real = samplers._run_chains
 
         def counted(problems, *args):
             calls.append(len(problems))
             return real(problems, *args)
 
-        monkeypatch.setattr(contours, "_run_chains", counted)
+        monkeypatch.setattr(samplers, "_run_chains", counted)
         return calls
 
     def _directions(self, tau):
@@ -326,15 +325,6 @@ class TestBatchedDirections:
         ref = intersect_halfplanes(planes, tau=0.3, n_directions=self.N_DIR)
         assert poly.vertices.shape[0] >= 3
         assert poly.vertices.tobytes() == ref.vertices.tobytes()
-
-    def test_simultaneous_contour_matches_the_reference_sweep(self, square_data, monkeypatch):
-        def run():
-            return tau_contour(square_data, 0.3, 8, n_draws=self.DRAWS, burn_in=self.BURN,
-                               seed=self.SEED, simultaneous=True).vertices
-
-        new = run()
-        monkeypatch.setattr(samplers, "_gibbs", _reference_gibbs)
-        assert new.shape[0] >= 3 and new.tobytes() == run().tobytes()
 
     @staticmethod
     def _regression_data():

@@ -23,7 +23,6 @@ from dirquant.samplers import (
     KernelSpec,
     PriorSpec,
     gibbs_conditional,
-    gibbs_simultaneous,
     gibbs_unconditional,
     kernel_weights,
     make_conditional_design,
@@ -186,15 +185,6 @@ class TestGibbsParity:
         def run():
             return gibbs_conditional(data, direction, design, kernel, prior,
                                      n_draws=300, burn_in=50, seed=13)
-
-        assert _same_bytes(run().draws, parent_kernels(run).draws)
-
-    def test_simultaneous_three_blocks(self, data, parent_kernels):
-        dirs = [Direction(u=np.array([np.cos(t), np.sin(t)]), tau=0.25) for t in (0.3, 2.4, 4.5)]
-        prior = PriorSpec(mean=np.zeros(9), covariance=100.0 * np.eye(9))
-
-        def run():
-            return gibbs_simultaneous(data, dirs, prior, n_draws=200, burn_in=20, seed=14)
 
         assert _same_bytes(run().draws, parent_kernels(run).draws)
 

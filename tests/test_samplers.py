@@ -9,7 +9,6 @@ from dirquant.errors import (
     DegenerateWindowError,
     InitializationError,
     ShapeError,
-    UnsupportedPriorError,
 )
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
 from dirquant.inference import effective_sample_size
@@ -19,7 +18,6 @@ from dirquant.samplers import (
     PriorSpec,
     default_bandwidth,
     gibbs_conditional,
-    gibbs_simultaneous,
     gibbs_unconditional,
     kernel_weights,
     make_conditional_design,
@@ -123,13 +121,18 @@ class TestConjugateUpdate:
         prior = PriorSpec(mean=rng.normal(size=9), covariance=np.diag(rng.uniform(1.0, 10.0, 9)))
         latents = rng.exponential(size=(3, 120)) + 0.05
         self._fix_latents(monkeypatch, latents)
-        chain = gibbs_simultaneous(data, dirs, prior, n_draws=self.N_DRAWS, burn_in=1, seed=44,
-                                   init=np.zeros(9), bases=bases)
+        blocks = [PriorSpec(mean=prior.mean[s], covariance=prior.covariance[s, s])
+                  for s in (slice(0, 3), slice(3, 6), slice(6, 9))]
+        # three chains with their own tau and prior in one stacked engine call
+        problems = [samplers._unconditional_problem(data, d, block, seed=44 + j, init=np.zeros(3),
+                                                    basis=basis)
+                    for j, (d, block, basis) in enumerate(zip(dirs, blocks, bases))]
+        chains = samplers._run_chains(problems, self.N_DRAWS, 1)
         projected = project(data, dirs[1], bases[1])
         design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
-        block = PriorSpec(mean=prior.mean[3:6], covariance=prior.covariance[3:6, 3:6])
-        mean, cov = self._oracle(design, projected.y_u, np.ones(data.n), dirs[1].tau, latents[1], block)
-        self._assert_draws_follow(chain.draws[:, 3:6], mean, cov)
+        mean, cov = self._oracle(design, projected.y_u, np.ones(data.n), dirs[1].tau, latents[1],
+                                 blocks[1])
+        self._assert_draws_follow(chains[1].draws, mean, cov)
 
 
 class TestGibbsUnconditional:
@@ -253,50 +256,6 @@ class TestGibbsConditional:
         with pytest.raises(DegenerateWindowError):
             gibbs_conditional(data, diag_direction, design, kernel, PRIOR2,
                               n_draws=50, burn_in=5, seed=0)
-
-
-class TestSimultaneous:
-    def test_single_block_matches_unconditional(self, square_data, diag_direction):
-        joint = gibbs_simultaneous(square_data, [diag_direction], PRIOR2, n_draws=300, burn_in=50, seed=9)
-        single = gibbs_unconditional(square_data, diag_direction, PRIOR2, n_draws=300, burn_in=50, seed=9)
-        assert joint.draws.tobytes() == single.draws.tobytes()
-
-    def test_identical_blocks_agree(self, square_data, diag_direction):
-        prior = PriorSpec(mean=np.zeros(4), covariance=1000.0 * np.eye(4))
-        chain = gibbs_simultaneous(square_data, [diag_direction, diag_direction], prior,
-                                   n_draws=3000, burn_in=500, seed=10)
-        post = chain.post_burn()
-        for j in range(2):
-            a, b = post[:, j], post[:, j + 2]
-            se = np.sqrt(a.var() / effective_sample_size(a) + b.var() / effective_sample_size(b))
-            assert abs(a.mean() - b.mean()) < 3.0 * se
-
-    def test_thirty_two_direction_contour_blocks(self):
-        # joint fit over a full direction grid: every block's posterior mean
-        # keeps its empirical lower-halfspace fraction near the depth
-        from dirquant.ald import HyperplaneParams
-        from dirquant.geometry import unit_directions
-        from dirquant.inference import subgradient_diagnostics
-
-        rng = np.random.default_rng(31)
-        data = Dataset(y=rng.uniform(-0.5, 0.5, size=(1000, 2)))
-        dirs = [Direction(u=u, tau=0.2) for u in unit_directions(32)]
-        bases = [orthonormal_complement(d.u) for d in dirs]
-        prior = PriorSpec(mean=np.zeros(64), covariance=1000.0 * np.eye(64))
-        chain = gibbs_simultaneous(data, dirs, prior, n_draws=1200, burn_in=200,
-                                   seed=32, bases=bases)
-        mean = chain.post_burn().mean(axis=0)
-        for m, (direction, basis) in enumerate(zip(dirs, bases)):
-            theta = HyperplaneParams.from_vector(mean[2 * m : 2 * m + 2], 2, 0)
-            report = subgradient_diagnostics(data, direction, theta, basis=basis)
-            assert abs(report.sg1 - 0.2) < 0.02, f"block {m}: sg1 = {report.sg1}"
-
-    def test_non_block_diagonal_prior_rejected(self, square_data, diag_direction, vertical_direction):
-        cov = 1000.0 * np.eye(4)
-        cov[0, 2] = cov[2, 0] = 5.0
-        with pytest.raises(UnsupportedPriorError):
-            gibbs_simultaneous(square_data, [diag_direction, vertical_direction],
-                               PriorSpec(np.zeros(4), cov), n_draws=10, burn_in=1, seed=0)
 
 
 class TestMetropolisHastings:

@@ -183,6 +183,32 @@ class TestOracles:
             assert np.array([r["oracle"] for r in rows]).tobytes() == truth.tobytes()
 
 
+    def test_conditional_oracles_share_one_sample_per_study(self, monkeypatch):
+        # two directions x two taus: the conditional Monte Carlo sample is
+        # drawn once, and every table oracle is conditional_params_oracle's
+        cfg = ExperimentConfig(taus=(0.2, 0.4), sample_sizes=(60,), replications=1,
+                               n_draws=60, burn_in=10, master_seed=3, oracle_mc_size=100_000)
+        draws = []
+        real = simlab._conditional_oracle_sample
+
+        def recorded(x0, mc_size, *args):
+            draws.append((x0, mc_size))
+            return real(x0, mc_size, *args)
+
+        monkeypatch.setattr(simlab, "_conditional_oracle_sample", recorded)
+        rows = conditional_rmse_experiment(cfg)["conditional"]
+        assert draws == [(cfg.x0, 100_000)]
+        assert len(rows) == 2 * len(cfg.directions) * len(cfg.taus)
+        for u in cfg.directions:
+            for tau in cfg.taus:
+                direction = Direction(u=np.asarray(u), tau=tau)
+                basis = orthonormal_complement(direction.u, convention=cfg.basis_convention)
+                truth = np.array(conditional_params_oracle(cfg.x0, direction,
+                                                           mc_size=cfg.oracle_mc_size, basis=basis))
+                oracle = [r["oracle"] for r in rows if (r["u"], r["tau"]) == (tuple(u), tau)]
+                assert np.array(oracle).tobytes() == truth.tobytes()
+
+
 class TestExperiments:
     def test_rmse_rows_and_monotonicity(self):
         rows = simulation_tables(SMALL)["rmse"]
@@ -279,7 +305,7 @@ class TestExperiments:
                 return real(problems, *args)
             return run_chains
 
-        monkeypatch.setattr(simlab, "_run_chains", failing(simlab._run_chains, 1))
+        monkeypatch.setattr(samplers, "_run_chains", failing(samplers._run_chains, 1))
         tables = simulation_tables(cfg)
         assert tables["failures"] == [
             {**_CELL, "n": 400, "rep": 2, "error": "RuntimeError('injected failure')"}
@@ -290,7 +316,7 @@ class TestExperiments:
         assert len(tables["replications"]) == 5
 
         # conditional cells are numbered from 10_000
-        monkeypatch.setattr(simlab, "_run_chains", failing(simlab._run_chains, 10_000))
+        monkeypatch.setattr(samplers, "_run_chains", failing(samplers._run_chains, 10_000))
         cond = conditional_rmse_experiment(replace(cfg, sample_sizes=(80,)))
         assert cond["failures"] == [{
             "u": (0.0, 1.0), "tau": 0.2, "n": 80, "x0": 1.0, "rep": 2,
@@ -304,7 +330,7 @@ class TestExperiments:
         def failing(*args, **kwargs):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(simlab, "_run_chains", failing)
+        monkeypatch.setattr(samplers, "_run_chains", failing)
         tables = simulation_tables(cfg)
         error = "RuntimeError('injected failure')"
         assert tables["failures"] == [{**_CELL, "n": 80, "rep": rep, "error": error} for rep in (0, 1)]
@@ -317,7 +343,7 @@ class TestExperiments:
                 assert (row["replications"], row["failed"]) == (0, 2)
                 assert all(np.isnan(row[key]) for key in keys)
 
-        monkeypatch.setattr(simlab, "_run_chains", failing)
+        monkeypatch.setattr(samplers, "_run_chains", failing)
         cond = conditional_rmse_experiment(cfg)
         assert [(r["rep"], r["error"]) for r in cond["failures"]] == [(0, error), (1, error)]
         for row in cond["conditional"]:
@@ -404,13 +430,13 @@ class TestBatchedChains:
         # so every (n, d) group is split and one chunk mixes d = 2 and 3
         monkeypatch.setattr(samplers, "_ROW_BUDGET", 250)
         calls = []
-        real = simlab._run_chains
+        real = samplers._run_chains
 
         def counted(problems, *args):
             calls.append((len(problems), *problems[0].design.shape))
             return real(problems, *args)
 
-        monkeypatch.setattr(simlab, "_run_chains", counted)
+        monkeypatch.setattr(samplers, "_run_chains", counted)
         tables = simulation_tables(cfg)
         cond = conditional_rmse_experiment(cfg)["conditional"]
         assert all(b * n <= 250 for b, n, _ in calls) and max(b for b, _, _ in calls) > 1
@@ -472,9 +498,9 @@ class TestBatchedChains:
     def test_chunks_respect_the_row_budget_and_the_workers(self, monkeypatch):
         monkeypatch.setattr(samplers, "_ROW_BUDGET", 1000)
         sizes = [100] * 25 + [1000] * 3 + [100] * 2 + [5000]
-        chunks = simlab._chunks(sizes)
+        chunks = samplers._chunks(sizes)
         assert sorted(i for chunk in chunks for i in chunk) == list(range(len(sizes)))
         assert [len(c) for c in chunks] == [10, 10, 7, 1, 1, 1, 1]
         assert chunks[2] == [20, 21, 22, 23, 24, 28, 29]  # n = 100 across the gap, in order
-        assert [len(c) for c in simlab._chunks([100] * 9, workers=2)] == [5, 4]
-        assert [len(c) for c in simlab._chunks([100] * 30, workers=2)] == [10, 10, 10]
+        assert [len(c) for c in samplers._chunks([100] * 9, workers=2)] == [5, 4]
+        assert [len(c) for c in samplers._chunks([100] * 30, workers=2)] == [10, 10, 10]
