@@ -281,13 +281,34 @@ class TestNewtonParity:
         return np.column_stack([projected.y_perp, np.ones(100_000)]), projected.y_u
 
     @pytest.mark.parametrize("tau", [0.05, 0.4])
-    def test_fit_check_loss_at_contour_scale(self, tau, scores, parent_kernels):
+    def test_fit_check_loss_at_contour_scale(self, tau, scores, parent_kernels, monkeypatch):
+        # the full solve over all 1e5 rows, which a preprocessed fit falls
+        # back to: its late stages start with empty bands at this scale
         z, y = scores
+        monkeypatch.setattr(optimize, "PREPROCESS_ROWS", np.inf)
 
         def run():
             return optimize.fit_check_loss(z, y, tau)
 
         self._assert_same_fit(run(), parent_kernels(run))
+
+    def test_preprocessed_fit_at_contour_scale(self, scores, parent_kernels, monkeypatch):
+        # the subsample and reduced solves run the same stage kernel
+        z, y = scores
+        solves = []
+        real = optimize._solve
+
+        def counted(zs, *args):
+            solves.append(zs.shape[0])
+            return real(zs, *args)
+
+        monkeypatch.setattr(optimize, "_solve", counted)
+
+        def run():
+            return optimize.fit_check_loss(z, y, 0.2)
+
+        self._assert_same_fit(run(), parent_kernels(run))
+        assert len(solves) >= 4 and max(solves) < len(y) / 10
 
     def test_unit_weights_match_no_weights(self):
         z, y, _ = self._problem(3000, 3000)

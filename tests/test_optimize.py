@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dirquant import optimize
 from dirquant.errors import DomainError, RankError
-from dirquant.geometry import Dataset, Direction, check_loss, orthonormal_complement, project
+from dirquant.geometry import Dataset, Direction, check_loss, orthonormal_complement, project, unit_directions
 from dirquant.optimize import fit_check_loss, frequentist_fit
+from dirquant.simlab import make_star_like
 
 
 class TestLocationReduction:
@@ -101,3 +103,138 @@ class TestErrors:
     def test_negative_weights_rejected(self):
         with pytest.raises(DomainError):
             fit_check_loss(np.ones((5, 1)), np.zeros(5), 0.2, weights=-np.ones(5))
+
+
+def _star_scores(n, seed):
+    """Jittered integer test scores, as the frequentist contour fits them."""
+    cols = make_star_like(n, seed=seed)
+    jitter = np.random.default_rng(seed + 1).uniform(0.0, 1.0, (n, 2))
+    return Dataset(y=np.column_stack([cols["math"], cols["read"]]) + jitter)
+
+
+def _full_solve(fit, monkeypatch):
+    """Run fit with the threshold above every n: the full solve over all rows."""
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "PREPROCESS_ROWS", np.inf)
+        return fit()
+
+
+def _same_fit_bytes(a, b):
+    assert np.asarray(a.theta).tobytes() == np.asarray(b.theta).tobytes()
+    assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    assert np.array(a.stage_objectives).tobytes() == np.array(b.stage_objectives).tobytes()
+    assert a.converged == b.converged
+
+
+class TestPreprocessing:
+    """Fits of at least PREPROCESS_ROWS rows go through the reduced problem."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        # 24 contour fits on 1e5 rows; per fit the preprocessed result, the
+        # full solve's and whether the last glob check found every member at
+        # or beyond eps on its own side
+        data = _star_scores(self.N, seed=21)
+        out = []
+        with pytest.MonkeyPatch.context() as m:
+            checks = []
+            real = optimize._misplaced
+
+            def checked(r, lower, upper, eps):
+                checks.append(bool(np.all(r[lower] <= -eps) and np.all(r[upper] >= eps)))
+                return real(r, lower, upper, eps)
+
+            m.setattr(optimize, "_misplaced", checked)
+            for tau in (0.05, 0.2, 0.4):
+                for u in unit_directions(32)[::4]:
+                    direction = Direction(u=u, tau=tau)
+                    checks.clear()
+                    pre = frequentist_fit(data, direction)
+                    certified = bool(checks) and checks[-1]
+                    with pytest.MonkeyPatch.context() as full_rows:
+                        full_rows.setattr(optimize, "PREPROCESS_ROWS", np.inf)
+                        full = frequentist_fit(data, direction)
+                    out.append((direction, pre, full, certified))
+        return data, out
+
+    def test_objective_no_worse_than_the_full_solve(self, fits):
+        _, rows = fits
+        assert len(rows) == 24
+        for direction, pre, full, _ in rows:
+            assert pre.objective <= full.objective * (1.0 + 1e-9), direction
+
+    def test_every_fit_is_certified(self, fits):
+        for direction, pre, _, certified in fits[1]:
+            assert certified, direction
+            assert pre.converged
+
+    def test_subgradient_fraction_bound(self, fits):
+        data, rows = fits
+        for direction, pre, _, _ in rows:
+            pr = project(data, direction, orthonormal_complement(direction.u))
+            resid = pr.y_u - pre.theta.alpha - pr.y_perp @ pre.theta.beta_y
+            d = 2  # (beta_y, alpha)
+            assert abs(np.mean(resid < 0) - direction.tau) <= d / self.N + 1e-6, direction
+
+    def test_breakdown_falls_back_to_the_full_solve(self, monkeypatch):
+        # every glob member reported misplaced in every round: m doubles until
+        # the rounds run out, and the full solve's bytes come back
+        z, y = self._problem(optimize.PREPROCESS_ROWS, seed=5)
+        rounds = []
+
+        def every_member(r, lower, upper, eps):
+            rounds.append(int(np.count_nonzero(lower | upper)))
+            return lower | upper
+
+        monkeypatch.setattr(optimize, "_misplaced", every_member)
+        broken = fit_check_loss(z, y, 0.3)
+        assert len(rounds) == optimize._ROUNDS and rounds[0] > rounds[-1] > 0
+        _same_fit_bytes(broken, _full_solve(lambda: fit_check_loss(z, y, 0.3), monkeypatch))
+
+    def test_below_the_threshold_is_the_full_solve(self, monkeypatch):
+        n = optimize.PREPROCESS_ROWS
+        z, y = self._problem(n, seed=6)
+        calls = []
+        real = optimize._preprocessed_solve
+
+        def spy(*args):
+            calls.append(args[0].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(optimize, "_preprocessed_solve", spy)
+        below = fit_check_loss(z[:-1], y[:-1], 0.3)
+        assert calls == []
+        _same_fit_bytes(below, _full_solve(lambda: fit_check_loss(z[:-1], y[:-1], 0.3), monkeypatch))
+        fit_check_loss(z, y, 0.3)
+        assert calls == [n]
+
+    def test_zero_weight_glob_is_dropped(self, monkeypatch):
+        # a location fit whose lowest rows carry no weight: at tau = 0.0203 the
+        # band starts inside them, so the lower glob weighs 0 and is dropped
+        n = 30_000
+        y = np.random.default_rng(7).standard_normal(n)
+        w = np.where(y < np.quantile(y, 0.1), 0.0, 1.0)
+        reduced = []
+        real = optimize._reduced
+
+        def spy(zs, ys, w_full, lower, upper):
+            out = real(zs, ys, w_full, lower, upper)
+            reduced.append((float(np.sum(w_full * lower)), int(np.count_nonzero(~(lower | upper))),
+                            out[2].size))
+            return out
+
+        monkeypatch.setattr(optimize, "_reduced", spy)
+        fit = fit_check_loss(np.ones((n, 1)), y, 0.0203, weights=w)
+        lower_weight, band_rows, reduced_rows = reduced[-1]
+        assert lower_weight == 0.0
+        assert reduced_rows == band_rows + 1  # the band and the upper glob
+        kept = np.sort(y[w > 0])
+        assert fit.theta[0] == pytest.approx(np.quantile(kept, 0.0203, method="inverted_cdf"), abs=1e-6)
+
+    @staticmethod
+    def _problem(n, seed):
+        rng = np.random.default_rng(seed)
+        z = np.column_stack([rng.standard_normal((n, 2)), np.ones(n)])
+        return z, z @ np.array([0.3, -0.2, 1.0]) + rng.standard_t(3, n)

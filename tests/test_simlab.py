@@ -45,13 +45,15 @@ SMALL = ExperimentConfig(
 )
 
 # SMALL's tables from the per-table drivers: (cell, (rmse, bias)) per rmse row,
-# (cell, (rmse,)) per subgradient row
+# (cell, (rmse,)) per subgradient row.  The oracle and the values measured
+# against it follow the 1e5-row oracle fit, which takes optimize's
+# preprocessed path; the estimates do not depend on it
 _CELL = {"dgp": 1, "u": (0.0, 1.0), "tau": 0.2}
 FROZEN_RMSE = [
-    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (0.1106169311179286, 0.08582102668995997)),
-    ({**_CELL, "n": 80, "parameter": "alpha"}, (0.05168661105210085, 0.02384117910334265)),
-    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (0.05846426049160437, -0.01982385837441874)),
-    ({**_CELL, "n": 400, "parameter": "alpha"}, (0.013827742023951524, -0.0026937006454398754)),
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (0.11061693111792859, 0.08582102668995997)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (0.05168661105210062, 0.02384117910334215)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (0.058464260491604386, -0.01982385837441875)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (0.013827742023951622, -0.002693700645440375)),
 ]
 FROZEN_SUBGRAD = [
     ({**_CELL, "n": 80, "statistic": "subgrad1"}, (0.024206145913796363,)),
@@ -62,10 +64,10 @@ FROZEN_SUBGRAD = [
 # SMALL's coverage rows from the separate coverage pass (coverage_experiment):
 # (cell, (oracle, coverage, naive_coverage, width))
 FROZEN_COVERAGE = [
-    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.003388100114787299, 1.0, 1.0, 0.5665097757768431)),
-    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.29939831992686977, 1.0, 1.0, 0.2208204295296658)),
-    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.003388100114787299, 1.0, 1.0, 0.29448915045257373)),
-    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.29939831992686977, 1.0, 1.0, 0.07318093782036345)),
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.0033881001147872875, 1.0, 1.0, 0.5665097757768431)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.29939831992686927, 1.0, 1.0, 0.2208204295296658)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.0033881001147872875, 1.0, 1.0, 0.29448915045257373)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.29939831992686927, 1.0, 1.0, 0.07318093782036345)),
 ]
 
 
