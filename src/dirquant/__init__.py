@@ -9,7 +9,7 @@ simulation lab.
 __version__ = "0.1.0"
 
 from .ald import HyperplaneParams, ald_cdf, ald_logpdf, mixture_constants
-from .contours import ContourPolygon, Halfplane, intersect_halfplanes, tau_contour, tube_slice, tukey_depth
+from .contours import ContourPolygon, Halfplane, intersect_halfplanes, tau_contour, tau_contours, tube_slice, tukey_depth
 from .geometry import Dataset, Direction, OrthoBasis, ProjectedData, check_loss, orthonormal_complement, project, unit_directions
 from .inference import asymptotic_ci, chain_diagnostics, naive_ci, posterior_mean, subgradient_diagnostics
 from .optimize import FitResult, frequentist_fit

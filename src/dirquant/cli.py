@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import constants, io, simlab
-from .contours import tau_contour, tube_slice
+from .contours import tau_contours, tube_slice
 from .errors import ConfigError, DataError, DirquantError, NumericalError
 from .geometry import Dataset, Direction
 from .inference import asymptotic_ci, naive_ci, posterior_mean, subgradient_diagnostics
@@ -231,11 +231,9 @@ def _cmd_contour(cfg: dict, args) -> int:
     draws, burn = _sampler_settings(cfg)
     out = _out_dir(cfg, args)
     prov = io.provenance_block(cfg, seed)
-    for tau in taus:
-        poly = tau_contour(
-            data, tau, n_directions=n_dir, estimator=estimator,
-            n_draws=draws, burn_in=burn, seed=seed,
-        )
+    polys = tau_contours(data, taus, n_directions=n_dir, estimator=estimator,
+                         n_draws=draws, burn_in=burn, seed=seed)
+    for tau, poly in zip(taus, polys):
         tag = f"{tau:g}".replace(".", "p")
         io.write_polygon(poly, os.path.join(out, f"contour_tau{tag}.csv"),
                          os.path.join(out, f"contour_tau{tag}.json"), provenance=prov)

@@ -14,6 +14,12 @@ prepared (projection, design, init fit) only when it runs, so at most one
 chunk of prepared chains is alive.  Each direction keeps the seed
 ``_direction_seed(seed, index)``, so every chain, posterior mean and polygon
 is that of one chain per direction.  A chain that fails names its direction.
+
+A frequentist contour set runs direction by direction instead: a direction's
+design depends on u only, so ``tau_contours`` projects and prepares it once
+(``optimize.CheckLossProblem``) and fits every tau on it, with one
+direction's problem alive at a time.  Each polygon is byte for byte the one
+that separate per-(tau, u) fits give.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from . import constants
 from .ald import HyperplaneParams
 from .errors import DomainError, NumericalError, ShapeError, UnboundedRegionError
 from .geometry import Dataset, Direction, OrthoBasis, orthonormal_complement, unit_directions
-from .optimize import frequentist_fit
+from .optimize import _direction_problem, fit_prepared
 from .samplers import (
     KernelSpec,
     PriorSpec,
@@ -47,6 +53,7 @@ __all__ = [
     "to_upper_halfplane",
     "intersect_halfplanes",
     "tau_contour",
+    "tau_contours",
     "tukey_depth",
     "tube_slice",
     "polygon_area",
@@ -280,6 +287,83 @@ def _direction_chains(prepare, dirs, n, n_draws, burn_in):
             yield chain, context
 
 
+def _frequentist_fits(data: Dataset, column, basis: OrthoBasis) -> list:
+    """One direction's hyperplane at each of ``column``'s taus.  The design
+    [y_perp, x, 1] against y_u depends on u only, so it is projected and
+    prepared once and fitted per tau; it is freed when this returns."""
+    problem = _direction_problem(data, column[0], basis=basis)
+    thetas = []
+    for direction in column:
+        fit = fit_prepared(problem, direction.tau)
+        if not fit.converged:
+            warnings.warn(
+                f"frequentist fit did not converge (tau={direction.tau}, u={direction.u.tolist()}, "
+                f"{fit.iterations} iterations); its hyperplane enters the contour as is",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        thetas.append(HyperplaneParams.from_vector(fit.theta, data.k, data.p))
+    return thetas
+
+
+def tau_contours(
+    data: Dataset,
+    taus,
+    n_directions: int = constants.DEFAULT_N_DIRECTIONS,
+    estimator: str = "bayes-mean",
+    prior: PriorSpec | None = None,
+    n_draws: int = constants.DEFAULT_N_DRAWS,
+    burn_in: int = constants.DEFAULT_BURN_IN,
+    seed: int = 0,
+    x_eval=None,
+) -> list[ContourPolygon]:
+    """Quantile contours at each of ``taus``, in order, from one hyperplane
+    fit per (tau, grid direction).
+
+    ``estimator`` selects posterior means from independent per-direction
+    chains (``"bayes-mean"``), run tau by tau, or deterministic check-loss
+    fits (``"frequentist"``), run direction by direction: each direction's
+    design is prepared once and fitted at every tau.  Every tau is checked
+    before the first fit or chain.  A contour is the one ``tau_contour``
+    gives for its tau alone.
+    """
+    if data.k != 2:
+        raise DomainError("contours are computed for k = 2 only")
+    if estimator not in ("bayes-mean", "frequentist"):
+        raise DomainError(f"unknown estimator {estimator!r}")
+    grid = unit_directions(n_directions)
+    dirs = [[Direction(u=u, tau=tau) for u in grid] for tau in taus]
+    bases = [orthonormal_complement(u) for u in grid]
+    if not dirs:
+        return []
+
+    if estimator == "frequentist":
+        columns = [_frequentist_fits(data, [row[j] for row in dirs], basis)
+                   for j, basis in enumerate(bases)]
+        thetas = list(zip(*columns))
+    else:
+        if prior is None:
+            d_block = data.k + data.p
+            prior = PriorSpec(mean=np.zeros(d_block), covariance=1000.0 * np.eye(d_block))
+        thetas = []
+        for row in dirs:
+            def prepare(idx, row=row):
+                return _unconditional_problem(data, row[idx], prior, seed=_direction_seed(seed, idx),
+                                              basis=bases[idx]), None
+
+            thetas.append([posterior_mean(chain)
+                           for chain, _ in _direction_chains(prepare, row, data.n, n_draws, burn_in)])
+
+    return [
+        intersect_halfplanes(
+            [to_upper_halfplane(theta, direction, basis, x_eval=x_eval)
+             for theta, direction, basis in zip(row_thetas, row, bases)],
+            tau=row[0].tau, n_directions=n_directions,
+        )
+        for row_thetas, row in zip(thetas, dirs)
+    ]
+
+
 def tau_contour(
     data: Dataset,
     tau: float,
@@ -291,48 +375,9 @@ def tau_contour(
     seed: int = 0,
     x_eval=None,
 ) -> ContourPolygon:
-    """Quantile contour from one hyperplane fit per grid direction.
-
-    ``estimator`` selects posterior means from independent per-direction
-    chains (``"bayes-mean"``) or deterministic check-loss fits
-    (``"frequentist"``).
-    """
-    if data.k != 2:
-        raise DomainError("contours are computed for k = 2 only")
-    if estimator not in ("bayes-mean", "frequentist"):
-        raise DomainError(f"unknown estimator {estimator!r}")
-    dirs = [Direction(u=u, tau=tau) for u in unit_directions(n_directions)]
-    bases = [orthonormal_complement(d.u) for d in dirs]
-    d_block = data.k + data.p
-
-    thetas = []
-    if estimator == "frequentist":
-        for direction, basis in zip(dirs, bases):
-            fit = frequentist_fit(data, direction, basis=basis)
-            if not fit.converged:
-                warnings.warn(
-                    f"frequentist fit did not converge (tau={tau}, u={direction.u.tolist()}, "
-                    f"{fit.iterations} iterations); its hyperplane enters the contour as is",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            thetas.append(fit.theta)
-    else:
-        if prior is None:
-            prior = PriorSpec(mean=np.zeros(d_block), covariance=1000.0 * np.eye(d_block))
-
-        def prepare(idx):
-            return _unconditional_problem(data, dirs[idx], prior, seed=_direction_seed(seed, idx),
-                                          basis=bases[idx]), None
-
-        for chain, _ in _direction_chains(prepare, dirs, data.n, n_draws, burn_in):
-            thetas.append(posterior_mean(chain))
-
-    planes = [
-        to_upper_halfplane(theta, direction, basis, x_eval=x_eval)
-        for theta, direction, basis in zip(thetas, dirs, bases)
-    ]
-    return intersect_halfplanes(planes, tau=tau, n_directions=n_directions)
+    """Quantile contour from one hyperplane fit per grid direction:
+    ``tau_contours`` at one tau."""
+    return tau_contours(data, [tau], n_directions, estimator, prior, n_draws, burn_in, seed, x_eval)[0]
 
 
 def tukey_depth(point, data: Dataset, n_directions: int = constants.DEFAULT_N_DIRECTIONS) -> float:

@@ -56,12 +56,18 @@ tortoise", Statist. Sci. 12(4)).  In order:
 Below the threshold a fit is the full solve, bit for bit as before; the
 MCMC init fits of `fit` (n = 1e4) and `contour` (n = 2e3) stay there.  At
 or above it the result is a certified minimizer of the same smoothed
-problem, but not the full solve's bytes.  On the 96 fits of a 1e5-row
-frequentist contour command (3 taus x 32 directions, one BLAS thread),
-82 were certified in the first round and 14 after one fix-up round of at
-most 80 rows, none fell back, the full-data objectives matched the full
-solve's within 4e-16 relative and theta within 7e-11, and the solver's
-loss evaluations covered 54M rows instead of 736M.
+problem, but not the full solve's bytes.  A 1e5-row frequentist contour
+command (3 taus x 32 directions, one BLAS thread) prepares 32 problems and
+runs 96 fits on them: 82 fits were certified in the first round and 14
+after one fix-up round of at most 80 rows, none fell back, the full-data
+objectives matched the full solve's within 4e-16 relative and theta within
+7e-11, and the solver's loss evaluations covered 54M rows instead of 736M.
+
+A fit is two steps.  `CheckLossProblem` validates the design, checks its
+rank and standardizes it; none of that depends on tau.  `fit_prepared`
+then fits one tau on it, and `fit_check_loss` is the pair at one tau.  A
+contour's direction u has one design [y_perp, x, 1] against y_u for every
+tau, so a multi-tau frequentist contour prepares it once.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from .ald import HyperplaneParams
 from .errors import DomainError, RankError, ShapeError
 from .geometry import Dataset, Direction, OrthoBasis, check_loss, orthonormal_complement, project
 
-__all__ = ["FitResult", "fit_check_loss", "frequentist_fit"]
+__all__ = ["FitResult", "CheckLossProblem", "fit_prepared", "fit_check_loss", "frequentist_fit"]
 
 # the reduced problem of the module docstring: fits of at least this many
 # rows take it, with this subsample seed and stage count, and fall back to
@@ -295,8 +301,59 @@ def _preprocessed_solve(zs, ys, tau, w, schedule):
     return theta, spent + its, ok, stage_obj
 
 
-def fit_check_loss(design, y, tau, weights=None, schedule=constants.SMOOTHING_SCHEDULE):
-    """Minimize sum_i w_i * rho_tau(y_i - design_i' theta) over theta.
+class CheckLossProblem:
+    """A validated, standardized check-loss problem with no tau: the design,
+    response and weights of ``fit_check_loss`` with its rank check done once,
+    so ``fit_prepared`` can fit it at any number of taus.
+
+    Standardization centers and scales the non-constant columns and the
+    response; without a constant column centering would change the problem,
+    so it scales only.
+    """
+
+    def __init__(self, design, y, weights=None):
+        z = np.atleast_2d(np.asarray(design, dtype=float))
+        y = np.asarray(y, dtype=float)
+        n, d = z.shape
+        if y.shape != (n,):
+            raise ShapeError("response length does not match the design")
+        if n <= d:
+            raise DomainError(f"need more observations than parameters (n={n}, d={d})")
+        w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise ShapeError("weight length does not match the design")
+        if np.any(w < 0):
+            raise DomainError("weights must be nonnegative")
+        if np.linalg.matrix_rank(z) < d:
+            raise RankError("design matrix is rank deficient")
+
+        col_mu = z.mean(axis=0)
+        col_sd = z.std(axis=0)
+        const_col = col_sd <= 1e-12 * (1.0 + np.abs(col_mu))
+        if not np.any(const_col):
+            col_mu = np.zeros(d)
+            y_mu = 0.0
+        else:
+            y_mu = float(y.mean())
+        col_mu = np.where(const_col, 0.0, col_mu)
+        col_sd = np.where(const_col, 1.0, col_sd)
+        y_sd = float(y.std())
+        if y_sd <= 1e-300:
+            y_sd = 1.0
+        zs = (z - col_mu) / col_sd
+        ys = (y - y_mu) / y_sd
+        if np.any(const_col):
+            zs[:, const_col] = z[:, const_col]
+        self.n = n
+        self.z, self.y, self.w = z, y, w
+        self.zs, self.ys = zs, ys
+        self.col_mu, self.col_sd, self.const_col = col_mu, col_sd, const_col
+        self.y_mu, self.y_sd = y_mu, y_sd
+
+
+def fit_prepared(problem: CheckLossProblem, tau, schedule=constants.SMOOTHING_SCHEDULE):
+    """Minimize sum_i w_i * rho_tau(y_i - design_i' theta) over theta for a
+    prepared problem.
 
     Returns a FitResult whose theta is the raw coefficient vector in design
     order, objective the unsmoothed weighted check loss at that vector, and
@@ -307,54 +364,21 @@ def fit_check_loss(design, y, tau, weights=None, schedule=constants.SMOOTHING_SC
     """
     if not (0.0 < tau < 1.0):
         raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
-    z = np.atleast_2d(np.asarray(design, dtype=float))
-    y = np.asarray(y, dtype=float)
-    n, d = z.shape
-    if y.shape != (n,):
-        raise ShapeError("response length does not match the design")
-    if n <= d:
-        raise DomainError(f"need more observations than parameters (n={n}, d={d})")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ShapeError("weight length does not match the design")
-    if np.any(w < 0):
-        raise DomainError("weights must be nonnegative")
-    if np.linalg.matrix_rank(z) < d:
-        raise RankError("design matrix is rank deficient")
-
-    # standardize: center/scale non-constant columns and the response; without a
-    # constant column centering would change the problem, so scale only
-    col_mu = z.mean(axis=0)
-    col_sd = z.std(axis=0)
-    const_col = col_sd <= 1e-12 * (1.0 + np.abs(col_mu))
-    if not np.any(const_col):
-        col_mu = np.zeros(d)
-        y_mu = 0.0
-    else:
-        y_mu = float(y.mean())
-    col_mu = np.where(const_col, 0.0, col_mu)
-    col_sd = np.where(const_col, 1.0, col_sd)
-    y_sd = float(y.std())
-    if y_sd <= 1e-300:
-        y_sd = 1.0
-    zs = (z - col_mu) / col_sd
-    ys = (y - y_mu) / y_sd
-    if np.any(const_col):
-        zs[:, const_col] = z[:, const_col]
-
-    solve = _preprocessed_solve if n >= PREPROCESS_ROWS else _solve
-    theta_s, total_iter, converged, stage_obj = solve(zs, ys, tau, w, schedule)
-    stage_obj = [s * y_sd for s in stage_obj]
+    p = problem
+    solve = _preprocessed_solve if p.n >= PREPROCESS_ROWS else _solve
+    theta_s, total_iter, converged, stage_obj = solve(p.zs, p.ys, tau, p.w, schedule)
+    stage_obj = [s * p.y_sd for s in stage_obj]
 
     # undo standardization: y = y_mu + y_sd * ys, z_j = col_mu_j + col_sd_j * zs_j
-    theta = np.where(const_col, theta_s * y_sd, theta_s * y_sd / col_sd)
-    shift = float(np.sum(np.where(const_col, 0.0, theta * col_mu)))
+    const_col = p.const_col
+    theta = np.where(const_col, theta_s * p.y_sd, theta_s * p.y_sd / p.col_sd)
+    shift = float(np.sum(np.where(const_col, 0.0, theta * p.col_mu)))
     if np.any(const_col):
         # absorb the response centering into the (first) constant column
         j = int(np.nonzero(const_col)[0][0])
-        cval = z[0, j]
-        theta[j] = theta[j] + (y_mu - shift) / cval
-    objective = float(np.sum(w * check_loss(y - z @ theta, tau)))
+        cval = p.z[0, j]
+        theta[j] = theta[j] + (p.y_mu - shift) / cval
+    objective = float(np.sum(p.w * check_loss(p.y - p.z @ theta, tau)))
     return FitResult(
         theta=theta,
         objective=objective,
@@ -362,6 +386,22 @@ def fit_check_loss(design, y, tau, weights=None, schedule=constants.SMOOTHING_SC
         converged=converged,
         stage_objectives=tuple(stage_obj),
     )
+
+
+def fit_check_loss(design, y, tau, weights=None, schedule=constants.SMOOTHING_SCHEDULE):
+    """``fit_prepared`` at one tau, on ``CheckLossProblem(design, y, weights)``."""
+    return fit_prepared(CheckLossProblem(design, y, weights), tau, schedule)
+
+
+def _direction_problem(data: Dataset, direction: Direction, weights=None,
+                       basis: OrthoBasis | None = None) -> CheckLossProblem:
+    """The prepared problem of direction u: design [y_perp, x, 1] against
+    y_u.  It depends on u only, so one serves every tau."""
+    if basis is None:
+        basis = orthonormal_complement(direction.u)
+    projected = project(data, direction, basis)
+    design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
+    return CheckLossProblem(design, projected.y_u, weights)
 
 
 def frequentist_fit(
@@ -375,11 +415,7 @@ def frequentist_fit(
     The design is [y_perp, x, 1] so the coefficient order is
     (beta_y, beta_x, alpha), matching the samplers.
     """
-    if basis is None:
-        basis = orthonormal_complement(direction.u)
-    projected = project(data, direction, basis)
-    design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
-    raw = fit_check_loss(design, projected.y_u, direction.tau, weights=weights)
+    raw = fit_prepared(_direction_problem(data, direction, weights, basis), direction.tau)
     params = HyperplaneParams.from_vector(raw.theta, data.k, data.p)
     return FitResult(
         theta=params,

@@ -176,6 +176,18 @@ class TestCommands:
         for v in polys[0.4]:
             assert polygon_contains(mid, v, tol=1e-6)
 
+    @pytest.mark.parametrize("estimator", ["frequentist", "bayes-mean"])
+    def test_contour_bad_tau_writes_no_polygon(self, score_csv, tmp_path, capsys, estimator):
+        # every tau is checked before the first fit or chain, so a bad tau
+        # late in the list leaves no contour of the good ones behind
+        out = tmp_path / "oc"
+        argv = ["contour", "--set", f"input={score_csv}", "--set", "response=math,read",
+                "--set", "tau=0.2,1.5", "--set", "directions=8", "--set", f"estimator={estimator}",
+                "--set", "draws=60", "--set", "burn_in=10", "--out", str(out)]
+        assert main(argv) == 3
+        assert "depth must lie in (0, 1), got 1.5" in capsys.readouterr().err
+        assert not [name for name in os.listdir(out) if name.startswith("contour_")]
+
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_contour_refuses_the_removed_simultaneous_key(self, score_csv, tmp_path, capsys, value):
         # a key that once selected a different chain stream must not be ignored

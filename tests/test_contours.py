@@ -192,23 +192,30 @@ class TestTauContour:
         assert a.vertices.tobytes() == b.vertices.tobytes()
 
     def test_unconverged_frequentist_fit_warns(self, square_data, monkeypatch):
-        real_fit = contours.frequentist_fit
+        real_fit = contours.fit_prepared
+        iterations = {0.3: 9, 0.4: 11}
 
-        def unconverged(data, direction, **kwargs):
-            fit = real_fit(data, direction, **kwargs)
-            if direction.u[0] < -0.5:
-                fit = dataclasses.replace(fit, iterations=9, converged=False)
+        def unconverged(problem, tau, **kwargs):
+            fit = real_fit(problem, tau, **kwargs)
+            # the problem's response is y_u = y @ u, which gives u back
+            u = np.linalg.lstsq(square_data.y, problem.y, rcond=None)[0]
+            if u[0] < -0.5:
+                fit = dataclasses.replace(fit, iterations=iterations[tau], converged=False)
             return fit
 
-        monkeypatch.setattr(contours, "frequentist_fit", unconverged)
+        monkeypatch.setattr(contours, "fit_prepared", unconverged)
         with pytest.warns(RuntimeWarning) as caught:
-            poly = tau_contour(square_data, 0.3, 8, estimator="frequentist")
-        # one warning per unconverged direction: three of the eight have u1 < -1/2
+            polys = contours.tau_contours(square_data, [0.3, 0.4], 8, estimator="frequentist")
+        # one warning per unconverged (tau, direction): three of the eight have u1 < -1/2
         messages = [str(w.message) for w in caught]
-        assert len(messages) == 3
-        assert all(re.search(r"did not converge \(tau=0\.3, u=\[.*\], 9 iterations\)", m) for m in messages)
-        assert any("u=[-1.0, " in m for m in messages)
-        assert poly.vertices.shape[0] >= 3
+        assert len(messages) == 6
+        for tau, its in iterations.items():
+            mine = [m for m in messages if f"(tau={tau}, " in m]
+            assert len(mine) == 3
+            assert all(re.search(rf"did not converge \(tau={tau}, u=\[.*\], {its} iterations\)", m)
+                       for m in mine)
+            assert any("u=[-1.0, " in m for m in mine)
+        assert all(poly.vertices.shape[0] >= 3 for poly in polys)
 
     def test_k3_rejected(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,114 @@
+"""Multi-tau frequentist contours against the per-(tau, u) path they replace.
+
+``tau_contours`` prepares each direction's design once and fits every tau on
+it.  The reference here rebuilds each (tau, u) fit from public pieces, with
+its own projection, design and ``fit_check_loss`` call, and the polygons
+must agree byte for byte on both sides of ``optimize.PREPROCESS_ROWS``.
+"""
+
+import numpy as np
+import pytest
+
+from dirquant import contours, optimize, simlab
+from dirquant.ald import HyperplaneParams
+from dirquant.contours import intersect_halfplanes, tau_contours, to_upper_halfplane
+from dirquant.errors import DomainError
+from dirquant.geometry import Dataset, Direction, orthonormal_complement, project, unit_directions
+from dirquant.optimize import fit_check_loss
+
+
+def _per_fit_contour(data, tau, n_directions, x_eval=None):
+    planes = []
+    for u in unit_directions(n_directions):
+        direction = Direction(u=u, tau=tau)
+        basis = orthonormal_complement(u)
+        projected = project(data, direction, basis)
+        design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
+        raw = fit_check_loss(design, projected.y_u, tau)
+        theta = HyperplaneParams.from_vector(raw.theta, data.k, data.p)
+        planes.append(to_upper_halfplane(theta, direction, basis, x_eval=x_eval))
+    return intersect_halfplanes(planes, tau=tau, n_directions=n_directions)
+
+
+def _assert_same_polygons(new, old):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.tau == b.tau and a.n_directions == b.n_directions
+        assert a.vertices.dtype == b.vertices.dtype and a.vertices.shape == b.vertices.shape
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+
+
+@pytest.fixture(scope="module")
+def scores():
+    # 1e5 jittered integer test scores, as the frequentist contour command
+    # sees them: every fit takes the preprocessed path
+    cols = simlab.make_star_like(100_000, seed=3)
+    jitter = np.random.default_rng(4).uniform(0.0, 1.0, (100_000, 2))
+    return Dataset(y=np.column_stack([cols["math"], cols["read"]]) + jitter)
+
+
+def test_bytes_below_preprocess_rows():
+    rng = np.random.default_rng(21)
+    data = Dataset(y=rng.standard_normal((3000, 2)) @ np.array([[1.0, 0.4], [0.0, 2.0]]))
+    taus = (0.05, 0.2, 0.4)
+    assert data.n < optimize.PREPROCESS_ROWS
+    _assert_same_polygons(tau_contours(data, taus, 32, estimator="frequentist"),
+                          [_per_fit_contour(data, tau, 32) for tau in taus])
+
+
+def test_bytes_with_a_covariate():
+    rng = np.random.default_rng(22)
+    x = rng.uniform(-1.0, 1.0, (2000, 1))
+    data = Dataset(y=rng.standard_normal((2000, 2)) + x, x=x)
+    taus = (0.1, 0.3)
+    _assert_same_polygons(tau_contours(data, taus, 16, estimator="frequentist", x_eval=0.3),
+                          [_per_fit_contour(data, tau, 16, x_eval=0.3) for tau in taus])
+
+
+def test_bytes_at_or_above_preprocess_rows(scores):
+    taus = (0.05, 0.4)
+    assert scores.n >= optimize.PREPROCESS_ROWS
+    _assert_same_polygons(tau_contours(scores, taus, 16, estimator="frequentist"),
+                          [_per_fit_contour(scores, tau, 16) for tau in taus])
+
+
+def test_each_direction_is_prepared_once(monkeypatch):
+    # 3 taus x 32 directions: 96 fits on 32 prepared problems
+    data = Dataset(y=np.random.default_rng(23).standard_normal((400, 2)))
+    counts = {"rank": 0, "project": 0, "fit": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting("rank", np.linalg.matrix_rank))
+    counted_project = counting("project", project)
+    for module in (optimize, contours):
+        monkeypatch.setattr(module, "project", counted_project)
+    monkeypatch.setattr(contours, "fit_prepared", counting("fit", optimize.fit_prepared))
+    polys = tau_contours(data, (0.05, 0.2, 0.4), 32, estimator="frequentist")
+    assert [poly.tau for poly in polys] == [0.05, 0.2, 0.4]
+    assert counts == {"rank": 32, "project": 32, "fit": 96}
+
+
+def test_tau_contour_is_one_tau_of_tau_contours():
+    data = Dataset(y=np.random.default_rng(24).uniform(-0.5, 0.5, (1500, 2)))
+    for estimator, kwargs in (("frequentist", {}), ("bayes-mean", {"n_draws": 120, "burn_in": 20, "seed": 3})):
+        many = tau_contours(data, (0.1, 0.3), 8, estimator=estimator, **kwargs)
+        for poly in many:
+            one = contours.tau_contour(data, poly.tau, 8, estimator=estimator, **kwargs)
+            _assert_same_polygons([poly], [one])
+
+
+@pytest.mark.parametrize("estimator", ["frequentist", "bayes-mean"])
+def test_bad_tau_fails_before_any_fit(estimator, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit or chain ran before every tau was checked")
+
+    monkeypatch.setattr(contours, "fit_prepared", no_fit)
+    monkeypatch.setattr(contours, "_unconditional_problem", no_fit)
+    data = Dataset(y=np.random.default_rng(25).standard_normal((200, 2)))
+    with pytest.raises(DomainError, match="depth must lie in"):
+        tau_contours(data, (0.2, 1.5), 8, estimator=estimator)
