@@ -56,6 +56,11 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp's owner-only 0600 would survive the rename; give the file
+        # the mode a plain open(path, "w") would (umask is read by setting it)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

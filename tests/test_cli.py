@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import dirquant
-from dirquant import samplers, simlab
+from dirquant import cli, samplers, simlab
 from dirquant.cli import ingest_csv, main, parse_config_text
 from dirquant.errors import ConfigError, DataError
-from dirquant.io import provenance_block, read_chain, write_chain
+from dirquant.io import provenance_block, read_chain, write_chain, write_json
 from dirquant.samplers import Chain
 
 
@@ -101,6 +101,108 @@ class TestIngest:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="no column"):
             ingest_csv(str(path), ["a", "nope"])
+
+
+def _ingest_both(path, responses, covariates=(), **kw):
+    """ingest_csv's result from the C reader and from the per-row parser."""
+    fast = ingest_csv(str(path), responses, covariates, **kw)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_numeric_grid", lambda _path: None)
+        slow = ingest_csv(str(path), responses, covariates, **kw)
+    return fast, slow
+
+
+def _dataset_bytes(data):
+    return (data.y.tobytes(), data.y.strides, data.x.tobytes(), data.x.strides, data.x.shape)
+
+
+class TestIngestReaders:
+    """The C reader against the per-row parser: the same bytes for a clean
+    file, and every other file handed over with today's results."""
+
+    CLEAN = {
+        "ints": "a,b,c\n1,2,3\n4,5,6\n-7,8,-9\n",
+        "decimals": "a,b,c\n1.5,-2.25,0.125\n.5,5.,-0.0\n",
+        "exponents": "a,b,c\n1e5,-2.5E-3,3e+2\n4E0,1e-300,6.02e23\n",
+        "spaces": "a , b,c \n 1.5 , 2 ,3\n4,\t5 ,6\n",
+        "crlf": "a,b,c\r\n1,2,3\r\n4,5,6\r\n",
+        "trailing_blank_lines": "a,b,c\n1,2,3\n4,5,6\n\n\n",
+        "unrequested_numeric": "a,b,c,d\n1,2,3,10\n4,5,6,11\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLEAN))
+    @pytest.mark.parametrize("covariates", [(), ("c",)])
+    def test_clean_file_same_bytes(self, tmp_path, name, covariates):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(self.CLEAN[name].encode())
+        assert cli._numeric_grid(str(path)) is not None
+        (fast, fast_report), (slow, slow_report) = _ingest_both(path, ["a", "b"], covariates)
+        assert _dataset_bytes(fast) == _dataset_bytes(slow)
+        assert fast_report == slow_report
+
+    def test_star_scores_with_jitter(self, tmp_path):
+        cols = simlab.make_star_like(10_000, seed=5)
+        names = ["math", "read", "small_class", "experience"]
+        lines = [",".join(names)] + [",".join(f"{cols[c][i]:.0f}" for c in names) for i in range(10_000)]
+        path = tmp_path / "star.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli._numeric_grid(str(path)) is not None
+        (fast, fast_report), (slow, slow_report) = _ingest_both(
+            path, ["math", "read"], ["experience"], jitter=True, seed=9)
+        assert _dataset_bytes(fast) == _dataset_bytes(slow)
+        assert fast_report == slow_report == {"rows_in": 10_000, "rows_used": 10_000, "rows_dropped": 0}
+
+    @pytest.mark.parametrize("cell", ['""', "", "NA", "nan", "null"])
+    def test_missing_cells_dropped_and_counted(self, tmp_path, cell):
+        path = tmp_path / "missing.csv"
+        path.write_text(f"a,b\n1,2\n{cell},3\n4,5\n")
+        assert cli._numeric_grid(str(path)) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data, report = ingest_csv(str(path), ["a", "b"])
+        assert np.array_equal(data.y, [[1.0, 2.0], [4.0, 5.0]])
+        assert report == {"rows_in": 3, "rows_used": 2, "rows_dropped": 1}
+
+    def test_unrequested_text_column(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("a,b,name\n1,2,x\n4,5,y\n")
+        assert cli._numeric_grid(str(path)) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data, report = ingest_csv(str(path), ["a", "b"])
+        assert np.array_equal(data.y, [[1.0, 2.0], [4.0, 5.0]])
+        assert report == {"rows_in": 2, "rows_used": 2, "rows_dropped": 0}
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3\n", "line 3: expected 2 fields, got 1"),
+        ("a,b\n1,2\nx,4\n", "line 3: non-numeric value 'x'"),
+        ("a,b\n", "no complete rows after dropping missing values"),
+        ("a,b\n1,2#3\n4,5\n", "line 2: non-numeric value '2#3'"),
+    ])
+    def test_faults_keep_their_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli._numeric_grid(str(path)) is None
+            with pytest.raises(DataError) as info:
+                ingest_csv(str(path), ["a", "b"])
+        assert str(info.value) == f"{path}: {message}"
+
+
+class TestArtifactMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_artifact_mode_is_a_plain_files_mode(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_json(str(tmp_path / "artifact.json"), {"a": 1})
+            with open(tmp_path / "plain.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "artifact.json").st_mode
+        assert mode == os.stat(tmp_path / "plain.json").st_mode
+        assert mode & 0o777 == 0o666 & ~umask
 
 
 class TestChainRoundTrip:

@@ -242,6 +242,31 @@ class TestStackedGibbsParity:
             samplers._gibbs(y, design, weights, taus, priors, thetas, gens, 5)
 
 
+class TestSmoothedLossParity:
+    """Both of the loss's branches, dense passes and a gathered band, give the
+    reference's float(np.sum(w * loss)) at every band density."""
+
+    @pytest.mark.parametrize("n", [2000, 7500])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("gather", [False, True])
+    def test_matches_the_reference(self, n, density, weighted, gather):
+        rng = np.random.default_rng(n)
+        r = rng.standard_t(3, n)
+        size = np.sort(np.abs(r))
+        # eps puts round(density * n) residuals in the band |r| <= eps
+        eps = {0.0: 0.5 * size[0], 1.0: 2.0 * size[-1]}.get(density)
+        if eps is None:
+            k = int(density * n)
+            eps = 0.5 * (size[k - 1] + size[k])
+        assert np.count_nonzero(np.abs(r) <= eps) == round(density * n)
+        w = rng.uniform(0.0, 2.0, n) if weighted else np.ones(n)
+        loss, _, _ = ref._smoothed_loss_terms(r, 0.3, eps)
+        a, q, inside = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        got = optimize._smoothed_loss(r, w if weighted else None, 0.3, eps, a, q, inside, gather)
+        assert _same_bytes(got, float(np.sum(w * loss)))
+
+
 class TestNewtonParity:
     @staticmethod
     def _problem(n, seed):

@@ -238,3 +238,48 @@ class TestPreprocessing:
         rng = np.random.default_rng(seed)
         z = np.column_stack([rng.standard_normal((n, 2)), np.ones(n)])
         return z, z @ np.array([0.3, -0.2, 1.0]) + rng.standard_t(3, n)
+
+
+def _standardized_by_numpy(z, y):
+    """CheckLossProblem's standardization in numpy's own reductions and
+    broadcasts: col_mu, col_sd, zs, ys."""
+    col_mu, col_sd = z.mean(axis=0), z.std(axis=0)
+    const_col = col_sd <= 1e-12 * (1.0 + np.abs(col_mu))
+    if np.any(const_col):
+        y_mu = float(y.mean())
+    else:
+        col_mu, y_mu = np.zeros(z.shape[1]), 0.0
+    col_mu = np.where(const_col, 0.0, col_mu)
+    col_sd = np.where(const_col, 1.0, col_sd)
+    zs = (z - col_mu) / col_sd
+    zs[:, const_col] = z[:, const_col]
+    return col_mu, col_sd, zs, (y - y_mu) / float(y.std())
+
+
+class TestStandardization:
+    """The column-wise moments and standardization give numpy's bytes."""
+
+    @staticmethod
+    def _design(kind):
+        rng = np.random.default_rng(17)
+        if kind == "constant column":
+            return np.column_stack([rng.standard_normal((60, 2)), np.ones(60)]), None
+        if kind == "weighted":
+            z = np.column_stack([3.0 + 7.0 * rng.standard_normal((2000, 2)), np.ones(2000)])
+            return z, rng.uniform(0.0, 2.0, 2000)
+        if kind == "1e5 rows":
+            return np.column_stack([500.0 + 30.0 * rng.standard_normal(100_000), np.ones(100_000)]), None
+        if kind == "scale only":
+            return 2.0 + rng.standard_normal((500, 3)), None
+        # an F-ordered design, which numpy reduces pairwise
+        return np.asfortranarray(np.column_stack([rng.standard_normal((3000, 2)), np.ones(3000)])), None
+
+    @pytest.mark.parametrize("kind", ["constant column", "weighted", "1e5 rows", "scale only", "F-ordered"])
+    def test_numpy_bytes(self, kind):
+        z, w = self._design(kind)
+        y = z @ np.linspace(0.5, -0.5, z.shape[1]) + np.random.default_rng(3).standard_t(3, z.shape[0])
+        problem = optimize.CheckLossProblem(z, y, w)
+        expected = _standardized_by_numpy(z, y)
+        for got, want in zip((problem.col_mu, problem.col_sd, problem.zs, problem.ys), expected):
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
