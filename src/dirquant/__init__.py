@@ -9,7 +9,7 @@ simulation lab.
 __version__ = "0.1.0"
 
 from .ald import HyperplaneParams, ald_cdf, ald_logpdf, mixture_constants
-from .contours import ContourPolygon, Halfplane, intersect_halfplanes, tau_contour, tau_contours, tube_slice, tukey_depth
+from .contours import ContourPolygon, intersect_halfplanes, tau_contour, tau_contours, tube_slice, tukey_depth
 from .geometry import Dataset, Direction, OrthoBasis, ProjectedData, check_loss, orthonormal_complement, project, unit_directions
 from .inference import asymptotic_ci, chain_diagnostics, naive_ci, posterior_mean, subgradient_diagnostics
 from .optimize import FitResult, frequentist_fit
@@ -21,7 +21,6 @@ from .samplers import (
     PriorSpec,
     gibbs_conditional,
     gibbs_unconditional,
-    metropolis_hastings,
     sample_gig_half,
 )
 from .simlab import DgpSpec, ExperimentConfig, dgp_sample, population_params_oracle

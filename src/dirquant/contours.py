@@ -3,8 +3,9 @@
 A fitted hyperplane for direction u maps to the closed upper halfplane
 (u - Gamma beta_y)' y >= alpha + beta_x' x0; intersecting those halfplanes
 over a grid of directions yields the depth region whose boundary is the
-quantile contour.  Intersection uses the classic angular-sweep deque
-algorithm over directed boundary lines with the feasible side on the left.
+quantile contour.  Halfplanes are array rows (normal_x, normal_y, offset);
+intersection uses the classic angular-sweep deque algorithm over directed
+boundary lines with the feasible side on the left.  Depth is exact.
 
 A Bayes-mean contour and a tube slice run one chain per direction, through
 the samplers' runner: the directions go in grid order, in chunks of at most
@@ -42,13 +43,13 @@ from .samplers import (
     _conditional_problem,
     _isolated_chains,
     _unconditional_problem,
+    _vague_prior,
     make_conditional_design,
     project,
 )
 from .inference import posterior_mean
 
 __all__ = [
-    "Halfplane",
     "ContourPolygon",
     "to_upper_halfplane",
     "intersect_halfplanes",
@@ -59,25 +60,6 @@ __all__ = [
     "polygon_area",
     "polygon_contains",
 ]
-
-
-@dataclass(frozen=True)
-class Halfplane:
-    """Closed region {y in R^2 : normal' y >= offset}."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float)
-        object.__setattr__(self, "normal", normal)
-        if normal.shape != (2,):
-            raise ShapeError("halfplane normal must be a 2-vector")
-        if not np.all(np.isfinite(normal)) or np.linalg.norm(normal) <= 0:
-            raise DomainError("halfplane normal must be finite and nonzero")
-
-    def contains(self, point, tol: float = 0.0) -> bool:
-        return float(self.normal @ np.asarray(point, dtype=float)) >= self.offset - tol
 
 
 @dataclass(frozen=True)
@@ -124,8 +106,9 @@ def to_upper_halfplane(
     direction: Direction,
     basis: OrthoBasis,
     x_eval=None,
-) -> Halfplane:
-    """Rewrite a fitted hyperplane as the closed upper halfplane it bounds."""
+) -> np.ndarray:
+    """Rewrite a fitted hyperplane as the closed upper halfplane it bounds:
+    the row (normal_x, normal_y, offset) of {y in R^2 : normal' y >= offset}."""
     if direction.k != 2:
         raise DomainError("halfplane mapping is defined for k = 2")
     normal = direction.u - basis.gamma @ theta.beta_y
@@ -136,111 +119,84 @@ def to_upper_halfplane(
         if x_eval is None:
             raise DomainError("x_eval is required when covariate slopes are present")
         offset = float(theta.alpha + np.dot(theta.beta_x, np.atleast_1d(x_eval)))
-    return Halfplane(normal=normal, offset=float(offset))
+    return np.append(normal, float(offset))
 
 
-def _line_point(h: Halfplane) -> np.ndarray:
-    n2 = float(h.normal @ h.normal)
-    return h.normal * (h.offset / n2)
-
-
-def _line_dir(h: Halfplane) -> np.ndarray:
-    # feasible side lies to the left of the directed boundary line
-    return np.array([h.normal[1], -h.normal[0]])
-
-
-def _cross(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
-def _intersect_lines(h1: Halfplane, h2: Halfplane) -> np.ndarray:
-    d1, d2 = _line_dir(h1), _line_dir(h2)
-    p1, p2 = _line_point(h1), _line_point(h2)
-    denom = _cross(d1, d2)
-    if abs(denom) <= constants.DET_EPS:
-        raise NumericalError("parallel boundary lines do not intersect")
-    t = _cross(p2 - p1, d2) / denom
-    return p1 + t * d1
-
-
-def intersect_halfplanes(planes, tau: float = float("nan"), n_directions: int | None = None) -> ContourPolygon:
+def intersect_halfplanes(planes, tau: float = float("nan")) -> ContourPolygon:
     """Intersection of closed halfplanes as a convex polygon.
 
-    An empty intersection is a legal outcome and returns an empty polygon;
-    an unbounded intersection raises UnboundedRegionError.
+    ``planes`` holds m >= 3 rows (normal_x, normal_y, offset), each the
+    region {y : normal' y >= offset}, and the polygon's ``n_directions`` is
+    m.  An empty intersection is a legal outcome and returns an empty
+    polygon; an unbounded intersection raises UnboundedRegionError.
     """
-    planes = list(planes)
-    if len(planes) < 3:
-        raise ShapeError("need at least 3 halfplanes")
+    rows = np.asarray(planes, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 3 or rows.shape[0] < 3:
+        raise ShapeError("halfplanes must be m >= 3 rows (normal_x, normal_y, offset)")
+    m = rows.shape[0]
     box = constants.BOUNDING_BOX
-    padded = planes + [
-        Halfplane(normal=np.array([1.0, 0.0]), offset=-box),
-        Halfplane(normal=np.array([-1.0, 0.0]), offset=-box),
-        Halfplane(normal=np.array([0.0, 1.0]), offset=-box),
-        Halfplane(normal=np.array([0.0, -1.0]), offset=-box),
-    ]
+    rows = np.concatenate([rows, [[1.0, 0.0, -box], [-1.0, 0.0, -box], [0.0, 1.0, -box], [0.0, -1.0, -box]]])
+    normals, offsets = rows[:, :2], rows[:, 2]
+    # Every dot product of two 2-vectors stays numpy's ``@``: written out as
+    # n[0] * n[0] + n[1] * n[1] it rounds differently, because numpy's dot
+    # fuses multiply-adds, and the vertices would change bytes.
+    squares = np.array([n @ n for n in normals])
+    if not np.all(np.isfinite(rows[:m])) or np.any(squares[:m] <= 0.0):
+        raise DomainError("halfplane rows must be finite and their normals nonzero")
+    reach = offsets / np.sqrt(squares)
+    slack = offsets - constants.DET_EPS * np.maximum(1.0, np.abs(offsets))
+    points = normals * (offsets / squares)[:, None]
+    # feasible side lies to the left of the directed boundary line
+    dirs = np.column_stack([normals[:, 1], -normals[:, 0]])
+    angles = np.arctan2(dirs[:, 1], dirs[:, 0])
+    angles[angles >= np.pi - 1e-12] -= 2.0 * np.pi  # keep the +/- pi seam on one side
 
-    def angle(h):
-        d = _line_dir(h)
-        a = np.arctan2(d[1], d[0])
-        if a >= np.pi - 1e-12:  # keep the +/- pi seam on one side
-            a -= 2.0 * np.pi
-        return a
+    def vertex(a, b):
+        """Where boundary lines a and b meet; None when they are parallel."""
+        da, db = dirs[a], dirs[b]
+        denom = float(da[0] * db[1] - da[1] * db[0])
+        if abs(denom) <= constants.DET_EPS:
+            return None
+        gap = points[b] - points[a]
+        return points[a] + (float(gap[0] * db[1] - gap[1] * db[0]) / denom) * da
 
-    padded.sort(key=angle)
+    def violates(h, a, b) -> bool:
+        pt = vertex(a, b)
+        return pt is None or float(normals[h] @ pt) < slack[h]
+
     # among parallel same-direction halfplanes keep the most binding one
     kept = []
-    for h in padded:
-        if kept and abs(angle(kept[-1]) - angle(h)) <= 1e-15:
-            nk = np.linalg.norm(kept[-1].normal)
-            nh = np.linalg.norm(h.normal)
-            if h.offset / nh > kept[-1].offset / nk:
+    for h in np.argsort(angles, kind="stable").tolist():
+        if kept and abs(angles[kept[-1]] - angles[h]) <= 1e-15:
+            if reach[h] > reach[kept[-1]]:
                 kept[-1] = h
             continue
         kept.append(h)
 
-    def violates(h: Halfplane, a: Halfplane, b: Halfplane) -> bool:
-        try:
-            pt = _intersect_lines(a, b)
-        except NumericalError:
-            return True
-        return float(h.normal @ pt) < h.offset - constants.DET_EPS * max(
-            1.0, abs(h.offset)
-        )
-
+    empty = ContourPolygon(vertices=np.zeros((0, 2)), tau=tau, n_directions=m)
     dq: deque = deque()
     for h in kept:
         while len(dq) >= 2 and violates(h, dq[-1], dq[-2]):
             dq.pop()
         while len(dq) >= 2 and violates(h, dq[0], dq[1]):
             dq.popleft()
-        if dq:
-            d_new, d_last = _line_dir(h), _line_dir(dq[-1])
-            if abs(_cross(d_last, d_new)) <= constants.DET_EPS and d_last @ d_new < 0:
-                # antiparallel pair: empty strip unless they overlap
-                mid = _line_point(dq[-1])
-                if float(h.normal @ mid) < h.offset:
-                    return ContourPolygon(
-                        vertices=np.zeros((0, 2)), tau=tau, n_directions=n_directions or len(planes)
-                    )
+        # antiparallel pair: empty strip unless they overlap
+        if dq and dirs[dq[-1]] @ dirs[h] < 0 and vertex(dq[-1], h) is None:
+            if float(normals[h] @ points[dq[-1]]) < offsets[h]:
+                return empty
         dq.append(h)
     while len(dq) >= 3 and violates(dq[0], dq[-1], dq[-2]):
         dq.pop()
     while len(dq) >= 3 and violates(dq[-1], dq[0], dq[1]):
         dq.popleft()
     if len(dq) < 3:
-        return ContourPolygon(vertices=np.zeros((0, 2)), tau=tau, n_directions=n_directions or len(planes))
+        return empty
 
     lines = list(dq)
-    verts = []
-    for a, b in zip(lines, lines[1:] + lines[:1]):
-        try:
-            verts.append(_intersect_lines(a, b))
-        except NumericalError:
-            continue
-    verts = np.array(verts)
+    verts = [vertex(a, b) for a, b in zip(lines, lines[1:] + lines[:1])]
+    verts = np.array([v for v in verts if v is not None])
     if verts.shape[0] == 0:
-        return ContourPolygon(vertices=np.zeros((0, 2)), tau=tau, n_directions=n_directions or len(planes))
+        return empty
 
     # deduplicate consecutive vertices
     keep = [0]
@@ -253,8 +209,8 @@ def intersect_halfplanes(planes, tau: float = float("nan"), n_directions: int | 
     if np.max(np.abs(verts)) >= 0.5 * box:
         raise UnboundedRegionError("halfplane intersection is unbounded")
     if verts.shape[0] < 3 or polygon_area(verts) <= 0.0:
-        return ContourPolygon(vertices=np.zeros((0, 2)), tau=tau, n_directions=n_directions or len(planes))
-    return ContourPolygon(vertices=verts, tau=tau, n_directions=n_directions or len(planes))
+        return empty
+    return ContourPolygon(vertices=verts, tau=tau, n_directions=m)
 
 
 def _direction_seed(seed: int, index: int) -> int:
@@ -343,8 +299,7 @@ def tau_contours(
         thetas = list(zip(*columns))
     else:
         if prior is None:
-            d_block = data.k + data.p
-            prior = PriorSpec(mean=np.zeros(d_block), covariance=1000.0 * np.eye(d_block))
+            prior = _vague_prior(data.k + data.p)
         thetas = []
         for row in dirs:
             def prepare(idx, row=row):
@@ -355,11 +310,8 @@ def tau_contours(
                            for chain, _ in _direction_chains(prepare, row, data.n, n_draws, burn_in)])
 
     return [
-        intersect_halfplanes(
-            [to_upper_halfplane(theta, direction, basis, x_eval=x_eval)
-             for theta, direction, basis in zip(row_thetas, row, bases)],
-            tau=row[0].tau, n_directions=n_directions,
-        )
+        intersect_halfplanes([to_upper_halfplane(theta, direction, basis, x_eval=x_eval)
+                              for theta, direction, basis in zip(row_thetas, row, bases)], tau=row[0].tau)
         for row_thetas, row in zip(thetas, dirs)
     ]
 
@@ -380,16 +332,31 @@ def tau_contour(
     return tau_contours(data, [tau], n_directions, estimator, prior, n_draws, burn_in, seed, x_eval)[0]
 
 
-def tukey_depth(point, data: Dataset, n_directions: int = constants.DEFAULT_N_DIRECTIONS) -> float:
-    """Directional approximation (from above) of the halfspace depth of a point."""
+def tukey_depth(point, data: Dataset) -> float:
+    """Exact halfspace (Tukey) depth of ``point`` in the rows of ``data.y``,
+    as a share of n, by the angular sweep of Rousseeuw & Ruts (1996, AS 307):
+    a closed halfplane through the point holds the fewest rows when its
+    boundary lies strictly between two events (a row's angle seen from the
+    point, or that plus pi), so the half-circle from each midpoint between
+    neighbouring events is counted by binary search, O(n log n) per query.
+    """
     if data.k != 2:
         raise DomainError("depth queries are computed for k = 2 only")
     point = np.asarray(point, dtype=float)
-    best = 1.0
-    for u in unit_directions(n_directions):
-        mass = float(np.mean(data.y @ u <= float(u @ point)))
-        best = min(best, mass)
-    return best
+    if point.shape != (2,) or not np.all(np.isfinite(point)):
+        raise ShapeError("the depth query point must be a finite 2-vector")
+    v = data.y - point
+    at_point = np.all(v == 0.0, axis=1)
+    theta = np.sort(np.mod(np.arctan2(v[~at_point, 1], v[~at_point, 0]), 2.0 * np.pi))
+    if theta.size == 0:
+        return 1.0
+    events = np.unique(np.mod(np.concatenate([theta, theta + np.pi]), 2.0 * np.pi))
+    phi = (events + np.append(events[1:], events[0] + 2.0 * np.pi)) / 2.0
+    # theta and theta + 2 pi, so each half-circle [phi, phi + pi] with phi in
+    # [0, 3 pi) is one contiguous run of the sorted angles
+    wrapped = np.concatenate([theta, theta + 2.0 * np.pi])
+    counts = np.searchsorted(wrapped, phi + np.pi, side="right") - np.searchsorted(wrapped, phi, side="left")
+    return float((counts.min() + np.count_nonzero(at_point)) / data.n)
 
 
 def tube_slice(
@@ -416,9 +383,7 @@ def tube_slice(
     def prepare(idx):
         projected = project(data, dirs[idx], bases[idx])
         design = make_conditional_design(projected, data.x, x0, design_kind)
-        block_prior = prior
-        if block_prior is None:
-            block_prior = PriorSpec(mean=np.zeros(design.dim), covariance=1000.0 * np.eye(design.dim))
+        block_prior = _vague_prior(design.dim) if prior is None else prior
         problem = _conditional_problem(data, dirs[idx], design, kernel, block_prior,
                                        seed=_direction_seed(seed, idx), basis=bases[idx])
         return problem, design
@@ -428,4 +393,4 @@ def tube_slice(
         alpha, beta_y = design.params_at_x0(chain.post_burn().mean(axis=0))
         theta = HyperplaneParams(alpha=alpha, beta_y=beta_y, beta_x=None)
         planes.append(to_upper_halfplane(theta, dirs[idx], bases[idx]))
-    return intersect_halfplanes(planes, tau=tau, n_directions=n_directions)
+    return intersect_halfplanes(planes, tau=tau)

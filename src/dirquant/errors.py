@@ -39,7 +39,3 @@ class DegenerateWindowError(NumericalError):
 
 class UnboundedRegionError(NumericalError):
     """Halfplane intersection is unbounded."""
-
-
-class InitializationError(NumericalError):
-    """Sampler cannot start from the supplied initial point."""

@@ -1,9 +1,8 @@
 """Random-variate generation and the MCMC samplers.
 
-Three samplers are provided: a Gibbs sampler for the unconditional model, a
-kernel-weighted Gibbs sampler for the conditional model, and a random-walk
-Metropolis-Hastings fallback for non-normal priors.  Both Gibbs samplers run
-one engine (``_gibbs``) over stacked chains that share (n, d): a sampler
+Two samplers are provided: a Gibbs sampler for the unconditional model and a
+kernel-weighted Gibbs sampler for the conditional model.  Both run one
+engine (``_gibbs``) over stacked chains that share (n, d): a sampler
 prepares its chain (``_unconditional_problem``, ``_conditional_problem``)
 and runs it alone (``_run_chains``), and ``contours`` (a contour's or tube
 slice's directions) and ``simlab`` (a study's replications) split many
@@ -52,7 +51,6 @@ from .ald import HyperplaneParams, mixture_constants
 from .errors import (
     DegenerateWindowError,
     DomainError,
-    InitializationError,
     NumericalError,
     ShapeError,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "sample_gig_half",
     "gibbs_unconditional",
     "gibbs_conditional",
-    "metropolis_hastings",
     "kernel_weights",
     "make_conditional_design",
     "default_bandwidth",
@@ -98,6 +95,11 @@ class PriorSpec:
     @property
     def dim(self) -> int:
         return self.mean.size
+
+
+def _vague_prior(dim: int) -> PriorSpec:
+    """The default prior of a block of ``dim`` coefficients, N(0, 1000 I)."""
+    return PriorSpec(mean=np.zeros(dim), covariance=1000.0 * np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -629,63 +631,3 @@ def gibbs_conditional(
         raise ShapeError("n_draws must exceed burn_in")
     problem = _conditional_problem(data, direction, design, kernel, prior, seed, init, basis)
     return _run_chains([problem], n_draws, burn_in)[0]
-
-
-def metropolis_hastings(
-    loglik,
-    prior: PriorSpec,
-    proposal_scale: float = constants.DEFAULT_PROPOSAL_SCALE,
-    n_draws: int = constants.DEFAULT_N_DRAWS,
-    burn_in: int = constants.DEFAULT_BURN_IN,
-    seed: int = 0,
-    init=None,
-) -> Chain:
-    """Random-walk Metropolis-Hastings with N(0, scale^2 I) proposals.
-
-    The proposal is symmetric so its densities cancel in the acceptance
-    ratio.  ``loglik`` is any callable theta -> float; the acceptance rate is
-    recorded on the returned chain.
-    """
-    if n_draws <= burn_in:
-        raise ShapeError("n_draws must exceed burn_in")
-    if proposal_scale < 0:
-        raise DomainError("proposal scale must be nonnegative")
-    d = prior.dim
-    theta = prior.mean.copy() if init is None else np.atleast_1d(np.asarray(init, dtype=float))
-    if theta.size != d:
-        raise ShapeError("initial point does not match the prior dimension")
-
-    prior_prec = np.linalg.inv(prior.covariance)
-
-    def logprior(v):
-        c = v - prior.mean
-        return -0.5 * float(c @ prior_prec @ c)
-
-    cur_ll = float(loglik(theta))
-    cur_lp = logprior(theta)
-    if not (np.isfinite(cur_ll) and np.isfinite(cur_lp)):
-        raise InitializationError("log likelihood or prior not finite at the initial point")
-
-    rng = _rng_from_seed(seed)
-    draws = np.empty((n_draws, d))
-    accepted = 0
-    for m in range(n_draws):
-        proposal = theta + proposal_scale * rng.standard_normal(d)
-        prop_ll = float(loglik(proposal))
-        prop_lp = logprior(proposal)
-        if np.isfinite(prop_ll) and np.isfinite(prop_lp):
-            log_ratio = (prop_ll + prop_lp) - (cur_ll + cur_lp)
-            if np.log(rng.uniform()) <= log_ratio:
-                theta, cur_ll, cur_lp = proposal, prop_ll, prop_lp
-                accepted += 1
-        else:
-            rng.uniform()  # keep stream consumption independent of rejections
-        draws[m] = theta
-    return Chain(
-        draws=draws,
-        burn_in=burn_in,
-        seed=int(seed),
-        sampler="metropolis",
-        acceptance_rate=accepted / n_draws,
-        names=tuple(f"theta_{j}" for j in range(d)),
-    )

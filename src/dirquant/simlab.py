@@ -51,12 +51,12 @@ from .inference import (
 from .optimize import frequentist_fit
 from .samplers import (
     KernelSpec,
-    PriorSpec,
     _chunks,
     _conditional_problem,
     _isolated_chains,
     _rng_from_seed,
     _unconditional_problem,
+    _vague_prior,
     default_bandwidth,
     make_conditional_design,
     unconditional_param_names,
@@ -259,9 +259,7 @@ def _prepare_cell(args):
     direction = Direction(u=np.asarray(u), tau=tau)
     basis = orthonormal_complement(direction.u, convention=convention)
     data = dgp_sample(DgpSpec(id=dgp, n=n, seed=data_seed))
-    prior = PriorSpec(
-        mean=np.zeros(data.k + data.p), covariance=1000.0 * np.eye(data.k + data.p)
-    )
+    prior = _vague_prior(data.k + data.p)
     problem = _unconditional_problem(data, direction, prior, seed=chain_seed, basis=basis)
     return problem, (dgp, level, data_seed, data, direction, basis)
 
@@ -298,7 +296,7 @@ def _prepare_conditional(args):
     projected = project(data, direction, basis)
     design = make_conditional_design(projected, data.x, np.array([x0]), "local-constant")
     kernel = KernelSpec(bandwidth=default_bandwidth(data.x))
-    prior = PriorSpec(mean=np.zeros(design.dim), covariance=1000.0 * np.eye(design.dim))
+    prior = _vague_prior(design.dim)
     problem = _conditional_problem(data, direction, design, kernel, prior,
                                    seed=chain_seed, basis=basis)
     return problem, None

@@ -31,7 +31,6 @@ from dirquant.samplers import (
     PriorSpec,
     _unconditional_problem,
     gibbs_unconditional,
-    metropolis_hastings,
     sample_gig_half,
 )
 from dirquant.simlab import (
@@ -46,6 +45,7 @@ from dirquant.simlab import (
     population_params_oracle,
     simulation_tables,
 )
+from mh_oracle import metropolis_hastings
 from quadrature_oracle import exact_posterior
 
 U45 = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 from types import SimpleNamespace
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from dirquant import contours, samplers
 from dirquant.ald import HyperplaneParams
 from dirquant.contours import (
-    Halfplane,
     intersect_halfplanes,
     polygon_area,
     polygon_contains,
@@ -38,27 +38,33 @@ from dirquant.samplers import (
 )
 
 
+def _contains(plane, point) -> bool:
+    """Whether ``point`` lies in the halfplane row (normal_x, normal_y, offset)."""
+    return float(plane[:2] @ np.asarray(point, dtype=float)) >= plane[2]
+
+
 class TestHalfplaneMapping:
     def test_zero_slopes_give_axis_plane(self, vertical_direction):
         basis = orthonormal_complement(vertical_direction.u)
         theta = HyperplaneParams(alpha=-0.30, beta_y=np.array([0.0]))
         hp = to_upper_halfplane(theta, vertical_direction, basis)
-        assert np.allclose(hp.normal, [0.0, 1.0])
-        assert hp.offset == pytest.approx(-0.30)
-        assert hp.contains([0.0, 0.0]) and not hp.contains([0.0, -0.5])
+        assert hp.shape == (3,)
+        assert np.allclose(hp[:2], [0.0, 1.0])
+        assert hp[2] == pytest.approx(-0.30)
+        assert _contains(hp, [0.0, 0.0]) and not _contains(hp, [0.0, -0.5])
 
     def test_zero_slope_normal_equals_direction(self, diag_direction):
         basis = orthonormal_complement(diag_direction.u)
         theta = HyperplaneParams(alpha=0.1, beta_y=np.array([0.0]))
         hp = to_upper_halfplane(theta, diag_direction, basis)
-        assert np.allclose(hp.normal, diag_direction.u)
+        assert np.allclose(hp[:2], diag_direction.u)
 
     def test_large_slope_aligns_with_direction(self, diag_direction):
         # as |beta| grows the boundary line turns toward the direction itself
         basis = orthonormal_complement(diag_direction.u)
         theta = HyperplaneParams(alpha=0.0, beta_y=np.array([1e6]))
         hp = to_upper_halfplane(theta, diag_direction, basis)
-        boundary = np.array([hp.normal[1], -hp.normal[0]])
+        boundary = np.array([hp[1], -hp[0]])
         boundary /= np.linalg.norm(boundary)
         angle = np.arccos(np.clip(abs(boundary @ diag_direction.u), -1, 1))
         assert angle < 1e-5
@@ -67,72 +73,172 @@ class TestHalfplaneMapping:
         basis = orthonormal_complement(vertical_direction.u)
         theta = HyperplaneParams(alpha=-0.3, beta_y=np.array([0.0]), beta_x=np.array([2.0]))
         hp = to_upper_halfplane(theta, vertical_direction, basis, x_eval=np.array([1.5]))
-        assert hp.offset == pytest.approx(-0.3 + 3.0)
+        assert hp[2] == pytest.approx(-0.3 + 3.0)
         with pytest.raises(DomainError):
             to_upper_halfplane(theta, vertical_direction, basis)
 
 
+def _frozen_plane_set(seed):
+    """Seeded halfplane rows: even seeds tilt a circle grid's normals as
+    fitted slopes do, odd seeds draw normals of any angle and length."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(8, 41))
+    if seed % 2 == 0:
+        u = np.array(unit_directions(m))
+        normals = u - np.column_stack([-u[:, 1], u[:, 0]]) * rng.normal(0.0, 0.2, (m, 1))
+        return np.column_stack([normals, -1.0 - 0.1 * rng.standard_normal(m)])
+    angles = rng.uniform(-np.pi, np.pi, m)
+    normals = rng.uniform(0.2, 3.0, (m, 1)) * np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.column_stack([normals, -rng.uniform(0.1, 2.0, m)])
+
+
+# sha256 of the vertex bytes of _frozen_plane_set(seed), seed = 0..39, as the
+# intersection over per-plane objects gave them
+FROZEN_VERTEX_SHA256 = (
+    "fce8b31fcacbe5688c3a81e1fc335ffa4f06d91b062bdf3f6a4a360cfe4caea5",
+    "0ed2baee3048b5081b8f3b3be72379106a3fc2b5672d5c4585c306f41a13681c",
+    "1aee4cb868cb113bfe3076ffb3c9665966f341d76cbe7a9b738c4679f29dccbf",
+    "09a7528cb213688bcf3289fe6745ea073372bb1518ad7aa9a2a6c0e68e58a4b6",
+    "3935e00a943cd56649cc6df2aca30d4d5b1c3b136d197fa521aa1e74ae8751e2",
+    "a261198b412fec7669e7637f546f8dc12f4e1b8f8f173ab19e1e263af1605de5",
+    "1ae319ae4f7f91d64f6d03ba457b8a2c65d7c554eb6cf6f26577a66e2604b28a",
+    "3ee79c04db50df61e539f79b892cf824483e17931df25cffe27d8892b8e3ac13",
+    "cb26ebe7ebd8e3cd90a2f252f8ef6c601139c384c7dd4a9c5090a9c50d70f6ce",
+    "c5274cd861003d1b39c424e98d3d5714d39bbe83b10c1b17445339a637957048",
+    "ac1f18b239ff65b7b189f87471af6c9266a14097b64968ba2835147f71f12b3a",
+    "356c1b4f2923760d6abf4a541cba031f982d47b018d3e8e7a93ab78fbfd00b31",
+    "4ee7196a0827dc505f3cdb583b031499cb65f57624ef067c94d43bb327336081",
+    "24bf1082028c844817d65198e6e024d0d72ecddea0c05cdc3366c9a20ed3eddc",
+    "f44db853be9a2398b7cdb93c94e6dc10ffd3de058b2484e0cffb2da0193db33d",
+    "877db8d5da97f45d23309cf468756eed8ebfee998f6b03222550c5b92a27e9ec",
+    "b2d5856dfedc2ee115f4d336388037dfb71db80ce3721e3abcff53482df9da86",
+    "9f53028218c59e019b5e434db161a0f910b8fc8ea6f3379ebe4e2d603a81772e",
+    "c78274fc64a3d07e2a389f6191295232c3b3101ec590ccb3424f3f08bf628907",
+    "02fac892b530c0075bdc573db6ec71aa278e3cad2e01325176192337eaccab6f",
+    "d135c5232e099aa6ea10be4de07fc82f6796379f6a371deb2e768d783ac0e157",
+    "2f54c9a539650ed33b04a816de0bbc48451cee47892b8677327e81d305bbd2c0",
+    "705a9e271d5a4465f88d283618ff3b5c45ce6c531d9d50df3033281dbf881615",
+    "f2694b2a3ac3a8557e1fd3bdeaec91ef10198df5784789539887bebd5ac142c4",
+    "81fda2c9e149b521a002e7dba36fd4242167fda960154ba11d65cf76013da073",
+    "0ba4fc5b17db70d8ade427dee82a8e52a159f2564f91f10a5c26aae1c5d74e54",
+    "53bc7c4a8c5881689e6a4637deb5e6359d5f675b6b0f6d5fbb126037ea97543d",
+    "362772f50938555feb1b0b8d4d4e3aa677f467c6949ecbe4b1701f0a05558fb3",
+    "afcaeff0a446c9767913fcba88fb28c3741dd68be3d3ea058a5338c9f9e7ab7b",
+    "5a16672738e3493f46836b4ceeb4089fabfaf1485ebc25873dd7fcd2e9396b3e",
+    "00ba1d1d52d6e451b79501e2cd289c61c41ffe9d368639b7d3219de5d644b466",
+    "4adbb3b2d002d456aa12d2c11147419f9eaad1eac35a1c3d33df291b4a40e4ec",
+    "9d555ad0bb0c9cffbab378f52681af5f0386616d5482570a0cb0d17b74b6acf6",
+    "d5c4c63a71828ad72d205c3afae92640f88ccc442ad306a7bc9a49889cc99b14",
+    "398c3adc463319968bea3a1afc410224e2d61464a5d652da07409db48a54bf10",
+    "cfda12c1e5284663501c7d1a87e14d5d1ecd43fffbb92330dc47efc9d9a4f49c",
+    "be303e14aa741d2e2db64182fd003292739d9b6a22a51a13447a972040d49119",
+    "641e123d0a70a1456de482ce3d0a6e9c46fb2577f85df2215ef2572ebceb5796",
+    "970157cb2a68df2a8666dc96c2f8743fc9590dd4e031e491227c58d222a3407b",
+    "a87d7884b4e7bcaa3acc2dce9397a3fa17d7c977e311e639cdd9cf69a69bc935",
+)
+
+
 class TestIntersection:
     def test_axis_aligned_box(self):
-        planes = [
-            Halfplane(np.array([1.0, 0.0]), -0.3),
-            Halfplane(np.array([-1.0, 0.0]), -0.3),
-            Halfplane(np.array([0.0, 1.0]), -0.3),
-            Halfplane(np.array([0.0, -1.0]), -0.3),
-        ]
+        planes = np.array([
+            [1.0, 0.0, -0.3],
+            [-1.0, 0.0, -0.3],
+            [0.0, 1.0, -0.3],
+            [0.0, -1.0, -0.3],
+        ])
         poly = intersect_halfplanes(planes)
         assert poly.vertices.shape == (4, 2)
+        assert poly.n_directions == 4
         corners = {tuple(np.round(v, 9)) for v in poly.vertices}
         assert corners == {(0.3, 0.3), (-0.3, 0.3), (-0.3, -0.3), (0.3, -0.3)}
 
     def test_triangle(self):
-        planes = [
-            Halfplane(np.array([0.0, 1.0]), 0.0),
-            Halfplane(np.array([1.0, -1.0]), -2.0),
-            Halfplane(np.array([-1.0, -1.0]), -2.0),
-        ]
+        planes = np.array([
+            [0.0, 1.0, 0.0],
+            [1.0, -1.0, -2.0],
+            [-1.0, -1.0, -2.0],
+        ])
         poly = intersect_halfplanes(planes)
         assert poly.vertices.shape == (3, 2)
         for v in poly.vertices:
-            hits = sum(abs(float(h.normal @ v) - h.offset) < 1e-9 for h in planes)
+            hits = sum(abs(float(h[:2] @ v) - h[2]) < 1e-9 for h in planes)
             assert hits == 2
 
     def test_circumscribed_polygon_area(self):
         m = 32
-        planes = [Halfplane(np.array(u), -1.0) for u in unit_directions(m)]
+        planes = np.column_stack([unit_directions(m), -np.ones(m)])
         poly = intersect_halfplanes(planes)
         oracle = m * np.tan(np.pi / m)
+        assert poly.n_directions == m
         assert polygon_area(poly.vertices) == pytest.approx(oracle, rel=1e-12)
         assert polygon_area(poly.vertices) == pytest.approx(np.pi, rel=0.02)
 
     def test_empty_region_is_result_not_error(self):
-        planes = [
-            Halfplane(np.array([1.0, 0.0]), 1.0),
-            Halfplane(np.array([-1.0, 0.0]), 1.0),
-            Halfplane(np.array([0.0, 1.0]), 0.0),
-        ]
+        planes = np.array([
+            [1.0, 0.0, 1.0],
+            [-1.0, 0.0, 1.0],
+            [0.0, 1.0, 0.0],
+        ])
         poly = intersect_halfplanes(planes)
         assert poly.is_empty
+        assert poly.n_directions == 3
 
     def test_unbounded_raises(self):
-        planes = [
-            Halfplane(np.array([1.0, 0.0]), 0.0),
-            Halfplane(np.array([0.0, 1.0]), 0.0),
-            Halfplane(np.array([1.0, 1.0]), 0.0),
-        ]
+        planes = np.array([
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [1.0, 1.0, 0.0],
+        ])
         with pytest.raises(UnboundedRegionError):
             intersect_halfplanes(planes)
 
     def test_needs_three_planes(self):
         with pytest.raises(ShapeError):
-            intersect_halfplanes([Halfplane(np.array([1.0, 0.0]), 0.0)])
+            intersect_halfplanes([[1.0, 0.0, 0.0]])
+        with pytest.raises(ShapeError):
+            intersect_halfplanes(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("planes", [
+        np.ones((4, 2)),
+        np.ones((4, 4)),
+        np.ones(12),
+        np.ones((4, 3, 1)),
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    ])
+    def test_rows_must_be_m_by_3(self, planes):
+        with pytest.raises(ShapeError):
+            intersect_halfplanes(planes)
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, -1.0], [np.nan, 1.0, -1.0], [1.0, np.inf, -1.0],
+                                     [-np.inf, 0.0, -1.0], [0.0, 1.0, np.nan], [1.0, 0.0, np.inf]])
+    def test_rows_must_be_finite_with_nonzero_normals(self, bad):
+        # a NaN offset used to drop its plane from the polygon without a word
+        planes = np.column_stack([unit_directions(8), -np.ones(8)])
+        planes[5] = bad
+        with pytest.raises(DomainError, match="must be finite and their normals nonzero"):
+            intersect_halfplanes(planes)
+
+    def test_sequence_of_rows_and_array_agree(self):
+        planes = _frozen_plane_set(2)
+        as_rows = intersect_halfplanes([row for row in planes], tau=0.3)
+        as_array = intersect_halfplanes(planes, tau=0.3)
+        assert as_rows.tau == as_array.tau == 0.3
+        assert as_rows.vertices.tobytes() == as_array.vertices.tobytes()
+
+    def test_vertex_bytes_are_frozen(self):
+        # writing a 2-vector dot product out in place of numpy's ``@``
+        # changes about half of these digests
+        digests = [hashlib.sha256(intersect_halfplanes(_frozen_plane_set(seed)).vertices.tobytes())
+                   .hexdigest() for seed in range(40)]
+        changed = [seed for seed, (a, b) in enumerate(zip(digests, FROZEN_VERTEX_SHA256)) if a != b]
+        assert changed == []
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 40))
     def test_random_star_polygons_convex_ccw(self, seed, m):
         rng = np.random.default_rng(seed)
         offs = -rng.uniform(0.2, 2.0, size=m)
-        planes = [Halfplane(np.array(u), o) for u, o in zip(unit_directions(m), offs)]
+        planes = np.column_stack([unit_directions(m), offs])
         poly = intersect_halfplanes(planes)
         assert not poly.is_empty
         v = poly.vertices
@@ -143,7 +249,7 @@ class TestIntersection:
         ) * (nxt2[:, 0] - nxt[:, 0])
         assert np.all(cross > -1e-9)  # convex, counterclockwise
         for hp in planes:  # every vertex satisfies every generating halfplane
-            assert np.all(v @ hp.normal >= hp.offset - 1e-8)
+            assert np.all(v @ hp[:2] >= hp[2] - 1e-8)
 
 
 class TestTauContour:
@@ -224,25 +330,30 @@ class TestTauContour:
 
 class TestTukeyDepth:
     def test_far_point_zero(self, square_data):
-        assert tukey_depth([5.0, 5.0], square_data, 32) == 0.0
+        assert tukey_depth([5.0, 5.0], square_data) == 0.0
 
     def test_center_of_square(self):
         rng = np.random.default_rng(45)
         data = Dataset(y=rng.uniform(-0.5, 0.5, size=(100_000, 2)))
-        assert tukey_depth([0.0, 0.0], data, 32) == pytest.approx(0.5, abs=0.01)
+        assert tukey_depth([0.0, 0.0], data) == pytest.approx(0.5, abs=0.01)
 
     def test_square_boundary_point(self):
         rng = np.random.default_rng(46)
         data = Dataset(y=rng.uniform(-0.5, 0.5, size=(100_000, 2)))
-        assert tukey_depth([0.3, 0.0], data, 32) == pytest.approx(0.2, abs=0.02)
+        assert tukey_depth([0.3, 0.0], data) == pytest.approx(0.2, abs=0.02)
 
-    def test_grid_refinement_never_increases(self):
-        rng = np.random.default_rng(47)
-        data = Dataset(y=rng.standard_normal((5000, 2)))
-        point = [0.4, -0.2]
-        d8 = tukey_depth(point, data, 8)
-        d64 = tukey_depth(point, data, 64)
-        assert d64 <= d8 + 1e-12
+    def test_every_row_at_the_point(self):
+        assert tukey_depth([1.0, -2.0], Dataset(y=np.tile([1.0, -2.0], (7, 1)))) == 1.0
+
+    @pytest.mark.parametrize("point", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0,
+                                       [np.nan, 0.0], [0.0, np.inf]])
+    def test_point_must_be_a_finite_2_vector(self, square_data, point):
+        with pytest.raises(ShapeError, match="finite 2-vector"):
+            tukey_depth(point, square_data)
+
+    def test_k3_rejected(self):
+        with pytest.raises(DomainError):
+            tukey_depth([0.0, 0.0], Dataset(y=np.zeros((5, 3))))
 
 
 class TestTubeSlice:
@@ -329,7 +440,8 @@ class TestBatchedDirections:
                                         burn_in=self.BURN, seed=contours._direction_seed(self.SEED, i),
                                         basis=basis)
             planes.append(to_upper_halfplane(posterior_mean(chain), direction, basis))
-        ref = intersect_halfplanes(planes, tau=0.3, n_directions=self.N_DIR)
+        ref = intersect_halfplanes(planes, tau=0.3)
+        assert ref.n_directions == self.N_DIR
         assert poly.vertices.shape[0] >= 3
         assert poly.vertices.tobytes() == ref.vertices.tobytes()
 
@@ -364,7 +476,8 @@ class TestBatchedDirections:
             alpha, beta_y = design.params_at_x0(chain.post_burn().mean(axis=0))
             theta = HyperplaneParams(alpha=alpha, beta_y=beta_y, beta_x=None)
             planes.append(to_upper_halfplane(theta, direction, basis))
-        ref = intersect_halfplanes(planes, tau=0.3, n_directions=self.N_DIR)
+        ref = intersect_halfplanes(planes, tau=0.3)
+        assert ref.n_directions == self.N_DIR
         assert poly.vertices.shape[0] >= 3
         assert poly.vertices.tobytes() == ref.vertices.tobytes()
 

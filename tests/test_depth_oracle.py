@@ -1,4 +1,5 @@
-"""Contours checked against exact halfspace depth (tests/depth_oracle.py).
+"""Exact Tukey depth (``contours.tukey_depth``) against a dense direction
+grid (tests/depth_oracle.py), and contours checked by that depth.
 
 The tau-quantile region is the Tukey depth region of depth tau (Hallin,
 Paindaveine & Siman 2010), so each vertex of a frequentist contour lies on a
@@ -11,10 +12,10 @@ involved, so this checks fit -> halfplane -> intersection end to end.
 import numpy as np
 import pytest
 
-from depth_oracle import halfspace_depth
+from depth_oracle import grid_depth
 from dirquant import optimize
 from dirquant.contours import tau_contour, tukey_depth
-from dirquant.geometry import Dataset, unit_directions
+from dirquant.geometry import Dataset
 from dirquant.simlab import make_star_like
 
 N = 100_000
@@ -26,25 +27,29 @@ class TestOracle:
         # on 30 points the closed halfplane counts over 2e5 directions reach
         # the minimum, which an open boundary between two events attains
         rng = np.random.default_rng(0)
-        normals = np.array(unit_directions(200_000))
         for _ in range(25):
             y = rng.standard_normal((30, 2))
             point = 0.7 * rng.standard_normal(2)
-            grid = float(np.min(np.mean((y - point) @ normals.T <= 0.0, axis=0)))
-            assert halfspace_depth(point, y) == grid
+            assert tukey_depth(point, Dataset(y=y)) == grid_depth(point, y)
 
     def test_symmetric_cross_and_ties(self):
-        cross = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        assert halfspace_depth([0.0, 0.0], cross) == 0.5
+        cross = Dataset(y=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+        assert tukey_depth([0.0, 0.0], cross) == 0.5
         # a point of the sample counts in every halfplane through it
-        assert halfspace_depth([1.0, 0.0], cross) == 0.25
-        assert halfspace_depth([5.0, 5.0], cross) == 0.0
+        assert tukey_depth([1.0, 0.0], cross) == 0.25
+        assert tukey_depth([5.0, 5.0], cross) == 0.0
+        for point in ([0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [0.5, 0.5]):
+            assert tukey_depth(point, cross) == grid_depth(point, cross.y)
 
-    def test_tukey_depth_bounds_it_from_above(self):
+    def test_tukey_depth_equals_the_grid_on_sheared_samples(self):
+        # sheared samples with repeated rows, queried off and on the sample
         rng = np.random.default_rng(1)
-        data = Dataset(y=rng.standard_normal((5000, 2)) @ np.array([[1.0, 0.4], [0.0, 2.0]]))
-        for point in rng.uniform(-2.5, 2.5, (40, 2)):
-            assert tukey_depth(point, data, 32) >= halfspace_depth(point, data.y)
+        shear = np.array([[1.0, 0.4], [0.0, 2.0]])
+        for _ in range(20):
+            y = rng.standard_normal((36, 2)) @ shear
+            y[30:] = y[rng.integers(0, 30, 6)]
+            for point in [*rng.uniform(-2.5, 2.5, (2, 2)), y[3], y[31]]:
+                assert tukey_depth(point, Dataset(y=y)) == grid_depth(point, y)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +66,7 @@ def vertex_depths(scores):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(optimize, "PREPROCESS_ROWS", np.inf)
         full = tau_contour(scores, TAU, estimator="frequentist")
-    return {name: np.array([halfspace_depth(v, scores.y) for v in poly.vertices])
+    return {name: np.array([tukey_depth(v, scores) for v in poly.vertices])
             for name, poly in (("preprocessed", pre), ("full", full))}
 
 

@@ -7,7 +7,6 @@ from dirquant import samplers
 from dirquant.ald import mixture_constants
 from dirquant.errors import (
     DegenerateWindowError,
-    InitializationError,
     ShapeError,
 )
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
@@ -21,8 +20,8 @@ from dirquant.samplers import (
     gibbs_unconditional,
     kernel_weights,
     make_conditional_design,
-    metropolis_hastings,
 )
+from mh_oracle import InitializationError, metropolis_hastings
 
 PRIOR2 = PriorSpec(mean=np.zeros(2), covariance=1000.0 * np.eye(2))
 
@@ -35,6 +34,15 @@ class TestPriorSpec:
     def test_non_pd_rejected(self):
         with pytest.raises(ShapeError):
             PriorSpec(mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+    def test_vague_prior_bytes(self, dim):
+        # the default prior of contours, tube slices and simlab, N(0, 1000 I)
+        prior = samplers._vague_prior(dim)
+        written_out = PriorSpec(mean=np.zeros(dim), covariance=1000.0 * np.eye(dim))
+        for got, want in ((prior.mean, written_out.mean), (prior.covariance, written_out.covariance)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestChainType:

@@ -27,7 +27,7 @@ def _per_fit_contour(data, tau, n_directions, x_eval=None):
         raw = fit_check_loss(design, projected.y_u, tau)
         theta = HyperplaneParams.from_vector(raw.theta, data.k, data.p)
         planes.append(to_upper_halfplane(theta, direction, basis, x_eval=x_eval))
-    return intersect_halfplanes(planes, tau=tau, n_directions=n_directions)
+    return intersect_halfplanes(planes, tau=tau)
 
 
 def _assert_same_polygons(new, old):
