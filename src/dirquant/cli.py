@@ -67,6 +67,23 @@ def _as_floats(value: str) -> list[float]:
         raise ConfigError(f"expected numeric list, got {value!r}") from exc
 
 
+def _as_int(value: str, key: str, minimum: int | None = None) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {number}")
+    return number
+
+
+def _as_float(value: str, key: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _get(cfg: dict, key: str, default=None, required: bool = False) -> str:
     if key in cfg:
         return cfg[key]
@@ -192,9 +209,12 @@ def _load_common(cfg: dict):
     path = _get(cfg, "input", required=True)
     responses = _as_list(_get(cfg, "response", required=True))
     covariates = _as_list(_get(cfg, "covariates", ""))
-    jitter = _get(cfg, "jitter", "false").lower() in ("1", "true", "yes")
-    seed = int(_get(cfg, "seed", "0"))
-    data, report = ingest_csv(path, responses, covariates, jitter=jitter, seed=seed)
+    jitter = _get(cfg, "jitter", "false").lower()
+    if jitter not in ("1", "true", "yes", "0", "false", "no"):
+        raise ConfigError(f"jitter must be true or false, got {jitter!r}")
+    seed = _as_int(_get(cfg, "seed", "0"), "seed", minimum=0)
+    data, report = ingest_csv(path, responses, covariates, jitter=jitter in ("1", "true", "yes"),
+                              seed=seed)
     return data, report, seed
 
 
@@ -207,8 +227,8 @@ def _prior_from_config(cfg: dict, d: int) -> PriorSpec:
 
 
 def _sampler_settings(cfg: dict):
-    draws = int(_get(cfg, "draws", str(constants.DEFAULT_N_DRAWS)))
-    burn = int(_get(cfg, "burn_in", str(constants.DEFAULT_BURN_IN)))
+    draws = _as_int(_get(cfg, "draws", str(constants.DEFAULT_N_DRAWS)), "draws")
+    burn = _as_int(_get(cfg, "burn_in", str(constants.DEFAULT_BURN_IN)), "burn_in")
     if draws <= burn:
         raise ConfigError("draws must exceed burn_in")
     return draws, burn
@@ -224,7 +244,7 @@ def _cmd_fit(cfg: dict, args) -> int:
     data, report, seed = _load_common(cfg)
     u = np.array(_as_floats(_get(cfg, "direction", required=True)))
     u = u / np.linalg.norm(u)
-    tau = float(_get(cfg, "tau", required=True))
+    tau = _as_float(_get(cfg, "tau", required=True), "tau")
     direction = Direction(u=u, tau=tau)
     draws, burn = _sampler_settings(cfg)
     prior = _prior_from_config(cfg, data.k + data.p)
@@ -245,7 +265,7 @@ def _cmd_fit(cfg: dict, args) -> int:
     sg = subgradient_diagnostics(data, direction, theta)
     summary["subgradient"] = {"sg1": sg.sg1, "sg2": [float(v) for v in sg.sg2], "n": sg.n}
     if data.p == 0 and data.k == 2:
-        ci = asymptotic_ci(chain, data, direction, level=float(_get(cfg, "level", "0.95")))
+        ci = asymptotic_ci(chain, data, direction, level=_as_float(_get(cfg, "level", "0.95"), "level"))
         summary["ci"] = {
             "names": list(ci.names),
             "lower": [float(v) for v in ci.lower],
@@ -266,7 +286,7 @@ def _cmd_contour(cfg: dict, args) -> int:
         )
     data, report, seed = _load_common(cfg)
     taus = _as_floats(_get(cfg, "tau", required=True))
-    n_dir = int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)))
+    n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions")
     estimator = _get(cfg, "estimator", "bayes-mean")
     draws, burn = _sampler_settings(cfg)
     out = _out_dir(cfg, args)
@@ -287,11 +307,11 @@ def _cmd_tube(cfg: dict, args) -> int:
         raise ConfigError("tube requires at least one covariate column")
     taus = _as_floats(_get(cfg, "tau", required=True))
     x0s = _as_floats(_get(cfg, "x0", required=True))
-    n_dir = int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)))
+    n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions")
     draws, burn = _sampler_settings(cfg)
     kind = _get(cfg, "design", "local-constant")
     h = _get(cfg, "bandwidth", None)
-    kernel = KernelSpec(bandwidth=float(h) if h else default_bandwidth(data.x))
+    kernel = KernelSpec(bandwidth=_as_float(h, "bandwidth") if h else default_bandwidth(data.x))
     out = _out_dir(cfg, args)
     prov = io.provenance_block(cfg, seed)
     for tau in taus:
@@ -311,11 +331,11 @@ def _cmd_ci(cfg: dict, args) -> int:
         raise ConfigError("asymptotic intervals are not supported by the method for p > 0")
     u = np.array(_as_floats(_get(cfg, "direction", required=True)))
     u = u / np.linalg.norm(u)
-    direction = Direction(u=u, tau=float(_get(cfg, "tau", required=True)))
+    direction = Direction(u=u, tau=_as_float(_get(cfg, "tau", required=True), "tau"))
     draws, burn = _sampler_settings(cfg)
     prior = _prior_from_config(cfg, data.k)
     chain = gibbs_unconditional(data, direction, prior, n_draws=draws, burn_in=burn, seed=seed)
-    level = float(_get(cfg, "level", "0.95"))
+    level = _as_float(_get(cfg, "level", "0.95"), "level")
     ci = asymptotic_ci(chain, data, direction, level=level)
     nci = naive_ci(chain, level=level)
     out = _out_dir(cfg, args)
@@ -335,15 +355,6 @@ def _cmd_ci(cfg: dict, args) -> int:
     return 0
 
 
-def _write_tables(out: str, tables: dict, names) -> None:
-    """Write the named simlab tables as CSV; report each failed replication."""
-    for name in sorted(names):
-        io.write_table_csv(os.path.join(out, f"{name}.csv"), tables[name])
-    for row in tables["failures"]:
-        cell = " ".join(f"{k}={v}" for k, v in row.items() if k not in ("rep", "error"))
-        print(f"simulate: {cell} replication {row['rep']} failed: {row['error']}", file=sys.stderr)
-
-
 def _cmd_simulate(cfg: dict, args) -> int:
     profile = _get(cfg, "profile", "desk")
     if profile == "desk":
@@ -354,44 +365,44 @@ def _cmd_simulate(cfg: dict, args) -> int:
         raise ConfigError(f"unknown profile {profile!r} (use desk or paper)")
     overrides = {}
     if "replications" in cfg:
-        overrides["replications"] = int(cfg["replications"])
+        overrides["replications"] = _as_int(cfg["replications"], "replications", minimum=1)
     if "sample_sizes" in cfg:
-        overrides["sample_sizes"] = tuple(int(v) for v in _as_floats(cfg["sample_sizes"]))
+        sizes = tuple(_as_int(v, "sample_sizes", minimum=1) for v in _as_list(cfg["sample_sizes"]))
+        if not sizes:
+            raise ConfigError("sample_sizes must list at least one sample size")
+        overrides["sample_sizes"] = sizes
     if "master_seed" in cfg:
-        overrides["master_seed"] = int(cfg["master_seed"])
+        overrides["master_seed"] = _as_int(cfg["master_seed"], "master_seed", minimum=0)
     if overrides:
         config = replace(config, **overrides)
-    workers = int(_get(cfg, "threads", str(args.threads)))
+    workers = _as_int(_get(cfg, "threads", str(args.threads)), "threads", minimum=1)
+    which = set(_as_list(_get(cfg, "tables", ",".join(simlab.TABLES))))
+    if not which or not which <= set(simlab.TABLES):
+        raise ConfigError(f"tables must name some of {', '.join(simlab.TABLES)}, got {sorted(which)}")
     out = _out_dir(cfg, args)
     prov = io.provenance_block(cfg, config.master_seed)
-
-    which = set(_as_list(_get(cfg, "tables", "rmse,subgradient,coverage,conditional")))
-    unconditional = which & {"rmse", "subgradient", "coverage"}
-    if unconditional:
-        sim_config = config
-        if unconditional == {"coverage"}:  # DGP 4 is last, so cell indices are kept
-            sim_config = replace(config, dgps=tuple(d for d in config.dgps if d != 4))
-        tables = simlab.simulation_tables(sim_config, workers=workers)
-        _write_tables(out, tables, unconditional)
-    if "conditional" in which:
-        tables = simlab.conditional_rmse_experiment(config, workers=workers)
-        _write_tables(out, tables, {"conditional"})
+    tables = simlab.simulation_tables(config, workers=workers, tables=which)
+    for name in sorted(which):
+        io.write_table_csv(os.path.join(out, f"{name}.csv"), tables[name])
+    for row in tables["failures"]:  # report each failed replication
+        cell = " ".join(f"{k}={v}" for k, v in row.items() if k not in ("rep", "error"))
+        print(f"simulate: {cell} replication {row['rep']} failed: {row['error']}", file=sys.stderr)
     io.write_json(os.path.join(out, "provenance.json"), prov)
     print(f"simulate: wrote tables to {out}")
     return 0
 
 
 def _cmd_elicit(cfg: dict, args) -> int:
-    tau = float(_get(cfg, "tau", required=True))
+    tau = _as_float(_get(cfg, "tau", required=True), "tau")
     family = _get(cfg, "family", "standard-normal")
-    k = int(_get(cfg, "k", "2"))
-    p = int(_get(cfg, "p", "0"))
+    k = _as_int(_get(cfg, "k", "2"), "k")
+    p = _as_int(_get(cfg, "p", "0"), "p")
     radius = _get(cfg, "radius", None)
     prior = spherical_prior(
         tau, family, k, p,
-        alpha_variance=float(_get(cfg, "alpha_variance", "1000")),
-        beta_variance=float(_get(cfg, "beta_variance", "1000")),
-        radius=float(radius) if radius is not None else None,
+        alpha_variance=_as_float(_get(cfg, "alpha_variance", "1000"), "alpha_variance"),
+        beta_variance=_as_float(_get(cfg, "beta_variance", "1000"), "beta_variance"),
+        radius=_as_float(radius, "radius") if radius is not None else None,
     )
     out = _out_dir(cfg, args)
     io.write_json(os.path.join(out, "prior.json"), {

@@ -1,28 +1,27 @@
-"""Data generating processes and the Monte Carlo experiment drivers.
+"""Data generating processes and the Monte Carlo study driver.
 
 Four DGPs: uniform square, uniform triangle, a correlated bivariate normal,
-and a normal regression model with one covariate.  Two drivers replicate
-sampling + estimation over a seed-derived grid of cells:
-``simulation_tables`` builds the unconditional RMSE, subgradient and
-interval-coverage tables from one pass over the same chains, and
-``conditional_rmse_experiment`` the conditional model's RMSE table.  Both run
-their replications through one fan-out (at most one worker pool per call)
-and return each failed replication with the reason it failed.
+and a normal regression model with one covariate.  ``simulation_tables``
+replicates sampling + estimation over a seed-derived grid of cells and
+builds any of ``TABLES`` from one pass: the unconditional RMSE, subgradient
+and interval-coverage tables share their chains, and the conditional
+model's RMSE table runs in the same fan-out (at most one worker pool per
+study).  Each failed replication is returned with the reason it failed.
 
-The fan-out runs a driver's replications through the samplers' runner, as
+The fan-out runs the study's replications through the samplers' runner, as
 the contours do: grouped by sample size n, across cells, into chunks of at
 most ``samplers._ROW_BUDGET`` chain rows (chains x n).  A chunk prepares
 each replication (dataset, projected response, design, kernel weights, init
 fit and chain seed), stacks the prepared chains by (n, d) into one call of
 the samplers' engine each, with one Generator per chain, and summarises each
-replication from its chain.  A chain's bytes do not depend on the chains
-stacked with it, so the tables are those of one chain per replication.  If
-an engine call raises, its chains are rerun one by one, so only the failing
-replication fails.  With ``workers`` > 1 the chunks go to one ``spawn``
-pool.  The unconditional oracles of a study fit every direction of a DGP on
-one Monte Carlo sample, drawn once per DGP and freed before the next DGP's;
-the conditional oracles fit every (u, tau) on one sample, drawn once per
-study.
+replication from its chain.  Conditional chains and unconditional location
+chains of one n share d = 2 and so share a call.  A chain's bytes do not
+depend on the chains stacked with it, so the tables are those of one chain
+per replication.  If an engine call raises, its chains are rerun one by
+one, so only the failing replication fails.  With ``workers`` > 1 the
+chunks go to one ``spawn`` pool.  The oracles of a study are fitted cell by
+cell on one Monte Carlo sample at a time: each DGP's, drawn once and freed
+before the next DGP's, then the conditional law's, drawn once per study.
 
 The regression DGP draws (x, z) jointly normal and returns y = z + (0, x)'.
 Its conditional experiments use the correlated pair without that level
@@ -71,7 +70,7 @@ __all__ = [
     "population_params_oracle",
     "conditional_params_oracle",
     "simulation_tables",
-    "conditional_rmse_experiment",
+    "TABLES",
     "make_star_like",
     "DESK_PROFILE",
     "PAPER_PROFILE",
@@ -232,24 +231,12 @@ PAPER_PROFILE = ExperimentConfig(
 )
 
 
+TABLES = ("rmse", "subgradient", "coverage", "conditional")
+
+
 def _rep_seed(master: int, cell_index: int, rep: int, stream: int = 0) -> int:
     ss = np.random.SeedSequence((int(master), int(cell_index), int(rep), int(stream)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _cell_oracle(config: ExperimentConfig, dgp: int, u, tau, cache: dict, sample: dict):
-    """``population_params_oracle`` of a cell, fitted on its DGP's Monte Carlo
-    sample.  ``sample`` keeps the last DGP's sample only: cells come DGP by
-    DGP, so each sample is drawn once and at most one is alive."""
-    key = (dgp, tuple(u), tau)
-    if key not in cache:
-        if dgp not in sample:
-            sample.clear()  # free the previous DGP's sample before drawing the next
-            sample[dgp] = _oracle_sample(dgp, config.oracle_mc_size)
-        direction = Direction(u=np.asarray(u), tau=tau)
-        basis = orthonormal_complement(direction.u, convention=config.basis_convention)
-        cache[key] = frequentist_fit(sample[dgp], direction, basis=basis).theta
-    return cache[key]
 
 
 def _prepare_cell(args):
@@ -309,24 +296,27 @@ def _summarise_conditional(context, chain):
 def _run_chunk(task):
     """Prepare, run and summarise one chunk of replications that share n.
 
-    The prepared chains are stacked by (n, d), one engine call per shape.
-    Returns ("ok", summary) or ("err", repr) per replication, in order: a
-    failure anywhere fails only its own replication.  Top level so the
-    fan-out can send it to worker processes.
+    Each replication is (prepare, summarise, args): ``prepare(args)`` gives
+    its chain problem and a context, and ``summarise(context, chain)`` its
+    summary.  The prepared chains are stacked by (n, d), one engine call per
+    shape, whichever ``prepare`` made them.  Returns ("ok", summary) or
+    ("err", repr) per replication, in order: a failure anywhere fails only
+    its own replication.  Top level so the fan-out can send it to worker
+    processes.
     """
-    prepare, summarise, n_draws, burn_in, chunk = task
+    n_draws, burn_in, chunk = task
     outcomes = [None] * len(chunk)
-    shapes = {}  # (n, d) -> [(position, problem, context)]
-    for i, args in enumerate(chunk):
+    shapes = {}  # (n, d) -> [(position, problem, summarise, context)]
+    for i, (prepare, summarise, args) in enumerate(chunk):
         try:
             problem, context = prepare(args)
         except Exception as exc:
             outcomes[i] = ("err", repr(exc))
             continue
-        shapes.setdefault(problem.design.shape, []).append((i, problem, context))
+        shapes.setdefault(problem.design.shape, []).append((i, problem, summarise, context))
     for group in shapes.values():
-        chains = _isolated_chains([problem for _, problem, _ in group], n_draws, burn_in)
-        for (i, _, context), chain in zip(group, chains):
+        chains = _isolated_chains([problem for _, problem, _, _ in group], n_draws, burn_in)
+        for (i, _, summarise, context), chain in zip(group, chains):
             if isinstance(chain, Exception):
                 outcomes[i] = ("err", repr(chain))
                 continue
@@ -337,11 +327,14 @@ def _run_chunk(task):
     return outcomes
 
 
-def _run_replications(prepare, summarise, tasks, n_draws, burn_in, workers=1):
-    """("ok", summary) or ("err", repr) for each (n, args) in ``tasks``, in
-    order, run in engine chunks through at most one worker pool."""
+def _run_replications(tasks, n_draws, burn_in, workers=1):
+    """("ok", summary) or ("err", repr) for each (n, (prepare, summarise,
+    args)) in ``tasks``, in order.  Replications that share n are grouped
+    into chunks of at most ``samplers._ROW_BUDGET`` chain rows, each run by
+    ``_run_chunk``; with ``workers`` > 1 the chunks go to one ``spawn`` pool,
+    so a script that asks for workers needs a ``__main__`` guard."""
     chunks = _chunks([n for n, _ in tasks], workers)
-    jobs = [(prepare, summarise, n_draws, burn_in, [tasks[i][1] for i in chunk]) for chunk in chunks]
+    jobs = [(n_draws, burn_in, [tasks[i][1] for i in chunk]) for chunk in chunks]
     outcomes = [None] * len(tasks)
     pool = None
     if workers > 1:  # spawn: forking a process whose BLAS may run threads is unsafe
@@ -355,38 +348,6 @@ def _run_replications(prepare, summarise, tasks, n_draws, burn_in, workers=1):
         if pool is not None:
             pool.shutdown()
     return outcomes
-
-
-def _fan_out(config: ExperimentConfig, prepare, summarise, cells, workers: int = 1):
-    """Run every replication of every cell in engine chunks.
-
-    ``cells`` lists (cell_index, cell, n, args); replication ``rep`` is
-    ``prepare((*args, data_seed, chain_seed))``, seeded by ``_rep_seed``,
-    then its chain, then ``summarise(context, chain)``.  Replications that
-    share n are grouped across cells into chunks of at most
-    ``samplers._ROW_BUDGET`` chain rows, each run by ``_run_chunk`` (its
-    chains stacked by (n, d)); with ``workers`` > 1 the chunks go to one
-    ``spawn`` pool, so scripts that call a driver that way need a
-    ``__main__`` guard.  Returns
-    (cell, results, failures) per cell, a failure as (rep, repr).
-    """
-    reps = config.replications
-    tasks = [
-        (n, (*args, _rep_seed(config.master_seed, cell_index, rep, 0),
-             _rep_seed(config.master_seed, cell_index, rep, 1)))
-        for cell_index, _, n, args in cells for rep in range(reps)
-    ]
-    outcomes = _run_replications(prepare, summarise, tasks, config.n_draws, config.burn_in, workers)
-    out = []
-    for c, (_, cell, _, _) in enumerate(cells):
-        results, failures = [], []
-        for rep, (status, payload) in enumerate(outcomes[c * reps:(c + 1) * reps]):
-            if status == "ok":
-                results.append(payload)
-            else:  # record, never drop silently
-                failures.append((rep, payload))
-        out.append((cell, results, failures))
-    return out
 
 
 def _rows(values, width):
@@ -421,110 +382,129 @@ def _coverage(lower, upper, truth) -> float:
     return float(_mean((lower <= truth) & (truth <= upper)))
 
 
-def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1):
-    """RMSE, subgradient and coverage tables from a single replication pass.
+def _rmse_rows(cell, names, truth, estimates, counts, column_bias=False):
+    """RMSE table rows of a cell, one per parameter.  The bias sums the
+    errors replication by replication, or, with ``column_bias`` (the
+    conditional table), each parameter's alone, pairwise as numpy sums a
+    column; from 8 replications on the two sums can round differently."""
+    err = _rows(estimates, truth.size) - truth
+    rmse, rmse_se = _rmse_and_se(err**2)
+    bias = [_mean(e) for e in err.T] if column_bias else _mean(err)
+    return [
+        {**cell, "parameter": name, "oracle": float(truth[j]), "rmse": float(rmse[j]),
+         "rmse_se": float(rmse_se[j]), "bias": float(bias[j]), **counts}
+        for j, name in enumerate(names)
+    ]
+
+
+def simulation_tables(config: ExperimentConfig = DESK_PROFILE, workers: int = 1, tables=TABLES):
+    """The named ``TABLES`` of a study, from a single replication pass.
 
     Every RMSE carries ``rmse_se``, its Monte Carlo standard error.  Coverage
-    rows cover the location cells (DGPs 1-3) only.  The ``replications``
-    rows keep each successful replication's chain-order posterior mean
-    (``estimate``), its Monte Carlo standard error (``mcse``) and the
-    ``data_seed`` that rebuilds its dataset with ``dgp_sample``; the
-    ``failures`` rows name each failed replication's ``rep`` and ``error``.
-    A cell whose every replication failed keeps its rows, with NaN
-    statistics and ``replications`` 0.
+    rows cover the location cells (DGPs 1-3) only, so a study of coverage
+    alone draws no DGP 4 dataset.  ``conditional`` is the RMSE of the
+    conditional local-constant fit at x0 against its oracle.  The
+    ``replications`` rows keep each successful unconditional replication's
+    chain-order posterior mean (``estimate``), its Monte Carlo standard error
+    (``mcse``) and the ``data_seed`` that rebuilds its dataset with
+    ``dgp_sample``; the ``failures`` rows name each failed replication's
+    ``rep`` and ``error``.  A cell whose every replication failed keeps its
+    rows, with NaN statistics and ``replications`` 0.
+
+    Replication ``rep`` of a cell is seeded by ``_rep_seed`` from the cell's
+    index: unconditional cells are numbered in ``config.cells()`` order and
+    conditional cells from 10_000, so a cell's chains do not depend on the
+    tables asked for.
     """
-    cells = [
-        (i, cell, cell[3], (*cell, config.basis_convention, config.level))
-        for i, cell in enumerate(config.cells())
-    ]
+    tables = set(tables)
+    if not tables or not tables <= set(TABLES):
+        raise DomainError(f"tables must name some of {', '.join(TABLES)}, got {sorted(tables)}")
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
+    unconditional = tables - {"conditional"}
+    cells = []  # (cell index, cell keys, prepare, summarise, args)
+    if unconditional:
+        for i, (dgp, u, tau, n) in enumerate(config.cells()):
+            if dgp == 4 and unconditional == {"coverage"}:
+                continue  # coverage covers the location models only
+            cells.append((i, {"dgp": dgp, "u": u, "tau": tau, "n": n}, _prepare_cell,
+                          _summarise_cell, (dgp, u, tau, n, config.basis_convention, config.level)))
+    if "conditional" in tables:
+        keys = [(tuple(u), tau, n) for u in config.directions for tau in config.taus
+                for n in config.sample_sizes]
+        cells.extend(
+            (10_000 + i, {"u": u, "tau": tau, "n": n, "x0": config.x0}, _prepare_conditional,
+             _summarise_conditional, (u, tau, n, config.x0, config.basis_convention))
+            for i, (u, tau, n) in enumerate(keys)
+        )
+    reps, seed = config.replications, config.master_seed
+    outcomes = _run_replications([
+        (cell["n"], (prepare, summarise,
+                     (*args, _rep_seed(seed, index, rep, 0), _rep_seed(seed, index, rep, 1))))
+        for index, cell, prepare, summarise, args in cells for rep in range(reps)
+    ], config.n_draws, config.burn_in, workers)
+
+    out = {name: [] for name in (*TABLES, "replications", "failures")}
     oracles, sample = {}, {}
-    rmse_rows, sg_rows, cov_rows, rep_rows, fail_rows = [], [], [], [], []
-    for (dgp, u, tau, n), results, failures in _fan_out(
-        config, _prepare_cell, _summarise_cell, cells, workers
-    ):
-        theta0 = _cell_oracle(config, dgp, u, tau, oracles, sample)
-        truth = theta0.as_vector()
-        names = unconditional_param_names(len(theta0.beta_y) + 1, len(theta0.beta_x))
-        cell = {"dgp": dgp, "u": u, "tau": tau, "n": n}
+    for c, (_, cell, _, _, _) in enumerate(cells):
+        source = cell.get("dgp", "conditional")  # the law the cell's oracle is fitted on
+        key = (source, cell["u"], cell["tau"])
+        if key not in oracles:
+            if source not in sample:  # cells come law by law: draw each sample once
+                sample.clear()  # free the previous law's sample before drawing the next
+                sample[source] = (
+                    _conditional_oracle_sample(config.x0, config.oracle_mc_size)
+                    if source == "conditional" else _oracle_sample(source, config.oracle_mc_size)
+                )
+            direction = Direction(u=np.asarray(cell["u"]), tau=cell["tau"])
+            basis = orthonormal_complement(direction.u, convention=config.basis_convention)
+            oracles[key] = frequentist_fit(sample[source], direction, basis=basis).theta
+        results, failures = [], []
+        for rep, (status, payload) in enumerate(outcomes[c * reps:(c + 1) * reps]):
+            if status == "ok":
+                results.append(payload)
+            else:  # record, never drop silently
+                failures.append((rep, payload))
+        out["failures"].extend({**cell, "rep": rep, "error": error} for rep, error in failures)
         counts = {"replications": len(results), "failed": len(failures)}
-        fail_rows.extend({**cell, "rep": rep, "error": error} for rep, error in failures)
-        rep_rows.extend(
+        estimates = [r["estimate"] for r in results]
+        if source == "conditional":
+            truth = np.array([oracles[key].alpha, oracles[key].beta_y[0]])
+            out["conditional"] += _rmse_rows(cell, ("alpha", "beta_y_0"), truth, estimates,
+                                             counts, column_bias=True)
+            continue
+        truth = oracles[key].as_vector()
+        names = unconditional_param_names(len(oracles[key].beta_y) + 1, len(oracles[key].beta_x))
+        out["replications"].extend(
             {**cell, "data_seed": r["data_seed"], "estimate": r["estimate"], "mcse": r["mcse"]}
             for r in results
         )
-        err = _rows([r["estimate"] for r in results], truth.size) - truth
-        rmse, rmse_se = _rmse_and_se(err**2)
-        bias = _mean(err)
-        for j, name in enumerate(names):
-            rmse_rows.append({
-                **cell, "parameter": name, "oracle": truth[j], "rmse": float(rmse[j]),
-                "rmse_se": float(rmse_se[j]), "bias": float(bias[j]), **counts,
-            })
+        out["rmse"] += _rmse_rows(cell, names, truth, estimates, counts)
         sg1 = np.array([r["sg1"] for r in results])
         sg2 = _rows([r["sg2"] for r in results], truth.size - 1)
         tgt = _rows([r["sg2_target"] for r in results], truth.size - 1)
-        stats = [("subgrad1", (sg1 - tau) ** 2), ("subgrad2_y", (sg2[:, 0] - tgt[:, 0]) ** 2)]
+        stats = [("subgrad1", (sg1 - cell["tau"]) ** 2), ("subgrad2_y", (sg2[:, 0] - tgt[:, 0]) ** 2)]
         if sg2.shape[1] > 1:
             stats.append(("subgrad2_x", np.mean((sg2[:, 1:] - tgt[:, 1:]) ** 2, axis=1)))
         for statistic, sq_err in stats:
             rmse, rmse_se = _rmse_and_se(sq_err)
-            sg_rows.append({
+            out["subgradient"].append({
                 **cell, "statistic": statistic, "rmse": float(rmse),
                 "rmse_se": float(rmse_se), **counts,
             })
-        if dgp == 4:  # coverage covers the location models only
+        if source == 4:  # coverage covers the location models only
             continue
         lo, hi = (_rows([r["ci"][i] for r in results], truth.size) for i in (0, 1))
         nlo, nhi = (_rows([r["naive"][i] for r in results], truth.size) for i in (0, 1))
         for j, name in enumerate(names):
-            cov_rows.append({
+            out["coverage"].append({
                 **cell, "parameter": name, "oracle": truth[j],
                 "coverage": _coverage(lo[:, j], hi[:, j], truth[j]),
                 "naive_coverage": _coverage(nlo[:, j], nhi[:, j], truth[j]),
                 "width": float(_mean(hi[:, j] - lo[:, j])), **counts,
             })
-    return {
-        "rmse": rmse_rows, "subgradient": sg_rows, "coverage": cov_rows,
-        "replications": rep_rows, "failures": fail_rows,
-    }
-
-
-def conditional_rmse_experiment(config: ExperimentConfig = DESK_PROFILE, workers: int = 1):
-    """RMSE of the conditional local-constant fit at x0 against its oracle.
-
-    Returns the ``conditional`` rows and the ``failures`` rows, as
-    ``simulation_tables`` does.
-    """
-    keys = [(tuple(u), tau, n) for u in config.directions for tau in config.taus
-            for n in config.sample_sizes]
-    cells = [  # cell indices from 10_000 are disjoint from the unconditional ones
-        (10_000 + i, key, key[2], (*key, config.x0, config.basis_convention))
-        for i, key in enumerate(keys)
-    ]
-    oracles, sample = {}, None
-    rows, fail_rows = [], []
-    for (u, tau, n), results, failures in _fan_out(
-        config, _prepare_conditional, _summarise_conditional, cells, workers
-    ):
-        if (u, tau) not in oracles:
-            if sample is None:  # one sample serves every (u, tau) of the study
-                sample = _conditional_oracle_sample(config.x0, config.oracle_mc_size)
-            direction = Direction(u=np.asarray(u), tau=tau)
-            basis = orthonormal_complement(direction.u, convention=config.basis_convention)
-            theta = frequentist_fit(sample, direction, basis=basis).theta
-            oracles[u, tau] = np.array([theta.alpha, theta.beta_y[0]])
-        truth = oracles[u, tau]
-        cell = {"u": u, "tau": tau, "n": n, "x0": config.x0}
-        fail_rows.extend({**cell, "rep": rep, "error": error} for rep, error in failures)
-        err = _rows([r["estimate"] for r in results], 2) - truth
-        rmse, rmse_se = _rmse_and_se(err**2)
-        for j, name in enumerate(("alpha", "beta_y_0")):
-            rows.append({
-                **cell, "parameter": name, "oracle": float(truth[j]), "rmse": float(rmse[j]),
-                "rmse_se": float(rmse_se[j]), "bias": float(_mean(err[:, j])),
-                "replications": len(results), "failed": len(failures),
-            })
-    return {"conditional": rows, "failures": fail_rows}
+    return {name: rows for name, rows in out.items()
+            if name in tables or name in ("replications", "failures")}
 
 
 def make_star_like(n: int = 2000, seed: int = 7) -> dict:

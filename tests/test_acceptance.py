@@ -38,7 +38,6 @@ from dirquant.simlab import (
     _rmse_and_se,
     _run_replications,
     conditional_params_oracle,
-    conditional_rmse_experiment,
     dgp_sample,
     dgp_stacked_mean,
     DgpSpec,
@@ -147,7 +146,7 @@ DESK = ExperimentConfig(
 
 @pytest.fixture(scope="module")
 def desk_tables():
-    return simulation_tables(DESK)
+    return simulation_tables(DESK, tables=("rmse", "subgradient", "coverage"))
 
 
 def test_criterion_1_population_parameter_oracle():
@@ -245,7 +244,7 @@ def test_criterion_3_coverage():
         return asymptotic_ci(chain, data, direction, basis=basis), naive_ci(chain), z_rep
 
     # the chains run stacked, in engine calls that share (n, d), as in simlab
-    outcomes = _run_replications(prepare, summarise, [(1000, rep) for rep in range(reps)],
+    outcomes = _run_replications([(1000, (prepare, summarise, rep)) for rep in range(reps)],
                                  n_draws=1000, burn_in=200)
     failed_reps = [(rep, payload) for rep, (status, payload) in enumerate(outcomes) if status != "ok"]
     assert not failed_reps, failed_reps
@@ -337,7 +336,7 @@ def test_criterion_4_conditional_model():
     basis = orthonormal_complement(direction.u, convention="ccw")
     alpha0, beta0 = conditional_params_oracle(1.0, direction, mc_size=1_000_000, basis=basis)
     oracle_ok = abs(alpha0 - (-1.23)) <= 0.02 and abs(beta0 - 1.167) <= 0.02
-    rows = {r["parameter"]: r for r in conditional_rmse_experiment(cfg)["conditional"]}
+    rows = {r["parameter"]: r for r in simulation_tables(cfg, tables={"conditional"})["conditional"]}
     ratio_a = rows["alpha"]["rmse"] / 7.10e-2
     ratio_b = rows["beta_y_0"]["rmse"] / 3.35e-2
     rmse_ok = 0.5 <= ratio_a <= 2.0 and 0.5 <= ratio_b <= 2.0

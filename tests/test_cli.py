@@ -396,5 +396,42 @@ class TestCommands:
         )
         assert bad_tau.returncode in (3, 4)  # domain failure surfaces as data error
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("fit", "draws", "abc"), ("fit", "burn_in", "1.5"), ("fit", "seed", "x"),
+        ("fit", "seed", "-1"), ("fit", "tau", "abc"), ("fit", "level", "x"),
+        ("fit", "jitter", "ture"), ("ci", "tau", "abc"), ("ci", "level", "x"),
+        ("contour", "directions", "abc"), ("tube", "directions", "abc"),
+        ("tube", "bandwidth", "wide"), ("elicit", "tau", "x"), ("elicit", "k", "two"),
+        ("elicit", "p", "x"), ("elicit", "alpha_variance", "big"),
+        ("elicit", "beta_variance", "x"), ("elicit", "radius", "x"),
+        ("simulate", "replications", "abc"), ("simulate", "master_seed", "x"),
+        ("simulate", "threads", "x"),
+    ])
+    def test_config_values_exit_2(self, score_csv, tmp_path, capsys, tiny_desk, command, key, value):
+        base = {"input": score_csv, "response": "math,read", "direction": "0,1", "tau": "0.2",
+                "draws": "120", "burn_in": "20", "directions": "8", "x0": "10"}
+        if command == "tube":
+            base.update(covariates="experience", tau="0.2")
+        if command in ("elicit", "simulate"):
+            base = {"tau": "0.2"} if command == "elicit" else {}
+        base[key] = value
+        argv = [command, "--out", str(tmp_path / "out")]
+        for k, v in base.items():
+            argv += ["--set", f"{k}={v}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
+    @pytest.mark.parametrize("settings", [
+        ["--set", "tables=foo"], ["--set", "tables=rmse,foo"], ["--set", "tables="],
+        ["--set", "threads=0"], ["--threads", "0"], ["--set", "replications=0"],
+        ["--set", "sample_sizes=1.5"], ["--set", "sample_sizes=100,0"], ["--set", "sample_sizes="],
+    ])
+    def test_simulate_refuses_bad_input(self, tmp_path, tiny_desk, capsys, settings):
+        out = tmp_path / "out"
+        assert main(["simulate", *settings, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()  # refused before anything is written
+
     def test_main_callable_directly(self, tmp_path):
         assert main(["elicit", "--set", "tau=0.3", "--out", str(tmp_path / "x")]) == 0

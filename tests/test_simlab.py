@@ -19,8 +19,8 @@ from dirquant.samplers import (
 from dirquant.simlab import (
     DgpSpec,
     ExperimentConfig,
+    TABLES,
     conditional_params_oracle,
-    conditional_rmse_experiment,
     dgp4_conditional_sample,
     dgp_sample,
     make_star_like,
@@ -29,6 +29,7 @@ from dirquant.simlab import (
     simulation_tables,
 )
 
+UNCONDITIONAL = ("rmse", "subgradient", "coverage")
 U45 = np.array([1.0, 1.0]) / np.sqrt(2.0)
 U01 = np.array([0.0, 1.0])
 
@@ -60,6 +61,21 @@ FROZEN_SUBGRAD = [
     ({**_CELL, "n": 80, "statistic": "subgrad2_y"}, (0.011179000272049645,)),
     ({**_CELL, "n": 400, "statistic": "subgrad1"}, (0.012183492931011211,)),
     ({**_CELL, "n": 400, "statistic": "subgrad2_y"}, (0.0023274333303511105,)),
+]
+# SMALL's conditional rows at 16 replications, as conditional_rmse_experiment
+# produced them before it was folded into simulation_tables: (cell, (oracle,
+# rmse, rmse_se, bias)).  From 8 replications on, the bias's summation order
+# can show in its last bits; here it does in the n = 80 beta_y_0 row
+_CONDITIONAL_CELL = {"u": (0.0, 1.0), "tau": 0.2, "x0": 1.0}
+FROZEN_CONDITIONAL = [
+    ({**_CONDITIONAL_CELL, "n": 80, "parameter": "alpha"},
+     (-1.5331587949242325, 1.0371193047448104, 0.06383617388799036, -1.0091701349745654)),
+    ({**_CONDITIONAL_CELL, "n": 80, "parameter": "beta_y_0"},
+     (1.5072618475838677, 0.37897279437258163, 0.06295164631828, -0.18714101885112824)),
+    ({**_CONDITIONAL_CELL, "n": 400, "parameter": "alpha"},
+     (-1.5331587949242325, 0.5645503847215625, 0.04385640321867477, -0.5408516849033647)),
+    ({**_CONDITIONAL_CELL, "n": 400, "parameter": "beta_y_0"},
+     (1.5072618475838677, 0.17678735184485989, 0.02270255726265398, 0.054918828977296344)),
 ]
 # SMALL's coverage rows from the separate coverage pass (coverage_experiment):
 # (cell, (oracle, coverage, naive_coverage, width))
@@ -198,7 +214,7 @@ class TestOracles:
             return real(x0, mc_size, *args)
 
         monkeypatch.setattr(simlab, "_conditional_oracle_sample", recorded)
-        rows = conditional_rmse_experiment(cfg)["conditional"]
+        rows = simulation_tables(cfg, tables={"conditional"})["conditional"]
         assert draws == [(cfg.x0, 100_000)]
         assert len(rows) == 2 * len(cfg.directions) * len(cfg.taus)
         for u in cfg.directions:
@@ -237,13 +253,32 @@ class TestExperiments:
         assert a == b
 
     def test_workers_match_serial(self):
-        a = simulation_tables(SMALL)
-        b = simulation_tables(SMALL, workers=2)
+        a = simulation_tables(SMALL, tables=UNCONDITIONAL)
+        b = simulation_tables(SMALL, workers=2, tables=UNCONDITIONAL)
         assert set(a) == set(b) == {"rmse", "subgradient", "coverage", "replications", "failures"}
         for name in a:
             assert same_rows(a[name], b[name]), name
         small = replace(SMALL, sample_sizes=(80,), replications=3)
-        assert conditional_rmse_experiment(small) == conditional_rmse_experiment(small, workers=2)
+        assert (simulation_tables(small, tables={"conditional"})
+                == simulation_tables(small, workers=2, tables={"conditional"}))
+
+    def test_conditional_matches_the_separate_driver(self):
+        tables = simulation_tables(replace(SMALL, replications=16))
+        assert set(tables) == {*TABLES, "replications", "failures"}
+        rows = tables["conditional"]
+        assert len(rows) == len(FROZEN_CONDITIONAL)
+        for row, (cell, value) in zip(rows, FROZEN_CONDITIONAL):
+            assert {k: row[k] for k in cell} == cell
+            assert (row["oracle"], row["rmse"], row["rmse_se"], row["bias"]) == value
+            assert (row["replications"], row["failed"]) == (16, 0)
+
+    def test_tables_are_checked(self):
+        with pytest.raises(DomainError, match="tables"):
+            simulation_tables(SMALL, tables={"rmse", "foo"})
+        with pytest.raises(DomainError, match="tables"):
+            simulation_tables(SMALL, tables=())
+        with pytest.raises(DomainError, match="workers"):
+            simulation_tables(SMALL, workers=0)
 
     def test_combined_tables_match_individual(self):
         # rmse and subgradient rows of SMALL as the separate per-table drivers
@@ -319,7 +354,7 @@ class TestExperiments:
 
         # conditional cells are numbered from 10_000
         monkeypatch.setattr(samplers, "_run_chains", failing(samplers._run_chains, 10_000))
-        cond = conditional_rmse_experiment(replace(cfg, sample_sizes=(80,)))
+        cond = simulation_tables(replace(cfg, sample_sizes=(80,)), tables={"conditional"})
         assert cond["failures"] == [{
             "u": (0.0, 1.0), "tau": 0.2, "n": 80, "x0": 1.0, "rep": 2,
             "error": "RuntimeError('injected failure')",
@@ -333,7 +368,7 @@ class TestExperiments:
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(samplers, "_run_chains", failing)
-        tables = simulation_tables(cfg)
+        tables = simulation_tables(cfg, tables=UNCONDITIONAL)
         error = "RuntimeError('injected failure')"
         assert tables["failures"] == [{**_CELL, "n": 80, "rep": rep, "error": error} for rep in (0, 1)]
         assert tables["replications"] == []
@@ -346,7 +381,7 @@ class TestExperiments:
                 assert all(np.isnan(row[key]) for key in keys)
 
         monkeypatch.setattr(samplers, "_run_chains", failing)
-        cond = conditional_rmse_experiment(cfg)
+        cond = simulation_tables(cfg, tables={"conditional"})
         assert [(r["rep"], r["error"]) for r in cond["failures"]] == [(0, error), (1, error)]
         for row in cond["conditional"]:
             assert (row["replications"], row["failed"]) == (0, 2)
@@ -440,9 +475,9 @@ class TestBatchedChains:
 
         monkeypatch.setattr(samplers, "_run_chains", counted)
         tables = simulation_tables(cfg)
-        cond = conditional_rmse_experiment(cfg)["conditional"]
+        cond = tables["conditional"]
         assert all(b * n <= 250 for b, n, _ in calls) and max(b for b, _, _ in calls) > 1
-        assert len(calls) > 6  # more calls than the six (n, d) groups of the two drivers
+        assert len(calls) > 4  # more calls than the four (n, d) groups of the study
 
         seed = simlab._rep_seed
         assert tables["failures"] == [] and len(tables["replications"]) == 24
@@ -495,7 +530,40 @@ class TestBatchedChains:
         pooled = simulation_tables(cfg, workers=2)
         for name in tables:
             assert same_rows(tables[name], pooled[name]), name
-        assert conditional_rmse_experiment(cfg, workers=2)["conditional"] == cond
+
+    def test_conditional_chains_share_calls_with_location_chains(self, monkeypatch):
+        # one call per (n, d): the conditional chains of an n (d = 2) are
+        # stacked with the DGP 1 chains of that n, and DGP 4 (d = 3) runs apart
+        cfg = replace(self.CFG, directions=((0.0, 1.0),), replications=2)
+        calls = []
+        real = samplers._run_chains
+
+        def counted(problems, *args):
+            calls.append((problems[0].design.shape, sorted(q.sampler for q in problems)))
+            return real(problems, *args)
+
+        monkeypatch.setattr(samplers, "_run_chains", counted)
+        simulation_tables(cfg)
+        both = ["gibbs-conditional"] * 2 + ["gibbs-unconditional"] * 2
+        assert calls == [((60, 2), both), ((60, 3), ["gibbs-unconditional"] * 2),
+                         ((120, 2), both), ((120, 3), ["gibbs-unconditional"] * 2)]
+
+    def test_coverage_alone_draws_no_regression_dataset(self, monkeypatch):
+        draws = []
+        real = simlab.dgp_sample
+
+        def recorded(spec):
+            draws.append(spec.id)
+            return real(spec)
+
+        monkeypatch.setattr(simlab, "dgp_sample", recorded)
+        alone = simulation_tables(self.CFG, tables={"coverage"})
+        assert set(alone) == {"coverage", "replications", "failures"}
+        assert draws and set(draws) == {1}  # neither a replication nor the oracle sample
+        draws.clear()
+        full = simulation_tables(self.CFG)
+        assert set(draws) == {1, 4}
+        assert alone["coverage"] == full["coverage"]
 
     def test_chunks_respect_the_row_budget_and_the_workers(self, monkeypatch):
         monkeypatch.setattr(samplers, "_ROW_BUDGET", 1000)
