@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import warnings
@@ -77,11 +78,26 @@ def _as_int(value: str, key: str, minimum: int | None = None) -> int:
     return number
 
 
-def _as_float(value: str, key: str) -> float:
+def _as_float(value: str, key: str, bounds: tuple | None = None) -> float:
+    """``value`` as a float, inside the open interval ``bounds`` if given."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if bounds is not None and not bounds[0] < number < bounds[1]:
+        raise ConfigError(f"{key} must lie in ({bounds[0]:g}, {bounds[1]:g}), got {value!r}")
+    return number
+
+
+def _choice(value: str, key: str, options) -> str:
+    if value not in options:
+        raise ConfigError(f"{key} must be one of {', '.join(options)}, got {value!r}")
+    return value
+
+
+# open intervals of tau and level, and of the prior variances and bandwidth
+_UNIT = (0.0, 1.0)
+_POSITIVE = (0.0, math.inf)
 
 
 def _get(cfg: dict, key: str, default=None, required: bool = False) -> str:
@@ -209,9 +225,7 @@ def _load_common(cfg: dict):
     path = _get(cfg, "input", required=True)
     responses = _as_list(_get(cfg, "response", required=True))
     covariates = _as_list(_get(cfg, "covariates", ""))
-    jitter = _get(cfg, "jitter", "false").lower()
-    if jitter not in ("1", "true", "yes", "0", "false", "no"):
-        raise ConfigError(f"jitter must be true or false, got {jitter!r}")
+    jitter = _choice(_get(cfg, "jitter", "false").lower(), "jitter", ("1", "true", "yes", "0", "false", "no"))
     seed = _as_int(_get(cfg, "seed", "0"), "seed", minimum=0)
     data, report = ingest_csv(path, responses, covariates, jitter=jitter in ("1", "true", "yes"),
                               seed=seed)
@@ -241,12 +255,13 @@ def _out_dir(cfg: dict, args) -> str:
 
 
 def _cmd_fit(cfg: dict, args) -> int:
-    data, report, seed = _load_common(cfg)
     u = np.array(_as_floats(_get(cfg, "direction", required=True)))
-    u = u / np.linalg.norm(u)
-    tau = _as_float(_get(cfg, "tau", required=True), "tau")
-    direction = Direction(u=u, tau=tau)
+    if not 0.0 < np.linalg.norm(u) < math.inf:
+        raise ConfigError(f"direction must be a nonzero finite vector, got {u.tolist()}")
+    direction = Direction(u=u / np.linalg.norm(u), tau=_as_float(_get(cfg, "tau", required=True), "tau", _UNIT))
+    level = _as_float(_get(cfg, "level", "0.95"), "level", _UNIT)
     draws, burn = _sampler_settings(cfg)
+    data, report, seed = _load_common(cfg)
     prior = _prior_from_config(cfg, data.k + data.p)
     chain = gibbs_unconditional(data, direction, prior, n_draws=draws, burn_in=burn, seed=seed)
     out = _out_dir(cfg, args)
@@ -265,7 +280,7 @@ def _cmd_fit(cfg: dict, args) -> int:
     sg = subgradient_diagnostics(data, direction, theta)
     summary["subgradient"] = {"sg1": sg.sg1, "sg2": [float(v) for v in sg.sg2], "n": sg.n}
     if data.p == 0 and data.k == 2:
-        ci = asymptotic_ci(chain, data, direction, level=_as_float(_get(cfg, "level", "0.95"), "level"))
+        ci = asymptotic_ci(chain, data, direction, level=level)
         summary["ci"] = {
             "names": list(ci.names),
             "lower": [float(v) for v in ci.lower],
@@ -284,11 +299,13 @@ def _cmd_contour(cfg: dict, args) -> int:
             "config key 'simultaneous' is no longer supported: independent per-direction "
             "chains give the same posterior, and every bayes-mean contour runs them"
         )
-    data, report, seed = _load_common(cfg)
-    taus = _as_floats(_get(cfg, "tau", required=True))
-    n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions")
-    estimator = _get(cfg, "estimator", "bayes-mean")
+    if _as_list(_get(cfg, "covariates", "")):
+        raise ConfigError("contour takes no covariates; tube slices the conditional quantile regions")
+    taus = _as_floats(_get(cfg, "tau", required=True))  # tau_contours checks each before any fit
+    n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions", minimum=3)
+    estimator = _choice(_get(cfg, "estimator", "bayes-mean"), "estimator", ("bayes-mean", "frequentist"))
     draws, burn = _sampler_settings(cfg)
+    data, report, seed = _load_common(cfg)
     out = _out_dir(cfg, args)
     prov = io.provenance_block(cfg, seed)
     polys = tau_contours(data, taus, n_directions=n_dir, estimator=estimator,
@@ -302,16 +319,17 @@ def _cmd_contour(cfg: dict, args) -> int:
 
 
 def _cmd_tube(cfg: dict, args) -> int:
-    data, report, seed = _load_common(cfg)
-    if data.p < 1:
-        raise ConfigError("tube requires at least one covariate column")
-    taus = _as_floats(_get(cfg, "tau", required=True))
+    if not _as_list(_get(cfg, "covariates", "")):
+        raise ConfigError("tube requires at least one covariate column (covariates)")
+    taus = [_as_float(v, "tau", _UNIT) for v in _as_list(_get(cfg, "tau", required=True))]
     x0s = _as_floats(_get(cfg, "x0", required=True))
-    n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions")
+    n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions", minimum=3)
     draws, burn = _sampler_settings(cfg)
-    kind = _get(cfg, "design", "local-constant")
+    kind = _choice(_get(cfg, "design", "local-constant"), "design", ("local-constant", "local-bilinear"))
     h = _get(cfg, "bandwidth", None)
-    kernel = KernelSpec(bandwidth=_as_float(h, "bandwidth") if h else default_bandwidth(data.x))
+    bandwidth = _as_float(h, "bandwidth", _POSITIVE) if h else None
+    data, report, seed = _load_common(cfg)
+    kernel = KernelSpec(bandwidth=bandwidth or default_bandwidth(data.x))
     out = _out_dir(cfg, args)
     prov = io.provenance_block(cfg, seed)
     for tau in taus:
@@ -326,16 +344,19 @@ def _cmd_tube(cfg: dict, args) -> int:
 
 
 def _cmd_ci(cfg: dict, args) -> int:
-    data, report, seed = _load_common(cfg)
-    if data.p != 0:
-        raise ConfigError("asymptotic intervals are not supported by the method for p > 0")
+    if _as_list(_get(cfg, "covariates", "")):
+        raise ConfigError("asymptotic intervals are not supported by the method for p > 0 (covariates)")
+    if len(_as_list(_get(cfg, "response", required=True))) != 2:
+        raise ConfigError("interval construction is implemented for k = 2 only: give 2 response columns")
     u = np.array(_as_floats(_get(cfg, "direction", required=True)))
-    u = u / np.linalg.norm(u)
-    direction = Direction(u=u, tau=_as_float(_get(cfg, "tau", required=True), "tau"))
+    if not 0.0 < np.linalg.norm(u) < math.inf:
+        raise ConfigError(f"direction must be a nonzero finite vector, got {u.tolist()}")
+    direction = Direction(u=u / np.linalg.norm(u), tau=_as_float(_get(cfg, "tau", required=True), "tau", _UNIT))
+    level = _as_float(_get(cfg, "level", "0.95"), "level", _UNIT)
     draws, burn = _sampler_settings(cfg)
+    data, report, seed = _load_common(cfg)
     prior = _prior_from_config(cfg, data.k)
     chain = gibbs_unconditional(data, direction, prior, n_draws=draws, burn_in=burn, seed=seed)
-    level = _as_float(_get(cfg, "level", "0.95"), "level")
     ci = asymptotic_ci(chain, data, direction, level=level)
     nci = naive_ci(chain, level=level)
     out = _out_dir(cfg, args)
@@ -356,18 +377,16 @@ def _cmd_ci(cfg: dict, args) -> int:
 
 
 def _cmd_simulate(cfg: dict, args) -> int:
-    profile = _get(cfg, "profile", "desk")
-    if profile == "desk":
-        config = simlab.DESK_PROFILE
-    elif profile == "paper":
-        config = simlab.PAPER_PROFILE
-    else:
-        raise ConfigError(f"unknown profile {profile!r} (use desk or paper)")
+    profile = _choice(_get(cfg, "profile", "desk"), "profile", ("desk", "paper"))
+    config = simlab.DESK_PROFILE if profile == "desk" else simlab.PAPER_PROFILE
     overrides = {}
     if "replications" in cfg:
         overrides["replications"] = _as_int(cfg["replications"], "replications", minimum=1)
     if "sample_sizes" in cfg:
-        sizes = tuple(_as_int(v, "sample_sizes", minimum=1) for v in _as_list(cfg["sample_sizes"]))
+        # every chain needs more rows than its design [y_perp, x, 1] has
+        # columns, or it has no init fit and starts from the prior mean
+        columns = max(simlab.dgp_stacked_mean(dgp).size + 1 for dgp in config.dgps)
+        sizes = tuple(_as_int(v, "sample_sizes", minimum=columns + 1) for v in _as_list(cfg["sample_sizes"]))
         if not sizes:
             raise ConfigError("sample_sizes must list at least one sample size")
         overrides["sample_sizes"] = sizes
@@ -393,15 +412,16 @@ def _cmd_simulate(cfg: dict, args) -> int:
 
 
 def _cmd_elicit(cfg: dict, args) -> int:
-    tau = _as_float(_get(cfg, "tau", required=True), "tau")
-    family = _get(cfg, "family", "standard-normal")
-    k = _as_int(_get(cfg, "k", "2"), "k")
-    p = _as_int(_get(cfg, "p", "0"), "p")
+    tau = _as_float(_get(cfg, "tau", required=True), "tau", _UNIT)
+    family = _choice(_get(cfg, "family", "standard-normal"), "family",
+                     ("standard-normal", "uniform-ball", "custom-radius"))
+    k = _as_int(_get(cfg, "k", "2"), "k", minimum=2)
+    p = _as_int(_get(cfg, "p", "0"), "p", minimum=0)
     radius = _get(cfg, "radius", None)
     prior = spherical_prior(
         tau, family, k, p,
-        alpha_variance=_as_float(_get(cfg, "alpha_variance", "1000"), "alpha_variance"),
-        beta_variance=_as_float(_get(cfg, "beta_variance", "1000"), "beta_variance"),
+        alpha_variance=_as_float(_get(cfg, "alpha_variance", "1000"), "alpha_variance", _POSITIVE),
+        beta_variance=_as_float(_get(cfg, "beta_variance", "1000"), "beta_variance", _POSITIVE),
         radius=_as_float(radius, "radius") if radius is not None else None,
     )
     out = _out_dir(cfg, args)

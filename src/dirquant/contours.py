@@ -34,7 +34,7 @@ import numpy as np
 from . import constants
 from .ald import HyperplaneParams
 from .errors import DomainError, NumericalError, ShapeError, UnboundedRegionError
-from .geometry import Dataset, Direction, OrthoBasis, orthonormal_complement, unit_directions
+from .geometry import Dataset, Direction, OrthoBasis, orthonormal_complement, project, unit_directions
 from .optimize import _direction_problem, fit_prepared
 from .samplers import (
     KernelSpec,
@@ -45,7 +45,6 @@ from .samplers import (
     _unconditional_problem,
     _vague_prior,
     make_conditional_design,
-    project,
 )
 from .inference import posterior_mean
 
@@ -385,7 +384,7 @@ def tube_slice(
         design = make_conditional_design(projected, data.x, x0, design_kind)
         block_prior = _vague_prior(design.dim) if prior is None else prior
         problem = _conditional_problem(data, dirs[idx], design, kernel, block_prior,
-                                       seed=_direction_seed(seed, idx), basis=bases[idx])
+                                       seed=_direction_seed(seed, idx))
         return problem, design
 
     planes = []

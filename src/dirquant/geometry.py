@@ -180,11 +180,12 @@ def orthonormal_complement(u, convention: str = "positive") -> OrthoBasis:
     return OrthoBasis(gamma)
 
 
-def project(data: Dataset, direction: Direction, basis: OrthoBasis) -> ProjectedData:
-    """Project responses onto the direction and its orthonormal complement."""
+def project(data: Dataset, direction: Direction, basis: OrthoBasis | None = None) -> ProjectedData:
+    """Project responses onto the direction and its orthonormal complement,
+    by default ``orthonormal_complement(direction.u)``."""
     if direction.k != data.k:
         raise ShapeError("direction dimension does not match the data")
-    gamma = basis.gamma
+    gamma = (orthonormal_complement(direction.u) if basis is None else basis).gamma
     if gamma.shape != (data.k, data.k - 1):
         raise ShapeError(
             f"basis must be {data.k} x {data.k - 1}, got {gamma.shape}"

@@ -104,9 +104,10 @@ def posterior_mean(chain: Chain):
 
 def lower_halfspace_indicator(data: Dataset, direction: Direction, theta: HyperplaneParams, basis: OrthoBasis | None = None) -> np.ndarray:
     """Strict membership of each observation in the open lower quantile halfspace."""
-    if basis is None:
-        basis = orthonormal_complement(direction.u)
-    projected = project(data, direction, basis)
+    return _lower_halfspace(data, project(data, direction, basis), theta)
+
+
+def _lower_halfspace(data: Dataset, projected, theta: HyperplaneParams) -> np.ndarray:
     resid = projected.y_u - theta.alpha - projected.y_perp @ theta.beta_y - data.x @ theta.beta_x
     return resid < 0.0
 
@@ -117,10 +118,8 @@ def subgradient_diagnostics(
     theta: HyperplaneParams,
     basis: OrthoBasis | None = None,
 ) -> SubgradReport:
-    if basis is None:
-        basis = orthonormal_complement(direction.u)
     projected = project(data, direction, basis)
-    below = lower_halfspace_indicator(data, direction, theta, basis=basis)
+    below = _lower_halfspace(data, projected, theta)
     stacked = np.column_stack([projected.y_perp, data.x])
     return SubgradReport(
         sg1=float(np.mean(below)),

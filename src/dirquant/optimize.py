@@ -109,7 +109,7 @@ import numpy as np
 from . import constants
 from .ald import HyperplaneParams
 from .errors import DomainError, RankError, ShapeError
-from .geometry import Dataset, Direction, OrthoBasis, check_loss, orthonormal_complement, project
+from .geometry import Dataset, Direction, OrthoBasis, check_loss, project
 
 __all__ = ["FitResult", "CheckLossProblem", "fit_prepared", "fit_check_loss", "frequentist_fit"]
 
@@ -423,7 +423,7 @@ class CheckLossProblem:
         self.y_mu, self.y_sd = y_mu, y_sd
 
 
-def fit_prepared(problem: CheckLossProblem, tau, schedule=constants.SMOOTHING_SCHEDULE):
+def fit_prepared(problem: CheckLossProblem, tau):
     """Minimize sum_i w_i * rho_tau(y_i - design_i' theta) over theta for a
     prepared problem.
 
@@ -438,7 +438,7 @@ def fit_prepared(problem: CheckLossProblem, tau, schedule=constants.SMOOTHING_SC
         raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
     p = problem
     solve = _preprocessed_solve if p.n >= PREPROCESS_ROWS else _solve
-    theta_s, total_iter, converged, stage_obj = solve(p.zs, p.ys, tau, p.w, schedule)
+    theta_s, total_iter, converged, stage_obj = solve(p.zs, p.ys, tau, p.w, constants.SMOOTHING_SCHEDULE)
     stage_obj = [s * p.y_sd for s in stage_obj]
 
     # undo standardization: y = y_mu + y_sd * ys, z_j = col_mu_j + col_sd_j * zs_j
@@ -460,20 +460,24 @@ def fit_prepared(problem: CheckLossProblem, tau, schedule=constants.SMOOTHING_SC
     )
 
 
-def fit_check_loss(design, y, tau, weights=None, schedule=constants.SMOOTHING_SCHEDULE):
+def fit_check_loss(design, y, tau, weights=None):
     """``fit_prepared`` at one tau, on ``CheckLossProblem(design, y, weights)``."""
-    return fit_prepared(CheckLossProblem(design, y, weights), tau, schedule)
+    return fit_prepared(CheckLossProblem(design, y, weights), tau)
+
+
+def _direction_design(data: Dataset, direction: Direction, basis: OrthoBasis | None = None):
+    """Direction u's design [y_perp, x, 1] and its response y_u, the
+    coefficient order (beta_y, beta_x, alpha) of fits and chains alike."""
+    projected = project(data, direction, basis)
+    return np.column_stack([projected.y_perp, data.x, np.ones(data.n)]), projected.y_u
 
 
 def _direction_problem(data: Dataset, direction: Direction, weights=None,
                        basis: OrthoBasis | None = None) -> CheckLossProblem:
-    """The prepared problem of direction u: design [y_perp, x, 1] against
-    y_u.  It depends on u only, so one serves every tau."""
-    if basis is None:
-        basis = orthonormal_complement(direction.u)
-    projected = project(data, direction, basis)
-    design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
-    return CheckLossProblem(design, projected.y_u, weights)
+    """The prepared problem of direction u's ``_direction_design``.  It
+    depends on u only, so one serves every tau."""
+    design, y_u = _direction_design(data, direction, basis)
+    return CheckLossProblem(design, y_u, weights)
 
 
 def frequentist_fit(

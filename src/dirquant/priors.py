@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -37,50 +38,19 @@ __all__ = [
     "ratio_normals_is_bimodal",
 ]
 
-# Acklam's rational approximation to the standard normal quantile, followed by
-# one Halley refinement step through erf; absolute error well below 1e-9.
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_cdf(x):
     x = np.asarray(x, dtype=float)
-    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+    return np.vectorize(_STANDARD_NORMAL.cdf, otypes=[float])(x)
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF via rational approximation plus refinement."""
+    """Inverse standard normal CDF (``statistics.NormalDist``)."""
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile argument must lie in (0, 1), got {p!r}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
-            ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    # Halley step on f(x) = Phi(x) - p
-    for _ in range(2):
-        e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-        u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-        x = x - u / (1.0 + x * u / 2.0)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 @dataclass(frozen=True)

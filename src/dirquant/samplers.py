@@ -47,15 +47,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .ald import HyperplaneParams, mixture_constants
+from .ald import mixture_constants
 from .errors import (
     DegenerateWindowError,
     DomainError,
     NumericalError,
     ShapeError,
 )
-from .geometry import Dataset, Direction, OrthoBasis, orthonormal_complement, project
-from .optimize import fit_check_loss
+from .geometry import Dataset, Direction, OrthoBasis
+from .optimize import _direction_design, fit_check_loss
 
 __all__ = [
     "PriorSpec",
@@ -134,7 +134,7 @@ class Chain:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel weight function; only the Gaussian kernel is implemented.
+    """Gaussian kernel weight function of bandwidth h.
 
     ``normalized`` includes the (2 pi h^2)^(-p/2) density factor.  Without it
     the kernel peaks at 1, so the wide-bandwidth limit gives unit weights and
@@ -142,19 +142,17 @@ class KernelSpec:
     """
 
     bandwidth: float
-    kind: str = "gaussian"
     normalized: bool = True
 
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise DomainError("bandwidth must be positive")
-        if self.kind != "gaussian":
-            raise DomainError(f"unsupported kernel kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class ConditionalDesign:
-    """Regressors for a conditional fit at covariate value x0.
+    """Regressors for a conditional fit at covariate value x0, with the
+    response y_u of the projection they came from.
 
     local-constant rows are [1, y_perp']; local-bilinear rows are the
     Kronecker product [1, y_perp'] (x) [1, (x - x0)'].
@@ -165,15 +163,19 @@ class ConditionalDesign:
     regressors: np.ndarray
     k: int
     p: int
+    response: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         object.__setattr__(self, "regressors", np.atleast_2d(np.asarray(self.regressors, dtype=float)))
+        object.__setattr__(self, "response", np.asarray(self.response, dtype=float))
         if self.kind not in ("local-constant", "local-bilinear"):
             raise DomainError(f"unknown conditional design kind {self.kind!r}")
         q = self.k if self.kind == "local-constant" else self.k * (self.p + 1)
         if self.regressors.shape[1] != q:
             raise ShapeError(f"{self.kind} design must have {q} columns")
+        if self.response.shape != (self.regressors.shape[0],):
+            raise ShapeError("response length does not match the design rows")
 
     @property
     def dim(self) -> int:
@@ -393,16 +395,9 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     return out
 
 
-def _resolve_init(init, design, y, direction, weights, prior, allow_hyperplane=True):
+def _resolve_init(init, design, y, direction, weights, prior):
     if init is not None:
-        if isinstance(init, HyperplaneParams):
-            if not allow_hyperplane:
-                raise ShapeError(
-                    "conditional chains are design-ordered; pass a plain vector init"
-                )
-            vec = init.as_vector()
-        else:
-            vec = np.atleast_1d(np.asarray(init, dtype=float))
+        vec = np.atleast_1d(np.asarray(init, dtype=float))
         if vec.size != design.shape[1]:
             raise ShapeError("initial point does not match the parameter dimension")
         return vec
@@ -456,11 +451,7 @@ def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None
         p = data.p
         if prior.dim != k + p:
             raise ShapeError(f"prior dimension must be {k + p}, got {prior.dim}")
-        if basis is None:
-            basis = orthonormal_complement(direction.u)
-        projected = project(data, direction, basis)
-        y = projected.y_u
-        design = np.column_stack([projected.y_perp, data.x, np.ones(data.n)])
+        design, y = _direction_design(data, direction, basis)
     theta0 = _resolve_init(init, design, y, direction, None, prior)
     weights = np.broadcast_to(1.0, y.shape)  # unit weights, without a buffer
     return _ChainProblem(y, design, weights, direction.tau, prior, theta0, int(seed),
@@ -586,26 +577,22 @@ def make_conditional_design(projected, x, x0, kind: str) -> ConditionalDesign:
         regressors = np.einsum("ni,nj->nij", a, bmat).reshape(n, -1)
     else:
         raise DomainError(f"unknown conditional design kind {kind!r}")
-    return ConditionalDesign(kind=kind, x0=x0, regressors=regressors, k=k, p=p)
+    return ConditionalDesign(kind=kind, x0=x0, regressors=regressors, k=k, p=p,
+                             response=projected.y_u)
 
 
-def _conditional_problem(data, direction, design, kernel, prior, seed=0, init=None,
-                         basis=None) -> _ChainProblem:
-    """The chain ``gibbs_conditional`` runs: the design's regressors and the
-    kernel weights K_h(x_i - x0)."""
+def _conditional_problem(data, direction, design, kernel, prior, seed=0, init=None) -> _ChainProblem:
+    """The chain ``gibbs_conditional`` runs: the design's regressors and
+    response, and the kernel weights K_h(x_i - x0)."""
     if prior.dim != design.dim:
         raise ShapeError(f"prior dimension must be {design.dim}, got {prior.dim}")
-    if basis is None:
-        basis = orthonormal_complement(direction.u)
-    projected = project(data, direction, basis)
     if design.regressors.shape[0] != data.n:
         raise ShapeError("design rows do not match the data")
     weights = kernel_weights(kernel, data.x, design.x0)
     if float(np.max(weights, initial=0.0)) < constants.WEIGHT_FLOOR:
         raise DegenerateWindowError("all kernel weights underflowed at this x0")
-    theta0 = _resolve_init(init, design.regressors, projected.y_u, direction,
-                           weights, prior, allow_hyperplane=False)
-    return _ChainProblem(projected.y_u, design.regressors, weights, direction.tau, prior, theta0,
+    theta0 = _resolve_init(init, design.regressors, design.response, direction, weights, prior)
+    return _ChainProblem(design.response, design.regressors, weights, direction.tau, prior, theta0,
                          int(seed), "gibbs-conditional", design.names())
 
 
@@ -619,7 +606,6 @@ def gibbs_conditional(
     burn_in: int = constants.DEFAULT_BURN_IN,
     seed: int = 0,
     init=None,
-    basis: OrthoBasis | None = None,
 ) -> Chain:
     """Kernel-weighted Gibbs sampler for a conditional quantile fit at x0.
 
@@ -629,5 +615,5 @@ def gibbs_conditional(
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")
-    problem = _conditional_problem(data, direction, design, kernel, prior, seed, init, basis)
+    problem = _conditional_problem(data, direction, design, kernel, prior, seed, init)
     return _run_chains([problem], n_draws, burn_in)[0]

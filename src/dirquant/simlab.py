@@ -284,8 +284,7 @@ def _prepare_conditional(args):
     design = make_conditional_design(projected, data.x, np.array([x0]), "local-constant")
     kernel = KernelSpec(bandwidth=default_bandwidth(data.x))
     prior = _vague_prior(design.dim)
-    problem = _conditional_problem(data, direction, design, kernel, prior,
-                                   seed=chain_seed, basis=basis)
+    problem = _conditional_problem(data, direction, design, kernel, prior, seed=chain_seed)
     return problem, None
 
 

@@ -1,7 +1,27 @@
+import sys
+
 import numpy as np
 import pytest
 
+from dirquant import geometry
 from dirquant.geometry import Dataset, Direction
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """A list that gets one entry per ``geometry.project`` call made through
+    any dirquant module that binds it."""
+    calls = []
+    real = geometry.project
+
+    def counted(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs["direction"])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dirquant.") and getattr(module, "project", None) is real:
+            monkeypatch.setattr(module, "project", counted)
+    return calls
 
 
 @pytest.fixture

@@ -339,6 +339,17 @@ class TestCommands:
         assert payload["family"] == "uniform-ball"
         assert payload["mean"][-1] == pytest.approx(-payload["radius"])
 
+    @pytest.mark.parametrize("tau, radius", [
+        ("0.05", "1.6448536269514715"), ("0.2", "0.8416212335729144"), ("0.4", "0.2533471031357998"),
+    ])
+    def test_elicit_standard_normal_radius(self, tmp_path, tau, radius):
+        # the radius is NormalDist().inv_cdf(1 - tau), written with repr
+        out = tmp_path / "oe"
+        assert main(["elicit", "--set", f"tau={tau}", "--out", str(out)]) == 0
+        assert repr(json.load(open(out / "prior.json"))["radius"]) == radius
+        assert (out / "prior.cfg").read_text() == (
+            f"prior_mean = 0.0, -{radius}\nprior_variance = 1000.0, 1000.0\n")
+
     def test_simulate_desk_profile_reduced(self, tmp_path, tiny_desk):
         assert main([
             "simulate", "--set", "profile=desk", "--set", "replications=2",
@@ -394,7 +405,7 @@ class TestCommands:
             "fit", "--set", f"input={score_csv}", "--set", "response=math,read",
             "--set", "direction=0,1", "--set", "tau=1.5",
         )
-        assert bad_tau.returncode in (3, 4)  # domain failure surfaces as data error
+        assert bad_tau.returncode == 2  # a config value out of range
 
     @pytest.mark.parametrize("command, key, value", [
         ("fit", "draws", "abc"), ("fit", "burn_in", "1.5"), ("fit", "seed", "x"),
@@ -406,6 +417,12 @@ class TestCommands:
         ("elicit", "beta_variance", "x"), ("elicit", "radius", "x"),
         ("simulate", "replications", "abc"), ("simulate", "master_seed", "x"),
         ("simulate", "threads", "x"),
+        # out of range: refused before ingest, so nothing is written
+        ("contour", "estimator", "foo"), ("fit", "direction", "0,0"), ("fit", "tau", "1.5"),
+        ("tube", "design", "foo"), ("elicit", "family", "foo"), ("contour", "directions", "2"),
+        ("ci", "level", "2"), ("fit", "level", "2"), ("ci", "response", "math,read,experience"),
+        ("contour", "covariates", "experience"), ("tube", "tau", "0"), ("tube", "bandwidth", "-1"),
+        ("elicit", "k", "1"), ("elicit", "alpha_variance", "0"), ("simulate", "profile", "foo"),
     ])
     def test_config_values_exit_2(self, score_csv, tmp_path, capsys, tiny_desk, command, key, value):
         base = {"input": score_csv, "response": "math,read", "direction": "0,1", "tau": "0.2",
@@ -421,11 +438,15 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("settings", [
         ["--set", "tables=foo"], ["--set", "tables=rmse,foo"], ["--set", "tables="],
         ["--set", "threads=0"], ["--threads", "0"], ["--set", "replications=0"],
         ["--set", "sample_sizes=1.5"], ["--set", "sample_sizes=100,0"], ["--set", "sample_sizes="],
+        # DGP 4's design [y_perp, x, 1] has 3 columns, so n must be at least 4
+        ["--set", "sample_sizes=1", "--set", "replications=2", "--set", "tables=rmse"],
+        ["--set", "sample_sizes=100,3"],
     ])
     def test_simulate_refuses_bad_input(self, tmp_path, tiny_desk, capsys, settings):
         out = tmp_path / "out"

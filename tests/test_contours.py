@@ -455,7 +455,7 @@ class TestBatchedDirections:
         return Dataset(y=y, x=x)
 
     @pytest.mark.parametrize("kind", ["local-constant", "local-bilinear"])
-    def test_tube_matches_per_direction_chains(self, kind, monkeypatch):
+    def test_tube_matches_per_direction_chains(self, kind, monkeypatch, projections):
         data = self._regression_data()
         kernel = KernelSpec(bandwidth=0.3)
         x0 = np.array([0.0])
@@ -465,14 +465,15 @@ class TestBatchedDirections:
         poly = tube_slice(data, 0.3, x0, kernel, design_kind=kind, n_directions=self.N_DIR,
                           n_draws=self.DRAWS, burn_in=self.BURN, seed=self.SEED)
         assert calls == [5, 5, 2]
+        # one projection per chain: its design carries the response
+        assert [d.u.tobytes() for d in projections] == [u.tobytes() for u in unit_directions(self.N_DIR)]
         dirs, bases = self._directions(0.3)
         planes = []
         for i, (direction, basis) in enumerate(zip(dirs, bases)):
             design = make_conditional_design(project(data, direction, basis), data.x, x0, kind)
             prior = PriorSpec(mean=np.zeros(design.dim), covariance=1000.0 * np.eye(design.dim))
             chain = gibbs_conditional(data, direction, design, kernel, prior, n_draws=self.DRAWS,
-                                      burn_in=self.BURN, seed=contours._direction_seed(self.SEED, i),
-                                      basis=basis)
+                                      burn_in=self.BURN, seed=contours._direction_seed(self.SEED, i))
             alpha, beta_y = design.params_at_x0(chain.post_burn().mean(axis=0))
             theta = HyperplaneParams(alpha=alpha, beta_y=beta_y, beta_x=None)
             planes.append(to_upper_halfplane(theta, direction, basis))

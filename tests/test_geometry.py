@@ -113,6 +113,13 @@ class TestProjection:
         rebuilt = np.outer(pr.y_u, direction.u) + pr.y_perp @ basis.gamma.T
         assert np.max(np.abs(rebuilt - data.y)) < 1e-10
 
+    def test_default_basis_is_the_complement(self, diag_direction):
+        data = Dataset(y=np.random.default_rng(3).normal(size=(50, 2)))
+        default = project(data, diag_direction)
+        explicit = project(data, diag_direction, orthonormal_complement(diag_direction.u))
+        assert default.y_u.tobytes() == explicit.y_u.tobytes()
+        assert default.y_perp.tobytes() == explicit.y_perp.tobytes()
+
     def test_dimension_mismatch(self, diag_direction):
         data = Dataset(y=np.zeros((4, 3)) + np.eye(4, 3))
         basis = orthonormal_complement(np.array([1.0, 0.0, 0.0]))

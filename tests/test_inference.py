@@ -116,6 +116,11 @@ class TestSubgradients:
         assert report.sg2.shape == (1,)
         assert report.n == normal_data.n
 
+    def test_one_projection_per_call(self, square_data, diag_direction, projections):
+        theta = HyperplaneParams(alpha=-0.26, beta_y=np.array([0.05]))
+        subgradient_diagnostics(square_data, diag_direction, theta)
+        assert projections == [diag_direction]
+
     def test_deterministic_membership(self, square_data, diag_direction):
         theta = HyperplaneParams(alpha=-0.26, beta_y=np.array([0.05]))
         a = subgradient_diagnostics(square_data, diag_direction, theta)

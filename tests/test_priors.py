@@ -41,6 +41,15 @@ class TestNormalQuantile:
         with pytest.raises(DomainError):
             normal_quantile(0.0)
 
+    @pytest.mark.parametrize("p, reference", [
+        # 17-digit roots of Phi(x) = p for the double p, found at 50 digits
+        (1e-6, -4.7534243088228990),
+        (0.95, 1.6448536269514723),
+        (0.999999, 4.7534243088170878),
+    ])
+    def test_matches_high_precision_references(self, p, reference):
+        assert abs(normal_quantile(p) - reference) < 1e-14
+
 
 class TestRadii:
     def test_normal_radius_values(self):

@@ -115,7 +115,7 @@ class TestConjugateUpdate:
         latents = rng.exponential(size=(1, 150)) + 0.05
         self._fix_latents(monkeypatch, latents)
         chain = gibbs_conditional(data, diag_direction, design, kernel, prior, n_draws=self.N_DRAWS,
-                                  burn_in=1, seed=42, init=np.zeros(4), basis=basis)
+                                  burn_in=1, seed=42, init=np.zeros(4))
         mean, cov = self._oracle(design.regressors, projected.y_u, weights, diag_direction.tau,
                                  latents[0], prior)
         self._assert_draws_follow(chain.draws, mean, cov)
@@ -214,7 +214,7 @@ class TestGibbsConditional:
         assert np.allclose(w, 1.0, atol=1e-12)
         cond = gibbs_conditional(data, diag_direction, design, kernel,
                                  PriorSpec(np.zeros(2), 1000.0 * np.eye(2)),
-                                 n_draws=4000, burn_in=500, seed=21, basis=basis)
+                                 n_draws=4000, burn_in=500, seed=21)
         unc = gibbs_unconditional(Dataset(y=base.y), diag_direction, PRIOR2,
                                   n_draws=4000, burn_in=500, seed=22, basis=basis)
         cond_mean = cond.post_burn().mean(axis=0)  # (alpha, beta)
@@ -254,6 +254,14 @@ class TestGibbsConditional:
         assert np.allclose(design.regressors[i], expected)
         alpha, beta = design.params_at_x0(np.array([1.0, 2.0, 3.0, 4.0]))
         assert alpha == 1.0 and np.allclose(beta, [3.0])
+
+    def test_design_carries_its_response(self, diag_direction):
+        data = self._setup()
+        projected = project(data, diag_direction)
+        design = make_conditional_design(projected, data.x, np.array([1.0]), "local-constant")
+        assert design.response.tobytes() == projected.y_u.tobytes()
+        with pytest.raises(ShapeError):
+            dataclasses.replace(design, response=projected.y_u[1:])
 
     def test_degenerate_window(self, diag_direction):
         data = self._setup()

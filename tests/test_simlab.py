@@ -461,6 +461,12 @@ class TestBatchedChains:
         oracle_mc_size=100_000,
     )
 
+    def test_conditional_replication_projects_once(self, projections):
+        problem, _ = simlab._prepare_conditional((tuple(U45), 0.2, 150, 1.0, "positive", 3, 4))
+        data = dgp4_conditional_sample(150, seed=3)
+        assert [d.u.tobytes() for d in projections] == [U45.tobytes()]
+        assert problem.y.tobytes() == (data.y @ U45).tobytes()
+
     def test_tables_match_per_replication_chains(self, monkeypatch):
         cfg = self.CFG
         # 250 rows per call: chunks of 4 chains at n = 60 and 2 at n = 120,
@@ -512,7 +518,7 @@ class TestBatchedChains:
                     data, direction, design, KernelSpec(bandwidth=default_bandwidth(data.x)),
                     PriorSpec(mean=np.zeros(2), covariance=1000.0 * np.eye(2)),
                     n_draws=cfg.n_draws, burn_in=cfg.burn_in,
-                    seed=seed(cfg.master_seed, 10_000 + i, rep, 1), basis=basis,
+                    seed=seed(cfg.master_seed, 10_000 + i, rep, 1),
                 )
                 estimates.append(posterior_vector(chain))
             rows = cond[2 * i:2 * i + 2]
