@@ -254,11 +254,20 @@ def _out_dir(cfg: dict, args) -> str:
     return out
 
 
-def _cmd_fit(cfg: dict, args) -> int:
+def _direction(cfg: dict) -> Direction:
+    """The config's direction, one entry per response column, normalized,
+    at its tau."""
     u = np.array(_as_floats(_get(cfg, "direction", required=True)))
+    k = len(_as_list(_get(cfg, "response", required=True)))
+    if u.size != k:
+        raise ConfigError(f"direction must have one entry per response column ({k}), got {u.tolist()}")
     if not 0.0 < np.linalg.norm(u) < math.inf:
         raise ConfigError(f"direction must be a nonzero finite vector, got {u.tolist()}")
-    direction = Direction(u=u / np.linalg.norm(u), tau=_as_float(_get(cfg, "tau", required=True), "tau", _UNIT))
+    return Direction(u=u / np.linalg.norm(u), tau=_as_float(_get(cfg, "tau", required=True), "tau", _UNIT))
+
+
+def _cmd_fit(cfg: dict, args) -> int:
+    direction = _direction(cfg)
     level = _as_float(_get(cfg, "level", "0.95"), "level", _UNIT)
     draws, burn = _sampler_settings(cfg)
     data, report, seed = _load_common(cfg)
@@ -301,7 +310,7 @@ def _cmd_contour(cfg: dict, args) -> int:
         )
     if _as_list(_get(cfg, "covariates", "")):
         raise ConfigError("contour takes no covariates; tube slices the conditional quantile regions")
-    taus = _as_floats(_get(cfg, "tau", required=True))  # tau_contours checks each before any fit
+    taus = [_as_float(v, "tau", _UNIT) for v in _as_list(_get(cfg, "tau", required=True))]
     n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions", minimum=3)
     estimator = _choice(_get(cfg, "estimator", "bayes-mean"), "estimator", ("bayes-mean", "frequentist"))
     draws, burn = _sampler_settings(cfg)
@@ -348,10 +357,7 @@ def _cmd_ci(cfg: dict, args) -> int:
         raise ConfigError("asymptotic intervals are not supported by the method for p > 0 (covariates)")
     if len(_as_list(_get(cfg, "response", required=True))) != 2:
         raise ConfigError("interval construction is implemented for k = 2 only: give 2 response columns")
-    u = np.array(_as_floats(_get(cfg, "direction", required=True)))
-    if not 0.0 < np.linalg.norm(u) < math.inf:
-        raise ConfigError(f"direction must be a nonzero finite vector, got {u.tolist()}")
-    direction = Direction(u=u / np.linalg.norm(u), tau=_as_float(_get(cfg, "tau", required=True), "tau", _UNIT))
+    direction = _direction(cfg)
     level = _as_float(_get(cfg, "level", "0.95"), "level", _UNIT)
     draws, burn = _sampler_settings(cfg)
     data, report, seed = _load_common(cfg)

@@ -2,8 +2,9 @@
 
 The confidence intervals follow a sandwich construction for posteriors built
 from a misspecified working likelihood: n times the chain covariance plays
-the inverse-curvature role and the score covariance is assembled from moment
-estimators in response space, mapped into parameter space by the basis.
+the inverse-curvature role and the score covariance is the empirical
+covariance of the per-row scores in response space, mapped into parameter
+space by the basis.
 The construction covers the location model (p = 0, k = 2) only.
 """
 
@@ -131,23 +132,24 @@ def subgradient_diagnostics(
 def score_covariance_matrix(data: Dataset, direction: Direction, theta: HyperplaneParams, basis: OrthoBasis | None = None) -> np.ndarray:
     """(k+1) x (k+1) score covariance in response space.
 
-    Top-left entry is tau*(1-tau) exactly; the off-diagonal blocks are
-    tau*(1-tau) times the response mean, and the lower-right block is the
-    covariance (1/n convention) of (tau - 1{lower halfspace}) * y.
+    The covariance (1/n convention) of the per-row scores
+    psi_i = (tau - 1{i in the lower halfspace}) * (1, y_i): one estimator for
+    every block, so the matrix is positive semidefinite however far the
+    responses lie from the origin (Yang, Wang & He 2016, Int. Stat. Review
+    84(3), take the same robust "meat").  Its lower-right block is the
+    covariance of (tau - 1{lower halfspace}) * y.
     """
     tau = direction.tau
     below = lower_halfspace_indicator(data, direction, theta, basis=basis)
-    y = data.y
-    mean_y = y.mean(axis=0)
-    g = (tau - below.astype(float))[:, None] * y
+    s = tau - below.astype(float)
+    g = s[:, None] * data.y
     g_centered = g - g.mean(axis=0)
-    var_g = g_centered.T @ g_centered / data.n
+    s_centered = s - s.mean()
     k = data.k
     out = np.empty((k + 1, k + 1))
-    out[0, 0] = tau * (1.0 - tau)
-    out[0, 1:] = tau * (1.0 - tau) * mean_y
-    out[1:, 0] = tau * (1.0 - tau) * mean_y
-    out[1:, 1:] = var_g
+    out[0, 0] = s_centered @ s_centered / data.n
+    out[1:, 0] = out[0, 1:] = s_centered @ g_centered / data.n
+    out[1:, 1:] = g_centered.T @ g_centered / data.n
     return out
 
 
@@ -204,9 +206,15 @@ def asymptotic_ci(
     v_tau_ab = v_mcmc_ab @ middle @ v_mcmc_ab
     v_tau = perm.T @ v_tau_ab @ perm  # back to chain order
 
+    variances = np.diag(v_tau)
+    bad = np.flatnonzero(variances <= 0)
+    if bad.size:
+        labels = [chain.names[j] for j in bad] if chain.names else bad.tolist()
+        messages.append(f"sandwich variance is not positive for {labels}; their intervals collapse")
+        warnings.warn(messages[-1], RuntimeWarning, stacklevel=2)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     estimate = post.mean(axis=0)
-    std_error = np.sqrt(np.maximum(np.diag(v_tau), 0.0) / n)
+    std_error = np.sqrt(np.maximum(variances, 0.0) / n)
     return CiResult(
         estimate=estimate,
         std_error=std_error,

@@ -55,7 +55,7 @@ from .errors import (
     ShapeError,
 )
 from .geometry import Dataset, Direction, OrthoBasis
-from .optimize import _direction_design, fit_check_loss
+from .optimize import CheckLossProblem, _direction_design, _fit_schedule
 
 __all__ = [
     "PriorSpec",
@@ -134,15 +134,10 @@ class Chain:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian kernel weight function of bandwidth h.
-
-    ``normalized`` includes the (2 pi h^2)^(-p/2) density factor.  Without it
-    the kernel peaks at 1, so the wide-bandwidth limit gives unit weights and
-    the conditional model collapses onto the unconditional one.
-    """
+    """Gaussian kernel weight function of bandwidth h, the normal density
+    (2 pi h^2)^(-p/2) exp(-|x - x0|^2 / (2 h^2))."""
 
     bandwidth: float
-    normalized: bool = True
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -395,6 +390,11 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     return out
 
 
+# a chain starts from the check-loss fit through this many stages of the
+# smoothing schedule (optimize docstring): burn-in does the rest
+_INIT_STAGES = 3
+
+
 def _resolve_init(init, design, y, direction, weights, prior):
     if init is not None:
         vec = np.atleast_1d(np.asarray(init, dtype=float))
@@ -403,11 +403,13 @@ def _resolve_init(init, design, y, direction, weights, prior):
         return vec
     n, d = design.shape
     if n > d:
-        fit = fit_check_loss(design, y, direction.tau, weights=weights)
+        stages = constants.SMOOTHING_SCHEDULE[:_INIT_STAGES]
+        fit = _fit_schedule(CheckLossProblem(design, y, weights), direction.tau, stages)
         if not fit.converged:
             warnings.warn(
                 f"check-loss fit for the initial point did not converge (tau={direction.tau}, "
-                f"u={direction.u.tolist()}, {fit.iterations} iterations); the chain starts "
+                f"u={direction.u.tolist()}, {fit.iterations} iterations over the smoothing "
+                f"stages eps = {', '.join(f'{eps:g}' for eps in stages)}); the chain starts "
                 "from its last iterate",
                 RuntimeWarning,
                 stacklevel=4,
@@ -528,7 +530,8 @@ def gibbs_unconditional(
     Alternates latent-scale draws (one nu = 1/2 GIG variable per
     observation) with an exact conjugate normal draw of theta.  ``data=None``
     runs the sampler with zero observations, i.e. draws from the prior.
-    Initialized at ``init`` or, by default, at the frequentist fit.
+    Initialized at ``init`` or, by default, at the check-loss fit through
+    the first ``_INIT_STAGES`` stages of the smoothing schedule.
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")
@@ -544,8 +547,7 @@ def kernel_weights(kernel: KernelSpec, x, x0) -> np.ndarray:
         raise ShapeError("x0 dimension does not match the covariates")
     h = kernel.bandwidth
     sq = np.sum((x - x0) ** 2, axis=1)
-    norm = (2.0 * np.pi * h * h) ** (-0.5 * x0.size) if kernel.normalized else 1.0
-    return norm * np.exp(-0.5 * sq / (h * h))
+    return (2.0 * np.pi * h * h) ** (-0.5 * x0.size) * np.exp(-0.5 * sq / (h * h))
 
 
 def default_bandwidth(x, rule_constant: float = 9.0) -> float:

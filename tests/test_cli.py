@@ -11,7 +11,10 @@ import pytest
 import dirquant
 from dirquant import cli, samplers, simlab
 from dirquant.cli import ingest_csv, main, parse_config_text
+from dirquant.ald import HyperplaneParams
 from dirquant.errors import ConfigError, DataError
+from dirquant.geometry import Direction
+from dirquant.inference import score_covariance_matrix
 from dirquant.io import provenance_block, read_chain, write_chain, write_json
 from dirquant.samplers import Chain
 
@@ -280,15 +283,15 @@ class TestCommands:
 
     @pytest.mark.parametrize("estimator", ["frequentist", "bayes-mean"])
     def test_contour_bad_tau_writes_no_polygon(self, score_csv, tmp_path, capsys, estimator):
-        # every tau is checked before the first fit or chain, so a bad tau
-        # late in the list leaves no contour of the good ones behind
+        # every tau is checked before ingest, so a bad tau late in the list
+        # is a config error and leaves no contour of the good ones behind
         out = tmp_path / "oc"
         argv = ["contour", "--set", f"input={score_csv}", "--set", "response=math,read",
                 "--set", "tau=0.2,1.5", "--set", "directions=8", "--set", f"estimator={estimator}",
                 "--set", "draws=60", "--set", "burn_in=10", "--out", str(out)]
-        assert main(argv) == 3
-        assert "depth must lie in (0, 1), got 1.5" in capsys.readouterr().err
-        assert not [name for name in os.listdir(out) if name.startswith("contour_")]
+        assert main(argv) == 2
+        assert "config error: tau must lie in (0, 1), got '1.5'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_contour_refuses_the_removed_simultaneous_key(self, score_csv, tmp_path, capsys, value):
@@ -330,6 +333,13 @@ class TestCommands:
         assert np.all(lower < est) and np.all(est < upper)
         assert np.all(nlower < est) and np.all(est < nupper)
         assert np.all(np.array(payload["std_error"]) > 0)
+        # the scores lie near 520, far from the origin; the score covariance
+        # at the estimate stays positive semidefinite there
+        data, _ = ingest_csv(score_csv, ["math", "read"], jitter=True, seed=0)
+        direction = Direction(u=np.array([0.0, 1.0]), tau=0.2)
+        theta = HyperplaneParams(alpha=est[1], beta_y=est[:1])
+        eig = np.linalg.eigvalsh(score_covariance_matrix(data, direction, theta))
+        assert eig.min() >= -1e-12 * eig.max()
 
     def test_elicit_command(self, tmp_path):
         out = str(tmp_path / "oe")
@@ -419,6 +429,7 @@ class TestCommands:
         ("simulate", "threads", "x"),
         # out of range: refused before ingest, so nothing is written
         ("contour", "estimator", "foo"), ("fit", "direction", "0,0"), ("fit", "tau", "1.5"),
+        ("fit", "direction", "1,1,1"), ("ci", "direction", "1"), ("contour", "tau", "0.2,1.5"),
         ("tube", "design", "foo"), ("elicit", "family", "foo"), ("contour", "directions", "2"),
         ("ci", "level", "2"), ("fit", "level", "2"), ("ci", "response", "math,read,experience"),
         ("contour", "covariates", "experience"), ("tube", "tau", "0"), ("tube", "bandwidth", "-1"),

@@ -364,14 +364,15 @@ class TestTubeSlice:
         y[:, 1] += 0.5 * x[:, 0]
         return Dataset(y=y, x=x)
 
-    def test_wide_kernel_matches_unconditional_contour(self):
-        # unnormalized kernel with huge bandwidth: every weight is exactly 1,
-        # so the slice samples the same posterior as the marginal contour;
-        # agreement is limited by per-chain Monte Carlo error only
+    def test_unit_kernel_weights_match_unconditional_contour(self):
+        # every covariate at x0 and the bandwidth 1/sqrt(2 pi), at which the
+        # kernel's peak is 1: every weight is 1 to the last bit or two, so
+        # the slice samples the marginal contour's posterior; agreement is
+        # limited by per-chain Monte Carlo error only
         data = self._regression_data(n=2500)
-        kernel = KernelSpec(bandwidth=1e9, normalized=False)
-        w_probe = np.exp(-0.5 * (data.x[:, 0] / 1e9) ** 2)
-        assert np.all(w_probe == 1.0)
+        data = Dataset(y=data.y, x=np.zeros((data.n, 1)))
+        kernel = KernelSpec(bandwidth=1.0 / np.sqrt(2.0 * np.pi))
+        assert np.allclose(samplers.kernel_weights(kernel, data.x, [0.0]), 1.0, rtol=0.0, atol=1e-15)
         sliced = tube_slice(data, 0.2, 0.0, kernel, n_directions=12,
                             n_draws=4000, burn_in=500, seed=6)
         marginal = tau_contour(Dataset(y=data.y), 0.2, n_directions=12,

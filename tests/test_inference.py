@@ -8,6 +8,7 @@ from dirquant.inference import (
     asymptotic_ci,
     chain_diagnostics,
     effective_sample_size,
+    lower_halfspace_indicator,
     naive_ci,
     posterior_mean,
     score_covariance_matrix,
@@ -49,15 +50,32 @@ class TestPosteriorMean:
             Chain(draws=np.zeros((5, 2)), burn_in=5, seed=0, sampler="metropolis")
 
 
+def _scores(data, direction, theta):
+    """The per-row scores psi_i = (tau - 1{i below}) * (1, y_i)."""
+    below = lower_halfspace_indicator(data, direction, theta)
+    return (direction.tau - below)[:, None] * np.column_stack([np.ones(data.n), data.y])
+
+
 class TestScoreCovariance:
-    def test_top_left_is_tau_variance(self, square_data, diag_direction):
+    def test_is_the_score_covariance(self, square_data, diag_direction):
         theta = HyperplaneParams(alpha=-0.26, beta_y=np.array([0.0]))
         v_c = score_covariance_matrix(square_data, diag_direction, theta)
-        tau = diag_direction.tau
-        assert v_c[0, 0] == tau * (1.0 - tau)  # exact by construction
+        psi = _scores(square_data, diag_direction, theta)
         assert v_c.shape == (3, 3)
-        assert np.allclose(v_c, v_c.T)
-        assert np.allclose(v_c[0, 1:], tau * (1 - tau) * square_data.y.mean(axis=0))
+        assert np.array_equal(v_c, v_c.T)
+        np.testing.assert_allclose(v_c, np.cov(psi.T, bias=True), rtol=1e-12, atol=1e-15)
+        # the lower-right block keeps its bytes: the covariance of (tau - 1{below}) * y
+        g = psi[:, 1:] - psi[:, 1:].mean(axis=0)
+        assert np.array_equal(v_c[1:, 1:], g.T @ g / square_data.n)
+
+    def test_positive_semidefinite_far_from_the_origin(self, square_data, diag_direction):
+        # responses near 520, as test scores are: a mixed estimator (population
+        # tau(1-tau) corner, empirical lower-right block) loses definiteness here
+        theta = HyperplaneParams(alpha=520.0 * np.sqrt(2.0) - 0.26, beta_y=np.array([0.0]))
+        data = Dataset(y=square_data.y + 520.0)
+        v_c = score_covariance_matrix(data, diag_direction, theta)
+        eig = np.linalg.eigvalsh(v_c)
+        assert eig.min() >= -1e-12 * eig.max()
 
 
 class TestAsymptoticCi:

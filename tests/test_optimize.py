@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from dirquant import optimize
+
+from dirquant import constants, optimize, samplers
 from dirquant.errors import DomainError, RankError
 from dirquant.geometry import Dataset, Direction, check_loss, orthonormal_complement, project, unit_directions
 from dirquant.optimize import fit_check_loss, frequentist_fit
@@ -238,6 +241,92 @@ class TestPreprocessing:
         rng = np.random.default_rng(seed)
         z = np.column_stack([rng.standard_normal((n, 2)), np.ones(n)])
         return z, z @ np.array([0.3, -0.2, 1.0]) + rng.standard_t(3, n)
+
+
+# sha256 over theta, objective, stage objectives, iterations and convergence
+# of frequentist_fit on 2,000 fixed rows at 3 taus x 8 directions, as the
+# code before chains started from a shortened schedule gave them (the
+# reduced problem's bytes are pinned by test_tau_contours)
+FROZEN_FIT_SHA256 = "07d2b47329eb425b1ea3dd8f42c57cd4a9cfeb60d570b3a8e43b066a6c38062e"
+
+
+class TestChainStarts:
+    """A chain starts from the check-loss fit through the first
+    ``samplers._INIT_STAGES`` stages of the schedule; every frequentist fit
+    runs the whole schedule."""
+
+    @staticmethod
+    def _standardized(problem, theta):
+        """A raw coefficient vector of a design with a constant column, in
+        the problem's standardized units (fit_prepared's map, inverted)."""
+        p, const = problem, problem.const_col
+        out = np.where(const, 0.0, theta * p.col_sd / p.y_sd)
+        j = int(np.flatnonzero(const)[0])
+        shift = np.sum(np.where(const, 0.0, theta * p.col_mu))
+        out[j] = (theta[j] * p.z[0, j] - p.y_mu + shift) / p.y_sd
+        return out
+
+    @pytest.mark.parametrize("n, median_gap, largest_gap", [(100, 0.01, 0.1), (2000, 0.025, 0.25)])
+    def test_start_lies_near_the_full_fit(self, n, median_gap, largest_gap):
+        # the largest coefficient gap of each of a 32-direction, 3-tau
+        # contour's starts, times sqrt(n).  At n = 2,000 one or two of the 96
+        # problems lie beyond 0.1 on most star-like samples (0.14 on this one,
+        # at most 0.22 over seeds 1-6), where the loss is flat along the gap
+        data = _star_scores(n, seed=1)
+        gaps = []
+        for tau in (0.05, 0.2, 0.4):
+            for u in unit_directions(32):
+                direction = Direction(u=u, tau=tau)
+                design, y = optimize._direction_design(data, direction)
+                start = samplers._resolve_init(None, design, y, direction, None, None)
+                problem = optimize.CheckLossProblem(design, y)
+                full = optimize.fit_prepared(problem, tau)
+                assert len(full.stage_objectives) == len(constants.SMOOTHING_SCHEDULE)
+                gap = self._standardized(problem, start) - self._standardized(problem, full.theta)
+                gaps.append(np.max(np.abs(gap)) * np.sqrt(n))
+        assert np.median(gaps) < median_gap
+        assert max(gaps) < largest_gap
+
+    def test_large_start_is_certified_at_its_last_eps(self, monkeypatch):
+        n = optimize.PREPROCESS_ROWS
+        data = _star_scores(n, seed=2)
+        direction = Direction(u=unit_directions(32)[5], tau=0.2)
+        design, y = optimize._direction_design(data, direction)
+        schedules, certified, solved_rows = [], [], []
+        real_pre, real_misplaced, real_solve = optimize._preprocessed_solve, optimize._misplaced, optimize._solve
+
+        def pre(zs, ys, tau, w, schedule):
+            schedules.append(schedule)
+            return real_pre(zs, ys, tau, w, schedule)
+
+        def misplaced(r, lower, upper, eps):
+            certified.append((eps, bool(np.all(r[lower] <= -eps) and np.all(r[upper] >= eps))))
+            return real_misplaced(r, lower, upper, eps)
+
+        def solve(zs, *args):
+            solved_rows.append(zs.shape[0])
+            return real_solve(zs, *args)
+
+        monkeypatch.setattr(optimize, "_preprocessed_solve", pre)
+        monkeypatch.setattr(optimize, "_misplaced", misplaced)
+        monkeypatch.setattr(optimize, "_solve", solve)
+        start = samplers._resolve_init(None, design, y, direction, None, None)
+        assert schedules == [constants.SMOOTHING_SCHEDULE[:samplers._INIT_STAGES]] == [(1e-1, 1e-2, 1e-3)]
+        assert certified and certified[-1] == (1e-3, True)
+        assert max(solved_rows) < n  # certified on the reduced rows, no full solve
+        assert np.all(np.isfinite(start)) and start.shape == (2,)  # (beta_y, alpha)
+
+    def test_frequentist_fits_keep_their_bytes(self):
+        y = np.random.default_rng(16).standard_normal((2000, 2))
+        data = Dataset(y=y @ np.array([[1.0, 0.0], [0.6, 0.8]]) + 3.0)
+        h = hashlib.sha256()
+        for tau in (0.05, 0.2, 0.4):
+            for u in unit_directions(8):
+                fit = frequentist_fit(data, Direction(u=u, tau=tau))
+                h.update(fit.theta.as_vector().tobytes())
+                h.update(np.array([fit.objective, *fit.stage_objectives]).tobytes())
+                h.update(np.array([fit.iterations, fit.converged]).tobytes())
+        assert h.hexdigest() == FROZEN_FIT_SHA256
 
 
 def _standardized_by_numpy(z, y):

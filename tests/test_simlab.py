@@ -45,45 +45,47 @@ SMALL = ExperimentConfig(
     oracle_mc_size=100_000,
 )
 
-# SMALL's tables from the per-table drivers: (cell, (rmse, bias)) per rmse row,
-# (cell, (rmse,)) per subgradient row.  The oracle and the values measured
-# against it follow the 1e5-row oracle fit, which takes optimize's
-# preprocessed path; the estimates do not depend on it
+# SMALL's rmse and subgradient rows, frozen from the one study pass:
+# (cell, (rmse, bias)) per rmse row, (cell, (rmse,)) per subgradient row.
+# The oracle and the values measured against it follow the 1e5-row oracle
+# fit, which takes optimize's preprocessed path; the estimates do not depend
+# on it.  Chains start from the first samplers._INIT_STAGES stages of the
+# smoothing schedule, and the chain-derived values are those of that start
 _CELL = {"dgp": 1, "u": (0.0, 1.0), "tau": 0.2}
 FROZEN_RMSE = [
-    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (0.11061693111792859, 0.08582102668995997)),
-    ({**_CELL, "n": 80, "parameter": "alpha"}, (0.05168661105210062, 0.02384117910334215)),
-    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (0.058464260491604386, -0.01982385837441875)),
-    ({**_CELL, "n": 400, "parameter": "alpha"}, (0.013827742023951622, -0.002693700645440375)),
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (0.11862166333809085, 0.0904394760234482)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (0.04878081018834229, 0.01729329054507548)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (0.06387198125499627, -0.023633940505282985)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (0.012612565124515949, -0.0027733671178395147)),
 ]
 FROZEN_SUBGRAD = [
-    ({**_CELL, "n": 80, "statistic": "subgrad1"}, (0.024206145913796363,)),
-    ({**_CELL, "n": 80, "statistic": "subgrad2_y"}, (0.011179000272049645,)),
-    ({**_CELL, "n": 400, "statistic": "subgrad1"}, (0.012183492931011211,)),
-    ({**_CELL, "n": 400, "statistic": "subgrad2_y"}, (0.0023274333303511105,)),
+    ({**_CELL, "n": 80, "statistic": "subgrad1"}, (0.041926274578121064,)),
+    ({**_CELL, "n": 80, "statistic": "subgrad2_y"}, (0.01276798279454447,)),
+    ({**_CELL, "n": 400, "statistic": "subgrad1"}, (0.014630874888399537,)),
+    ({**_CELL, "n": 400, "statistic": "subgrad2_y"}, (0.002527574487448744,)),
 ]
-# SMALL's conditional rows at 16 replications, as conditional_rmse_experiment
-# produced them before it was folded into simulation_tables: (cell, (oracle,
-# rmse, rmse_se, bias)).  From 8 replications on, the bias's summation order
-# can show in its last bits; here it does in the n = 80 beta_y_0 row
+# SMALL's conditional rows at 16 replications, frozen from the same pass:
+# (cell, (oracle, rmse, rmse_se, bias)).  From 8 replications on, the bias's
+# summation order can show in its last bits
 _CONDITIONAL_CELL = {"u": (0.0, 1.0), "tau": 0.2, "x0": 1.0}
 FROZEN_CONDITIONAL = [
     ({**_CONDITIONAL_CELL, "n": 80, "parameter": "alpha"},
-     (-1.5331587949242325, 1.0371193047448104, 0.06383617388799036, -1.0091701349745654)),
+     (-1.5331587949242325, 1.034394655599579, 0.06354546491679905, -1.0064966577986443)),
     ({**_CONDITIONAL_CELL, "n": 80, "parameter": "beta_y_0"},
-     (1.5072618475838677, 0.37897279437258163, 0.06295164631828, -0.18714101885112824)),
+     (1.5072618475838677, 0.35294564309722765, 0.05474776114280354, -0.16203582207004183)),
     ({**_CONDITIONAL_CELL, "n": 400, "parameter": "alpha"},
-     (-1.5331587949242325, 0.5645503847215625, 0.04385640321867477, -0.5408516849033647)),
+     (-1.5331587949242325, 0.5609048540916907, 0.038721381814375865, -0.5426341814935581)),
     ({**_CONDITIONAL_CELL, "n": 400, "parameter": "beta_y_0"},
-     (1.5072618475838677, 0.17678735184485989, 0.02270255726265398, 0.054918828977296344)),
+     (1.5072618475838677, 0.16601944939567617, 0.020898856580893632, 0.052399561843501)),
 ]
-# SMALL's coverage rows from the separate coverage pass (coverage_experiment):
+# SMALL's coverage rows, frozen from the same pass, with the score
+# covariance of inference.score_covariance_matrix behind the widths:
 # (cell, (oracle, coverage, naive_coverage, width))
 FROZEN_COVERAGE = [
-    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.0033881001147872875, 1.0, 1.0, 0.5665097757768431)),
-    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.29939831992686927, 1.0, 1.0, 0.2208204295296658)),
-    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.0033881001147872875, 1.0, 1.0, 0.29448915045257373)),
-    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.29939831992686927, 1.0, 1.0, 0.07318093782036345)),
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.0033881001147872875, 1.0, 1.0, 0.5558523711611195)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.29939831992686927, 1.0, 1.0, 0.19691191180669687)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.0033881001147872875, 1.0, 1.0, 0.30596336304473915)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.29939831992686927, 1.0, 1.0, 0.07181604522772786)),
 ]
 
 
@@ -263,6 +265,7 @@ class TestExperiments:
                 == simulation_tables(small, workers=2, tables={"conditional"}))
 
     def test_conditional_matches_the_separate_driver(self):
+        # the conditional rows against their frozen values
         tables = simulation_tables(replace(SMALL, replications=16))
         assert set(tables) == {*TABLES, "replications", "failures"}
         rows = tables["conditional"]
@@ -281,9 +284,7 @@ class TestExperiments:
             simulation_tables(SMALL, workers=0)
 
     def test_combined_tables_match_individual(self):
-        # rmse and subgradient rows of SMALL as the separate per-table drivers
-        # (rmse_experiment, subgradient_experiment) produced them before they
-        # were folded into the single pass of simulation_tables
+        # rmse and subgradient rows of SMALL against their frozen values
         tables = simulation_tables(SMALL)
         for rows, frozen in ((tables["rmse"], FROZEN_RMSE), (tables["subgradient"], FROZEN_SUBGRAD)):
             assert len(rows) == len(frozen)
@@ -308,6 +309,7 @@ class TestExperiments:
         assert len({r["data_seed"] for r in reps}) == len(reps)
 
     def test_coverage_matches_the_separate_pass(self):
+        # the coverage rows against their frozen values
         rows = simulation_tables(SMALL)["coverage"]
         assert len(rows) == len(FROZEN_COVERAGE)
         for row, (cell, value) in zip(rows, FROZEN_COVERAGE):

@@ -4,7 +4,10 @@
 it.  The reference here rebuilds each (tau, u) fit from public pieces, with
 its own projection, design and ``fit_check_loss`` call, and the polygons
 must agree byte for byte on both sides of ``optimize.PREPROCESS_ROWS``.
+Frozen digests pin the polygons' bytes as well.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -112,3 +115,25 @@ def test_bad_tau_fails_before_any_fit(estimator, monkeypatch):
     data = Dataset(y=np.random.default_rng(25).standard_normal((200, 2)))
     with pytest.raises(DomainError, match="depth must lie in"):
         tau_contours(data, (0.2, 1.5), 8, estimator=estimator)
+
+
+# sha256 over the vertex bytes of the 3 taus' frequentist polygons, 8
+# directions, as the code before chains started from a shortened smoothing
+# schedule gave them: frequentist fits keep the whole schedule
+FROZEN_FREQUENTIST_SHA256 = {
+    "2e3 normal": "b9c69a066fa3238bdb15b2e2bca4252e7d1e164c743a8f06e71b6c697bd8b515",
+    "1e5 scores": "6c1a2c9fd924965aa36d3f4e0146c0d5a9a4953bed8796c88c69970bc8965d0c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FREQUENTIST_SHA256))
+def test_frequentist_polygons_keep_their_bytes(name, scores):
+    if name == "1e5 scores":
+        data, n_directions = scores, 8
+    else:
+        y = np.random.default_rng(16).standard_normal((2000, 2))
+        data, n_directions = Dataset(y=y @ np.array([[1.0, 0.0], [0.6, 0.8]]) + 3.0), 16
+    h = hashlib.sha256()
+    for poly in tau_contours(data, (0.05, 0.2, 0.4), n_directions, estimator="frequentist"):
+        h.update(poly.vertices.tobytes())
+    assert h.hexdigest() == FROZEN_FREQUENTIST_SHA256[name]
