@@ -7,20 +7,24 @@ quantile contour.  Halfplanes are array rows (normal_x, normal_y, offset);
 intersection uses the classic angular-sweep deque algorithm over directed
 boundary lines with the feasible side on the left.  Depth is exact.
 
-A Bayes-mean contour and a tube slice run one chain per direction, through
-the samplers' runner: the directions go in grid order, in chunks of at most
-``samplers._ROW_BUDGET`` chain rows (``samplers._chunks``), one stacked
-engine call per chunk (``samplers._isolated_chains``), and a chunk is
-prepared (projection, design, init fit) only when it runs, so at most one
-chunk of prepared chains is alive.  Each direction keeps the seed
-``_direction_seed(seed, index)``, so every chain, posterior mean and polygon
-is that of one chain per direction.  A chain that fails names its direction.
+Contours run direction by direction: a direction's design [y_perp, x, 1]
+depends on u only, so ``tau_contours`` projects and prepares it once
+(``optimize.CheckLossProblem``) for every tau.  A frequentist contour set
+fits every tau on it, with one direction's problem alive at a time.
 
-A frequentist contour set runs direction by direction instead: a direction's
-design depends on u only, so ``tau_contours`` projects and prepares it once
-(``optimize.CheckLossProblem``) and fits every tau on it, with one
-direction's problem alive at a time.  Each polygon is byte for byte the one
-that separate per-(tau, u) fits give.
+A Bayes-mean contour set and a tube slice run one chain per (tau,
+direction), through the samplers' runner: the directions go in grid order,
+in chunks of whole directions, every tau's chain of each, of at most
+``samplers._ROW_BUDGET`` chain rows (``samplers._chunks``), one stacked
+engine call per chunk (``samplers._isolated_chains``).  A chunk is prepared
+(projection, design, one start fit per tau on the prepared problem) only
+when it runs, so at most one chunk of prepared chains is alive.  Each
+direction keeps the seed ``_direction_seed(seed, index)`` at every tau, so
+its chains share one random stream, drawn once per sweep, and every chain,
+posterior mean and polygon is that of one chain per (tau, direction): a
+contour is the one its tau gives alone.  A chain that fails names its
+direction and tau.  Each polygon, frequentist or Bayes, is byte for byte the
+one that separate per-(tau, u) fits or chains give.
 """
 
 from __future__ import annotations
@@ -216,30 +220,38 @@ def _direction_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1)[0])
 
 
-def _direction_chains(prepare, dirs, n, n_draws, burn_in):
-    """(chain, context) per direction, in order, from stacked engine calls.
+def _direction_chains(prepare, columns, n, n_draws, burn_in):
+    """Per grid direction, in order, its (chain, context) pairs, one per tau,
+    from stacked engine calls.
 
-    ``prepare(index)`` returns direction ``index``'s prepared chain and the
-    context its caller needs.  Each chunk of ``samplers._chunks`` is prepared
-    only when it runs, so at most one chunk of problems is alive.  Each chain
-    keeps its own seed, so its bytes are those of a lone run.  The first
-    failed chain raises: a ``NumericalError`` again, naming the direction,
-    and any other exception as it is.
+    ``columns[i]`` holds direction ``i`` at each tau, and ``prepare(i)``
+    returns its prepared chains, one per tau, each with the context its
+    caller needs.  A chunk of ``samplers._chunks`` holds whole directions,
+    every tau of each, so the chains of one direction, which share its seed,
+    share one random stream; a chunk is prepared only when it runs, so at
+    most one chunk of problems is alive.  Each chain's bytes are those of a
+    lone run.  The first failed chain raises: a ``NumericalError`` again,
+    naming the direction and tau, and any other exception as it is.
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")
-    for chunk in _chunks([n] * len(dirs)):
+    for chunk in _chunks([len(columns[0]) * n] * len(columns)):
         prepared = [prepare(i) for i in chunk]
-        chains = _isolated_chains([problem for problem, _ in prepared], n_draws, burn_in)
-        for i, chain, (_, context) in zip(chunk, chains, prepared):
-            if isinstance(chain, NumericalError):
-                raise NumericalError(
-                    f"chain of direction {i} (u={dirs[i].u.tolist()}, tau={dirs[i].tau}) "
-                    f"failed: {chain}"
-                ) from chain
-            if isinstance(chain, Exception):
-                raise chain
-            yield chain, context
+        chains = _isolated_chains([problem for column in prepared for problem, _ in column],
+                                  n_draws, burn_in)
+        for i, column in zip(chunk, prepared):
+            pairs = []
+            for direction, (_, context) in zip(columns[i], column):
+                chain = next(chains)
+                if isinstance(chain, NumericalError):
+                    raise NumericalError(
+                        f"chain of direction {i} (u={direction.u.tolist()}, tau={direction.tau}) "
+                        f"failed: {chain}"
+                    ) from chain
+                if isinstance(chain, Exception):
+                    raise chain
+                pairs.append((chain, context))
+            yield pairs
 
 
 def _frequentist_fits(data: Dataset, column, basis: OrthoBasis) -> list:
@@ -276,11 +288,11 @@ def tau_contours(
     fit per (tau, grid direction).
 
     ``estimator`` selects posterior means from independent per-direction
-    chains (``"bayes-mean"``), run tau by tau, or deterministic check-loss
-    fits (``"frequentist"``), run direction by direction: each direction's
-    design is prepared once and fitted at every tau.  Every tau is checked
-    before the first fit or chain.  A contour is the one ``tau_contour``
-    gives for its tau alone.
+    chains (``"bayes-mean"``) or deterministic check-loss fits
+    (``"frequentist"``).  Both run direction by direction: each direction's
+    design is prepared once, and fitted, or fitted for its chains' starts, at
+    every tau.  Every tau is checked before the first fit or chain.  A
+    contour is the one ``tau_contour`` gives for its tau alone.
     """
     if data.k != 2:
         raise DomainError("contours are computed for k = 2 only")
@@ -292,21 +304,26 @@ def tau_contours(
     if not dirs:
         return []
 
+    columns = list(zip(*dirs))
     if estimator == "frequentist":
-        columns = [_frequentist_fits(data, [row[j] for row in dirs], basis)
-                   for j, basis in enumerate(bases)]
-        thetas = list(zip(*columns))
+        by_direction = [_frequentist_fits(data, column, basis) for column, basis in zip(columns, bases)]
     else:
         if prior is None:
             prior = _vague_prior(data.k + data.p)
-        thetas = []
-        for row in dirs:
-            def prepare(idx, row=row):
-                return _unconditional_problem(data, row[idx], prior, seed=_direction_seed(seed, idx),
-                                              basis=bases[idx]), None
 
-            thetas.append([posterior_mean(chain)
-                           for chain, _ in _direction_chains(prepare, row, data.n, n_draws, burn_in)])
+        def prepare(idx):
+            # one design and start problem for every tau; with no more rows
+            # than coefficients the chains start from the prior mean, unfitted
+            column, basis = columns[idx], bases[idx]
+            start = (_direction_problem(data, column[0], basis=basis)
+                     if data.n > data.k + data.p else None)
+            return [(_unconditional_problem(data, direction, prior, seed=_direction_seed(seed, idx),
+                                            basis=basis, prepared=start), None)
+                    for direction in column]
+
+        by_direction = [[posterior_mean(chain) for chain, _ in pairs]
+                        for pairs in _direction_chains(prepare, columns, data.n, n_draws, burn_in)]
+    thetas = list(zip(*by_direction))
 
     return [
         intersect_halfplanes([to_upper_halfplane(theta, direction, basis, x_eval=x_eval)
@@ -385,10 +402,11 @@ def tube_slice(
         block_prior = _vague_prior(design.dim) if prior is None else prior
         problem = _conditional_problem(data, dirs[idx], design, kernel, block_prior,
                                        seed=_direction_seed(seed, idx))
-        return problem, design
+        return [(problem, design)]
 
     planes = []
-    for idx, (chain, design) in enumerate(_direction_chains(prepare, dirs, data.n, n_draws, burn_in)):
+    chains = _direction_chains(prepare, [[d] for d in dirs], data.n, n_draws, burn_in)
+    for idx, [(chain, design)] in enumerate(chains):
         alpha, beta_y = design.params_at_x0(chain.post_burn().mean(axis=0))
         theta = HyperplaneParams(alpha=alpha, beta_y=beta_y, beta_x=None)
         planes.append(to_upper_halfplane(theta, dirs[idx], bases[idx]))

@@ -189,10 +189,12 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
     r, r_c, a, q, g1, curv = (np.empty(n) for _ in range(6))
     inside = np.empty(n, dtype=bool)
     scaled = np.empty(z.shape)  # z * (w * curvature)[:, None]
-    gather = False
     np.matmul(z, theta, out=r)
     np.subtract(y, r, out=r)
-    f = _smoothed_loss(r, w_mul, tau, eps, a, q, inside)
+    # theta's band, counted before the first loss so that a sparse one gathers
+    gather = (n >= constants.SPLIT_ROWS
+              and 4 * int(np.count_nonzero(np.less(np.abs(r, out=a), eps, out=inside))) < n)
+    f = _smoothed_loss(r, w_mul, tau, eps, a, q, inside, gather)
 
     def attempt(hess, scale, lam_k):
         # the damped step at lam_k; on acceptance its residual becomes r

@@ -8,9 +8,13 @@ and runs it alone (``_run_chains``), and ``contours`` (a contour's or tube
 slice's directions) and ``simlab`` (a study's replications) split many
 prepared chains into chunks (``_chunks``), each run in one stacked call that
 reruns a failed call's chains one at a time (``_isolated_chains``).  Each
-chain has a Generator of its own seed, so its bytes are the same whatever
-chains share its call.  Under a prior independent across directions, one
-chain per direction samples the joint posterior of a contour's hyperplanes.
+chain draws the random stream of its own seed, so its bytes are the same
+whatever chains share its call.  Chains of one call with equal seeds share
+one stream (a contour direction's chains at several taus): each sweep draws
+its normals, uniforms and theta noise once, from one Generator, and copies
+them to the group's other chains.  Under a prior independent across
+directions, one chain per direction samples the joint posterior of a
+contour's hyperplanes.
 
 The engine allocates its (B, n) work arrays once per call, the nu = 1/2 GIG
 draw among them, and skips the kernel-weight products when every weight is
@@ -35,8 +39,11 @@ identical) because that parametrization stays finite for arbitrarily small
 kernel weights.
 
 Reproducibility contract: identical (seed, configuration, data) produce
-bit-identical chains.  Parameter order inside theta is (beta_y, beta_x,
-alpha) for the unconditional model and design order for conditional models.
+bit-identical chains at a fixed BLAS thread count: a BLAS may split a
+matrix product's sums by thread, and the start fit of a chain of at least
+``optimize.PREPROCESS_ROWS`` rows reduces the full data by such products.
+Parameter order inside theta is (beta_y, beta_x, alpha) for the
+unconditional model and design order for conditional models.
 """
 
 from __future__ import annotations
@@ -242,9 +249,14 @@ def sample_gig_half(a, b, rng, size=None, *, out=None):
     if isinstance(rng, (list, tuple)):
         if len(shape) != 2 or len(rng) != shape[0]:
             raise ShapeError("a sequence of Generators needs one per row of a 2-D draw")
-        for g, nu_j, u_j in zip(rng, work.nu, work.u):
-            g.standard_normal(out=nu_j)
-            g.random(out=u_j)
+        copied = {row for row, _ in work.copies}
+        for j, (g, nu_j, u_j) in enumerate(zip(rng, work.nu, work.u)):
+            if j not in copied:
+                g.standard_normal(out=nu_j)
+                g.random(out=u_j)
+        for row, source in work.copies:
+            np.copyto(work.nu[row], work.nu[source])
+            np.copyto(work.u[row], work.u[source])
     else:
         work.nu[...] = rng.standard_normal(shape)
         work.u[...] = rng.random(shape)  # the values and stream of rng.uniform(size=shape)
@@ -257,11 +269,17 @@ def sample_gig_half(a, b, rng, size=None, *, out=None):
 class _GigWork:
     """Buffers of one shape for ``_gig_half_kernel``: the normals ``nu`` and
     uniforms ``u`` it reads, and its scratch ``t`` and ``root``.  The draw is
-    returned in ``u``; ``nu``, ``t`` and ``root`` are free between draws."""
+    returned in ``u``; ``nu``, ``t`` and ``root`` are free between draws.
 
-    def __init__(self, shape):
+    ``copies`` holds (row, source) pairs of a 2-D draw whose row repeats the
+    random stream of an earlier source row (chains of equal seed): a draw
+    takes the source row's normals and uniforms from its Generator and copies
+    them, and never draws from the copying row's Generator."""
+
+    def __init__(self, shape, copies=()):
         self.nu, self.u, self.t, self.root = (np.empty(shape) for _ in range(4))
         self.small, self.accept = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.copies = tuple(copies)
 
 
 def _gig_half_kernel(a, b, work):
@@ -315,16 +333,22 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     """The Gibbs engine over B independent chains that share (n, d).
 
     ``y`` and the kernel ``weights`` are (B, n) and ``design`` is (B, n, d);
-    ``taus``, ``priors``, the start points ``thetas`` and the Generators
-    ``rngs`` hold one entry per chain, and one Generator may serve several
-    chains.  Each sweep draws every chain's latents, then every chain's
-    theta, in chain order, so a lone chain consumes its stream exactly like a
-    standalone run and chains sharing a Generator interleave chain by chain.
+    ``taus``, ``priors``, the start points ``thetas`` and ``rngs`` hold one
+    entry per chain.  A chain's ``rngs`` entry is a Generator, and one
+    Generator may serve several chains; or it is the position of an earlier
+    chain whose entry is a Generator, and the chain repeats that chain's
+    random stream (chains of equal seed).  Each sweep draws every chain's
+    latents, then every chain's theta, in chain order, so a lone chain
+    consumes its stream exactly like a standalone run and chains sharing a
+    Generator interleave chain by chain; a repeating chain's normals and
+    uniforms are copied from its source's, so they are drawn once per sweep.
     The (B, n) work arrays are allocated once per call, and the kernel-weight
     products are skipped when every weight is 1 (they would not change a bit).
     Returns the draws as (n_draws, B, d).
     """
     n_chains, n, d = design.shape
+    copies = [(j, source) for j, source in enumerate(rngs) if isinstance(source, int)]
+    rngs = [rngs[r] if isinstance(r, int) else r for r in rngs]
     mcs = [mixture_constants(tau) for tau in taus]
     eta = np.array([[mc.eta] for mc in mcs])
     gamma = np.array([[mc.gamma] for mc in mcs])
@@ -341,9 +365,11 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     fit = np.empty((n_chains, n, 1))
     scaled = np.empty(design.shape)  # design * kw^2 / (gamma^2 w)
     by_column = n_chains * n >= constants.SPLIT_ROWS
-    gig = _GigWork((n_chains, n))
+    gig = _GigWork((n_chains, n), copies)
     theta = np.array(thetas, dtype=float)[:, :, None]
     noise = np.empty((n_chains, d, 1))
+    copied = {j for j, _ in copies}
+    noise_draws = [(rng, noise[j, :, 0]) for j, rng in enumerate(rngs) if j not in copied]
     out = np.empty((n_draws, n_chains, d))
     for m in range(n_draws):
         a_lat = np.matmul(design, theta, out=fit)[:, :, 0]
@@ -383,8 +409,10 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
                     ) from exc
             raise
         theta = np.linalg.solve(prec, rhs)
-        for rng, z in zip(rngs, noise[:, :, 0]):
+        for rng, z in noise_draws:
             rng.standard_normal(out=z)
+        for j, source in copies:
+            noise[j] = noise[source]
         theta += np.linalg.solve(chol.transpose(0, 2, 1), noise)
         out[m] = theta[:, :, 0]
     return out
@@ -395,7 +423,11 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
 _INIT_STAGES = 3
 
 
-def _resolve_init(init, design, y, direction, weights, prior):
+def _resolve_init(init, design, y, direction, weights, prior, prepared=None):
+    """The chain's start: ``init``, else the check-loss fit on ``prepared``
+    (the ``CheckLossProblem`` of this design, response and weights) or on a
+    problem prepared here, else, with no more rows than coefficients, the
+    prior mean."""
     if init is not None:
         vec = np.atleast_1d(np.asarray(init, dtype=float))
         if vec.size != design.shape[1]:
@@ -404,7 +436,8 @@ def _resolve_init(init, design, y, direction, weights, prior):
     n, d = design.shape
     if n > d:
         stages = constants.SMOOTHING_SCHEDULE[:_INIT_STAGES]
-        fit = _fit_schedule(CheckLossProblem(design, y, weights), direction.tau, stages)
+        problem = CheckLossProblem(design, y, weights) if prepared is None else prepared
+        fit = _fit_schedule(problem, direction.tau, stages)
         if not fit.converged:
             warnings.warn(
                 f"check-loss fit for the initial point did not converge (tau={direction.tau}, "
@@ -440,8 +473,13 @@ class _ChainProblem:
     layout: tuple | None = None
 
 
-def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None) -> _ChainProblem:
-    """The chain ``gibbs_unconditional`` runs: design [y_perp, x, 1] and unit weights."""
+def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None,
+                           prepared=None) -> _ChainProblem:
+    """The chain ``gibbs_unconditional`` runs: design [y_perp, x, 1] and unit
+    weights.  ``prepared``, direction u's ``CheckLossProblem``
+    (``optimize._direction_problem``), lends the chain its design, response
+    and start problem, so the chains of one u at several taus project,
+    check and standardize it once."""
     k = direction.k
     if data is None:
         p = prior.dim - k
@@ -453,8 +491,9 @@ def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None
         p = data.p
         if prior.dim != k + p:
             raise ShapeError(f"prior dimension must be {k + p}, got {prior.dim}")
-        design, y = _direction_design(data, direction, basis)
-    theta0 = _resolve_init(init, design, y, direction, None, prior)
+        design, y = (_direction_design(data, direction, basis) if prepared is None
+                     else (prepared.z, prepared.y))
+    theta0 = _resolve_init(init, design, y, direction, None, prior, prepared)
     weights = np.broadcast_to(1.0, y.shape)  # unit weights, without a buffer
     return _ChainProblem(y, design, weights, direction.tau, prior, theta0, int(seed),
                          "gibbs-unconditional", unconditional_param_names(k, p), (k, p))
@@ -462,11 +501,17 @@ def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None
 
 def _run_chains(problems, n_draws, burn_in):
     """Run prepared chains that share (n, d) through one engine call, each on
-    a Generator of its own seed; returns one Chain per problem."""
+    the stream of its own seed; returns one Chain per problem.  Chains of
+    equal seed draw identical streams, so they share one: the first takes a
+    Generator of the seed and the others repeat it (``_gibbs``)."""
+    first = {}
+    for j, q in enumerate(problems):
+        first.setdefault(q.seed, j)
+    rngs = [_rng_from_seed(q.seed) if first[q.seed] == j else first[q.seed]
+            for j, q in enumerate(problems)]
     draws = _gibbs(np.array([q.y for q in problems]), np.array([q.design for q in problems]),
                    np.array([q.weights for q in problems]), [q.tau for q in problems],
-                   [q.prior for q in problems], [q.theta0 for q in problems],
-                   [_rng_from_seed(q.seed) for q in problems], n_draws)
+                   [q.prior for q in problems], [q.theta0 for q in problems], rngs, n_draws)
     return [
         Chain(draws=np.ascontiguousarray(draws[:, j]), burn_in=burn_in, seed=q.seed,
               sampler=q.sampler, acceptance_rate=1.0, names=q.names, layout=q.layout)
@@ -499,11 +544,13 @@ def _isolated_chains(problems, n_draws, burn_in):
 
 
 def _chunks(sizes, workers=1):
-    """Positions of chains split into engine chunks.
+    """Positions of items split into engine chunks.
 
-    Chains of one sample size n are taken in order and split into chunks of
-    at most ``_ROW_BUDGET`` chain rows (at least one chain), and into at
-    least ``workers`` chunks where there are that many chains.
+    An item is a chain, or chains that must share a call (a contour
+    direction's chains at every tau), and ``sizes`` holds its chain rows.
+    Items of one size are taken in order and split into chunks of at most
+    ``_ROW_BUDGET`` chain rows (at least one item), and into at least
+    ``workers`` chunks where there are that many items.
     """
     by_n = {}
     for i, n in enumerate(sizes):

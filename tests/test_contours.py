@@ -15,6 +15,7 @@ from dirquant.contours import (
     polygon_area,
     polygon_contains,
     tau_contour,
+    tau_contours,
     to_upper_halfplane,
     tube_slice,
     tukey_depth,
@@ -406,7 +407,8 @@ class TestBatchedDirections:
     """Directions stacked into engine calls against one chain per direction.
 
     The row budget is set to five chains of the data's n, so 12 directions
-    run in chunks of 5, 5 and 2.
+    run in chunks of 5, 5 and 2 at one tau, and one direction per chunk at
+    three.
     """
 
     N_DIR, DRAWS, BURN, SEED = 12, 150, 30, 11
@@ -446,6 +448,36 @@ class TestBatchedDirections:
         assert poly.vertices.shape[0] >= 3
         assert poly.vertices.tobytes() == ref.vertices.tobytes()
 
+    def test_multi_tau_chunks_hold_whole_directions(self, square_data, monkeypatch):
+        # a direction's 3 chains take 3n rows, so a budget of 7n holds 2 directions
+        monkeypatch.setattr(samplers, "_ROW_BUDGET", 7 * square_data.n)
+        calls, made = [], []
+        real_run, real_rng = samplers._run_chains, samplers._rng_from_seed
+
+        def counted(problems, *args):
+            calls.append([(q.seed, q.tau) for q in problems])
+            return real_run(problems, *args)
+
+        def rng_counted(seed):
+            made.append(seed)
+            return real_rng(seed)
+
+        monkeypatch.setattr(samplers, "_run_chains", counted)
+        monkeypatch.setattr(samplers, "_rng_from_seed", rng_counted)
+        taus = (0.1, 0.2, 0.3)
+        polys = tau_contours(square_data, taus, self.N_DIR, n_draws=self.DRAWS, burn_in=self.BURN,
+                             seed=self.SEED)
+        seeds = [contours._direction_seed(self.SEED, i) for i in range(self.N_DIR)]
+        assert calls == [[(seed, tau) for seed in seeds[i:i + 2] for tau in taus]
+                         for i in range(0, self.N_DIR, 2)]
+        # one stream per direction, shared by its taus' chains
+        assert made == seeds
+        monkeypatch.setattr(samplers, "_run_chains", real_run)
+        for poly, tau in zip(polys, taus):
+            one = tau_contour(square_data, tau, self.N_DIR, n_draws=self.DRAWS, burn_in=self.BURN,
+                              seed=self.SEED)
+            assert poly.vertices.tobytes() == one.vertices.tobytes()
+
     @staticmethod
     def _regression_data():
         rng = np.random.default_rng(49)
@@ -484,14 +516,15 @@ class TestBatchedDirections:
         assert poly.vertices.tobytes() == ref.vertices.tobytes()
 
     @staticmethod
-    def _indefinite_prior(monkeypatch, name, u):
-        # the sixth direction's chain gets a prior precision of -1e9 I, which no
-        # data term repairs, so its stacked Cholesky fails in the first sweep
+    def _indefinite_prior(monkeypatch, name, u, tau=None):
+        # the sixth direction's chain (at tau, or at every tau) gets a prior
+        # precision of -1e9 I, which no data term repairs, so its stacked
+        # Cholesky fails in the first sweep
         real = getattr(contours, name)
 
         def patched(data, direction, *args, **kwargs):
             problem = real(data, direction, *args, **kwargs)
-            if np.array_equal(direction.u, u):
+            if np.array_equal(direction.u, u) and tau in (None, direction.tau):
                 d = problem.design.shape[1]
                 bad = SimpleNamespace(mean=np.zeros(d), covariance=-1e-9 * np.eye(d))
                 problem = dataclasses.replace(problem, prior=bad)
@@ -510,6 +543,20 @@ class TestBatchedDirections:
         assert "in block 0 (sweep 0)" in message
         # the first chunk ran; the second failed stacked, then chain by chain up to direction 6
         assert calls == [5, 5, 1, 1]
+
+    def test_failed_multi_tau_chain_names_its_direction_and_tau(self, square_data, monkeypatch):
+        calls = self._count_calls(monkeypatch, square_data.n)
+        u = unit_directions(self.N_DIR)[6]
+        self._indefinite_prior(monkeypatch, "_unconditional_problem", u, tau=0.3)
+        with pytest.raises(NumericalError) as caught:
+            tau_contours(square_data, (0.2, 0.3, 0.4), self.N_DIR, n_draws=self.DRAWS,
+                         burn_in=self.BURN)
+        message = str(caught.value)
+        assert message.startswith(f"chain of direction 6 (u={u.tolist()}, tau=0.3) failed: ")
+        assert "in block 0 (sweep 0)" in message
+        # one direction per chunk: directions 0-5 ran, direction 6 failed
+        # stacked, then chain by chain up to its tau = 0.3 chain
+        assert calls == [3] * 7 + [1, 1]
 
     def test_failed_tube_chain_names_its_direction(self, monkeypatch):
         data = self._regression_data()

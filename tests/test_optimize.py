@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 
 from dirquant import constants, optimize, samplers
 from dirquant.errors import DomainError, RankError
@@ -327,6 +328,37 @@ class TestChainStarts:
                 h.update(np.array([fit.objective, *fit.stage_objectives]).tobytes())
                 h.update(np.array([fit.iterations, fit.converged]).tobytes())
         assert h.hexdigest() == FROZEN_FIT_SHA256
+
+
+class TestNewtonStage:
+    """The stage counts its start's smoothing band before the first loss, so
+    from constants.SPLIT_ROWS rows on a band of under a quarter of the rows
+    takes the gathered branch from the first loss on."""
+
+    @staticmethod
+    def _first_gather(monkeypatch, n, eps):
+        rng = np.random.default_rng(31)
+        z = np.column_stack([rng.standard_normal(n), np.ones(n)])
+        y = z @ np.array([0.7, -0.2]) + rng.standard_t(3, n)
+        theta0 = np.linalg.lstsq(z, y, rcond=None)[0]
+        flags = []
+        real = optimize._smoothed_loss
+
+        def spy(r, w, tau, eps, a, q, inside, gather=False):
+            flags.append(gather)
+            return real(r, w, tau, eps, a, q, inside, gather)
+
+        monkeypatch.setattr(optimize, "_smoothed_loss", spy)
+        got = optimize._newton_stage(z, y, 0.3, np.ones(n), theta0, eps)
+        monkeypatch.undo()
+        want = ref._newton_stage(z, y, 0.3, np.ones(n), theta0, eps)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        return flags[0]
+
+    @pytest.mark.parametrize("n, eps, gather", [(5000, 1e-3, True), (5000, 10.0, False),
+                                                (1000, 1e-3, False)])
+    def test_first_loss_takes_the_start_band(self, monkeypatch, n, eps, gather):
+        assert self._first_gather(monkeypatch, n, eps) is gather
 
 
 def _standardized_by_numpy(z, y):

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dirquant import samplers
 from dirquant.ald import mixture_constants
 from dirquant.errors import (
     DegenerateWindowError,
+    NumericalError,
     ShapeError,
 )
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
@@ -141,6 +143,77 @@ class TestConjugateUpdate:
         mean, cov = self._oracle(design, projected.y_u, np.ones(data.n), dirs[1].tau, latents[1],
                                  blocks[1])
         self._assert_draws_follow(chains[1].draws, mean, cov)
+
+
+class TestSharedStreams:
+    """Chains of equal seed in one engine call share one random stream: its
+    normals and uniforms are drawn once per sweep and copied, and every
+    chain's bytes are still those of a lone run."""
+
+    @staticmethod
+    def _engine_inputs(n_chains, n, seed, tiny_weights=False):
+        rng = np.random.default_rng(seed)
+        design = np.concatenate([rng.standard_normal((n_chains, n, 2)), np.ones((n_chains, n, 1))], axis=2)
+        y = design @ np.array([0.5, -0.3, 1.0]) + rng.standard_t(3, (n_chains, n))
+        weights = rng.uniform(0.2, 3.0, (n_chains, n))
+        if tiny_weights:
+            # far below 1e-160, and exact zeros: the latent draw's gamma limit
+            weights[:, ::3] = 10.0 ** rng.uniform(-300.0, -161.0, weights[:, ::3].shape)
+            weights[:, 1::7] = 0.0
+        taus = list(rng.uniform(0.05, 0.95, n_chains))
+        priors = [PriorSpec(mean=rng.standard_normal(3), covariance=np.diag(rng.uniform(1.0, 100.0, 3)))
+                  for _ in range(n_chains)]
+        return y, design, weights, taus, priors, list(rng.standard_normal((n_chains, 3)))
+
+    @pytest.mark.parametrize("tiny_weights", [False, True])
+    def test_repeating_chains_match_lone_runs(self, tiny_weights):
+        # chains 2 and 4 repeat chain 0's stream, chain 3 repeats chain 1's
+        y, design, weights, taus, priors, thetas = self._engine_inputs(5, 90, 3, tiny_weights)
+        seeds = [70, 71, 70, 71, 70]
+        gens = {70: np.random.default_rng(70), 71: np.random.default_rng(71)}
+        draws = samplers._gibbs(y, design, weights, taus, priors, thetas,
+                                [gens[70], gens[71], 0, 1, 0], 50)
+        for j, seed in enumerate(seeds):
+            g = np.random.default_rng(seed)
+            alone = samplers._gibbs(y[j:j + 1], design[j:j + 1], weights[j:j + 1], taus[j:j + 1],
+                                    priors[j:j + 1], thetas[j:j + 1], [g], 50)
+            assert draws[:, j].tobytes() == alone[:, 0].tobytes()
+            # each stream was drawn once: its Generator is where a lone run leaves it
+            assert gens[seed].bit_generator.state == g.bit_generator.state
+
+    def test_equal_seeds_share_one_generator(self, square_data, monkeypatch):
+        made = []
+        real = samplers._rng_from_seed
+
+        def counted(seed):
+            made.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(samplers, "_rng_from_seed", counted)
+        u = np.array([0.6, 0.8])
+        problems = [samplers._unconditional_problem(square_data, Direction(u=u, tau=tau), PRIOR2, seed=seed)
+                    for seed, tau in ((5, 0.1), (6, 0.1), (5, 0.3), (5, 0.5), (6, 0.5))]
+        chains = samplers._run_chains(problems, 40, 5)
+        assert made == [5, 6]
+        for problem, chain in zip(problems, chains):
+            alone = samplers._run_chains([problem], 40, 5)[0]
+            assert chain.seed == problem.seed
+            assert chain.draws.tobytes() == alone.draws.tobytes()
+
+    def test_failed_chain_fails_alone_and_its_group_keeps_its_bytes(self, square_data):
+        u = np.array([0.6, 0.8])
+        problems = [samplers._unconditional_problem(square_data, Direction(u=u, tau=tau), PRIOR2, seed=9)
+                    for tau in (0.1, 0.3, 0.5)]
+        # the middle chain's prior precision is -1e9 I, which no data term repairs
+        problems[1] = dataclasses.replace(
+            problems[1], prior=SimpleNamespace(mean=np.zeros(2), covariance=-1e-9 * np.eye(2)))
+        with pytest.raises(NumericalError, match=r"in block 1 \(sweep 0\)"):
+            samplers._run_chains(problems, 30, 5)
+        first, failed, last = samplers._isolated_chains(problems, 30, 5)
+        assert isinstance(failed, NumericalError) and "in block 0 (sweep 0)" in str(failed)
+        for chain, problem in ((first, problems[0]), (last, problems[2])):
+            alone = samplers._run_chains([problem], 30, 5)[0]
+            assert chain.draws.tobytes() == alone.draws.tobytes()
 
 
 class TestGibbsUnconditional:

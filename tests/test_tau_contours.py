@@ -1,10 +1,11 @@
-"""Multi-tau frequentist contours against the per-(tau, u) path they replace.
+"""Multi-tau contours against the per-(tau, u) path they replace.
 
 ``tau_contours`` prepares each direction's design once and fits every tau on
-it.  The reference here rebuilds each (tau, u) fit from public pieces, with
-its own projection, design and ``fit_check_loss`` call, and the polygons
-must agree byte for byte on both sides of ``optimize.PREPROCESS_ROWS``.
-Frozen digests pin the polygons' bytes as well.
+it, or starts every tau's chain from fits on it.  The reference here
+rebuilds each (tau, u) fit from public pieces, with its own projection,
+design and ``fit_check_loss`` call, and the polygons must agree byte for
+byte on both sides of ``optimize.PREPROCESS_ROWS``.  Frozen digests pin the
+frequentist polygons' bytes, and the Bayes polygons' and chains' bytes.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dirquant import contours, optimize, simlab
+from dirquant import contours, optimize, samplers, simlab
 from dirquant.ald import HyperplaneParams
 from dirquant.contours import intersect_halfplanes, tau_contours, to_upper_halfplane
 from dirquant.errors import DomainError
@@ -75,8 +76,9 @@ def test_bytes_at_or_above_preprocess_rows(scores):
                           [_per_fit_contour(scores, tau, 16) for tau in taus])
 
 
-def test_each_direction_is_prepared_once(monkeypatch):
-    # 3 taus x 32 directions: 96 fits on 32 prepared problems
+def _preparation_counts(monkeypatch, estimator, **kwargs):
+    """Rank checks, projections and fits (or chain starts) of a 3-tau,
+    32-direction contour."""
     data = Dataset(y=np.random.default_rng(23).standard_normal((400, 2)))
     counts = {"rank": 0, "project": 0, "fit": 0}
 
@@ -91,8 +93,20 @@ def test_each_direction_is_prepared_once(monkeypatch):
     for module in (optimize, contours):
         monkeypatch.setattr(module, "project", counted_project)
     monkeypatch.setattr(contours, "fit_prepared", counting("fit", optimize.fit_prepared))
-    polys = tau_contours(data, (0.05, 0.2, 0.4), 32, estimator="frequentist")
+    monkeypatch.setattr(samplers, "_fit_schedule", counting("fit", optimize._fit_schedule))
+    polys = tau_contours(data, (0.05, 0.2, 0.4), 32, estimator=estimator, **kwargs)
     assert [poly.tau for poly in polys] == [0.05, 0.2, 0.4]
+    return counts
+
+
+def test_each_direction_is_prepared_once(monkeypatch):
+    # 3 taus x 32 directions: 96 fits on 32 prepared problems
+    assert _preparation_counts(monkeypatch, "frequentist") == {"rank": 32, "project": 32, "fit": 96}
+
+
+def test_each_bayes_direction_is_prepared_once(monkeypatch):
+    # 96 chains start from fits on 32 prepared problems
+    counts = _preparation_counts(monkeypatch, "bayes-mean", n_draws=20, burn_in=5)
     assert counts == {"rank": 32, "project": 32, "fit": 96}
 
 
@@ -137,3 +151,31 @@ def test_frequentist_polygons_keep_their_bytes(name, scores):
     for poly in tau_contours(data, (0.05, 0.2, 0.4), n_directions, estimator="frequentist"):
         h.update(poly.vertices.tobytes())
     assert h.hexdigest() == FROZEN_FREQUENTIST_SHA256[name]
+
+
+# sha256 over the vertex bytes of a 3-tau, 8-direction Bayes contour set, and
+# over its 24 chains' draws (sorted byte strings), as the code gave them when
+# each (tau, direction) chain drew its own random stream
+FROZEN_BAYES_SHA256 = {
+    "polygons": "99234f0f043f54ab89dc9f4cf260dc5da0e869add49d5ad35f2b9e3a0fbcd630",
+    "chains": "86cd2c0792bd794b7f9d331696a7f36bf24aa4da5ed8f26934c65cdc89d92761",
+}
+
+
+def test_bayes_polygons_and_chains_keep_their_bytes(monkeypatch):
+    y = np.random.default_rng(26).standard_normal((400, 2)) @ np.array([[1.0, 0.3], [0.0, 0.7]])
+    draws = []
+    real = contours.posterior_mean
+
+    def spy(chain):
+        draws.append(chain.draws.tobytes())
+        return real(chain)
+
+    monkeypatch.setattr(contours, "posterior_mean", spy)
+    polys = tau_contours(Dataset(y=y), (0.1, 0.25, 0.4), 8, n_draws=60, burn_in=10, seed=7)
+    h = hashlib.sha256()
+    for poly in polys:
+        h.update(poly.vertices.tobytes())
+    assert len(draws) == 24
+    assert h.hexdigest() == FROZEN_BAYES_SHA256["polygons"]
+    assert hashlib.sha256(b"".join(sorted(draws))).hexdigest() == FROZEN_BAYES_SHA256["chains"]
