@@ -100,6 +100,20 @@ _UNIT = (0.0, 1.0)
 _POSITIVE = (0.0, math.inf)
 
 
+# the config keys each command reads (README, "Config keys by command");
+# ``run`` refuses any other
+_DATA_KEYS = ("input", "response", "covariates", "jitter", "seed")
+_FIT_KEYS = (*_DATA_KEYS, "direction", "tau", "draws", "burn_in", "prior_mean", "prior_variance", "level")
+_KEYS = {command: frozenset(("output_dir", *keys)) for command, keys in {
+    "fit": _FIT_KEYS,
+    "ci": _FIT_KEYS,
+    "contour": (*_DATA_KEYS, "tau", "directions", "estimator", "draws", "burn_in"),
+    "tube": (*_DATA_KEYS, "tau", "x0", "directions", "design", "bandwidth", "draws", "burn_in"),
+    "simulate": ("profile", "replications", "sample_sizes", "master_seed", "tables", "threads"),
+    "elicit": ("tau", "family", "k", "p", "radius", "alpha_variance", "beta_variance"),
+}.items()}
+
+
 def _get(cfg: dict, key: str, default=None, required: bool = False) -> str:
     if key in cfg:
         return cfg[key]
@@ -242,7 +256,7 @@ def _prior_from_config(cfg: dict, d: int) -> PriorSpec:
 
 def _sampler_settings(cfg: dict):
     draws = _as_int(_get(cfg, "draws", str(constants.DEFAULT_N_DRAWS)), "draws")
-    burn = _as_int(_get(cfg, "burn_in", str(constants.DEFAULT_BURN_IN)), "burn_in")
+    burn = _as_int(_get(cfg, "burn_in", str(constants.DEFAULT_BURN_IN)), "burn_in", minimum=0)
     if draws <= burn:
         raise ConfigError("draws must exceed burn_in")
     return draws, burn
@@ -303,11 +317,6 @@ def _cmd_fit(cfg: dict, args) -> int:
 
 
 def _cmd_contour(cfg: dict, args) -> int:
-    if "simultaneous" in cfg:
-        raise ConfigError(
-            "config key 'simultaneous' is no longer supported: independent per-direction "
-            "chains give the same posterior, and every bayes-mean contour runs them"
-        )
     if _as_list(_get(cfg, "covariates", "")):
         raise ConfigError("contour takes no covariates; tube slices the conditional quantile regions")
     taus = [_as_float(v, "tau", _UNIT) for v in _as_list(_get(cfg, "tau", required=True))]
@@ -423,12 +432,14 @@ def _cmd_elicit(cfg: dict, args) -> int:
                      ("standard-normal", "uniform-ball", "custom-radius"))
     k = _as_int(_get(cfg, "k", "2"), "k", minimum=2)
     p = _as_int(_get(cfg, "p", "0"), "p", minimum=0)
-    radius = _get(cfg, "radius", None)
+    radius = _as_float(cfg["radius"], "radius") if "radius" in cfg else None
+    if family == "custom-radius" and not (radius is not None and radius >= 0.0):
+        raise ConfigError("custom-radius family needs a nonnegative radius")
     prior = spherical_prior(
         tau, family, k, p,
         alpha_variance=_as_float(_get(cfg, "alpha_variance", "1000"), "alpha_variance", _POSITIVE),
         beta_variance=_as_float(_get(cfg, "beta_variance", "1000"), "beta_variance", _POSITIVE),
-        radius=_as_float(radius, "radius") if radius is not None else None,
+        radius=radius,
     )
     out = _out_dir(cfg, args)
     io.write_json(os.path.join(out, "prior.json"), {
@@ -464,6 +475,13 @@ _COMMANDS = {
 def run(command: str, cfg: dict, args) -> int:
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    unread = [key for key in cfg if key not in _KEYS[command]]
+    if "simultaneous" in unread:
+        raise ConfigError("config key 'simultaneous' is no longer supported: independent per-direction "
+                          "chains give the same posterior, and every bayes-mean contour runs them")
+    if unread:
+        raise ConfigError(f"{command} reads no config key {', '.join(map(repr, unread))}; "
+                          f"it reads {', '.join(sorted(_KEYS[command]))}")
     return _COMMANDS[command](cfg, args)
 
 

@@ -494,26 +494,20 @@ def _direction_design(data: Dataset, direction: Direction, basis: OrthoBasis | N
     return np.column_stack([projected.y_perp, data.x, np.ones(data.n)]), projected.y_u
 
 
-def _direction_problem(data: Dataset, direction: Direction, weights=None,
+def _direction_problem(data: Dataset, direction: Direction,
                        basis: OrthoBasis | None = None) -> CheckLossProblem:
     """The prepared problem of direction u's ``_direction_design``.  It
     depends on u only, so one serves every tau."""
-    design, y_u = _direction_design(data, direction, basis)
-    return CheckLossProblem(design, y_u, weights)
+    return CheckLossProblem(*_direction_design(data, direction, basis))
 
 
-def frequentist_fit(
-    data: Dataset,
-    direction: Direction,
-    weights=None,
-    basis: OrthoBasis | None = None,
-) -> FitResult:
+def frequentist_fit(data: Dataset, direction: Direction, basis: OrthoBasis | None = None) -> FitResult:
     """Check-loss fit of the directional quantile hyperplane for one direction.
 
     The design is [y_perp, x, 1] so the coefficient order is
     (beta_y, beta_x, alpha), matching the samplers.
     """
-    raw = fit_prepared(_direction_problem(data, direction, weights, basis), direction.tau)
+    raw = fit_prepared(_direction_problem(data, direction, basis), direction.tau)
     params = HyperplaneParams.from_vector(raw.theta, data.k, data.p)
     return FitResult(
         theta=params,

@@ -597,14 +597,18 @@ def kernel_weights(kernel: KernelSpec, x, x0) -> np.ndarray:
     return (2.0 * np.pi * h * h) ** (-0.5 * x0.size) * np.exp(-0.5 * sq / (h * h))
 
 
-def default_bandwidth(x, rule_constant: float = 9.0) -> float:
+# the constant c of default_bandwidth's rule
+_BANDWIDTH_RULE = 9.0
+
+
+def default_bandwidth(x) -> float:
     """Bandwidth sqrt(c * var(x) * n^(-1/5)) used by the conditional model."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     if n < 2:
         raise DomainError("bandwidth rule needs at least two observations")
     var = float(np.mean(np.var(x, axis=0, ddof=1)))
-    return float(np.sqrt(rule_constant * var * n ** (-1.0 / 5.0)))
+    return float(np.sqrt(_BANDWIDTH_RULE * var * n ** (-1.0 / 5.0)))
 
 
 def make_conditional_design(projected, x, x0, kind: str) -> ConditionalDesign:

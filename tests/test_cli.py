@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -237,6 +239,22 @@ class TestProvenance:
         assert config["project"]["version"] == dirquant.__version__
 
 
+def test_readme_key_table_is_the_cli_key_table():
+    # README's "Config keys by command" names each key a command reads, and
+    # the CLI refuses every other; value lists in parentheses are not keys
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as handle:
+        lines = handle.read().split("Config keys by command", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))[2:]
+    table = {command: set() for command in cli._KEYS}
+    for row in rows:
+        commands, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        for command in table if commands == "every command" else commands.split(", "):
+            table[command] |= set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys)))
+    assert table == {command: set(keys) for command, keys in cli._KEYS.items()}
+
+
 class TestCommands:
     def test_fit_outputs_and_determinism(self, score_csv, tmp_path):
         cfg = tmp_path / "fit.cfg"
@@ -434,21 +452,33 @@ class TestCommands:
         ("ci", "level", "2"), ("fit", "level", "2"), ("ci", "response", "math,read,experience"),
         ("contour", "covariates", "experience"), ("tube", "tau", "0"), ("tube", "bandwidth", "-1"),
         ("elicit", "k", "1"), ("elicit", "alpha_variance", "0"), ("simulate", "profile", "foo"),
+        ("fit", "burn_in", "-1"), ("contour", "burn_in", "-3"),
+        ("elicit", "radius", None), ("elicit", "radius", "-1"),  # None: the key left out
+        # a misspelled key, which the command does not read
+        ("fit", "directon", "0,1"), ("ci", "levle", "0.9"), ("contour", "directons", "8"),
+        ("tube", "bandwith", "2"), ("simulate", "replicatons", "2"), ("elicit", "familly", "uniform-ball"),
     ])
     def test_config_values_exit_2(self, score_csv, tmp_path, capsys, tiny_desk, command, key, value):
-        base = {"input": score_csv, "response": "math,read", "direction": "0,1", "tau": "0.2",
-                "draws": "120", "burn_in": "20", "directions": "8", "x0": "10"}
-        if command == "tube":
-            base.update(covariates="experience", tau="0.2")
-        if command in ("elicit", "simulate"):
-            base = {"tau": "0.2"} if command == "elicit" else {}
+        # each command gets only the keys it reads, then one key changed
+        data = {"input": score_csv, "response": "math,read", "tau": "0.2", "draws": "120", "burn_in": "20"}
+        base = {
+            "fit": {**data, "direction": "0,1"},
+            "ci": {**data, "direction": "0,1"},
+            "contour": {**data, "directions": "8"},
+            "tube": {**data, "covariates": "experience", "x0": "10", "directions": "8"},
+            "simulate": {},
+            "elicit": {"tau": "0.2", "family": "custom-radius", "radius": "1"},
+        }[command]
         base[key] = value
+        base = {k: v for k, v in base.items() if v is not None}
         argv = [command, "--out", str(tmp_path / "out")]
         for k, v in base.items():
             argv += ["--set", f"{k}={v}"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+        if key not in cli._KEYS[command]:
+            assert f"{command} reads no config key {key!r}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("settings", [

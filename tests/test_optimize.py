@@ -32,16 +32,14 @@ class TestLocationReduction:
 
 class TestInvariances:
     def test_weight_rescaling_keeps_argmin(self, normal_data, vertical_direction):
-        ones = frequentist_fit(normal_data, vertical_direction, weights=np.ones(normal_data.n))
-        twos = frequentist_fit(normal_data, vertical_direction, weights=2.0 * np.ones(normal_data.n))
-        # identical argmin up to solver tolerance (smoothing floor 1e-8)
-        assert ones.theta.alpha == pytest.approx(twos.theta.alpha, abs=1e-4)
-        assert np.allclose(ones.theta.beta_y, twos.theta.beta_y, atol=1e-4)
+        design, y_u = optimize._direction_design(normal_data, vertical_direction)
+        tau = vertical_direction.tau
+        ones = fit_check_loss(design, y_u, tau, weights=np.ones(normal_data.n))
+        twos = fit_check_loss(design, y_u, tau, weights=2.0 * np.ones(normal_data.n))
+        # identical argmin (beta_y, alpha) up to solver tolerance (smoothing floor 1e-8)
+        assert np.allclose(ones.theta, twos.theta, atol=1e-4)
         # the objective itself scales exactly; evaluate both at one theta
-        from dirquant.geometry import orthonormal_complement, project
-        basis = orthonormal_complement(vertical_direction.u)
-        pr = project(normal_data, vertical_direction, basis)
-        resid = pr.y_u - ones.theta.alpha - pr.y_perp @ ones.theta.beta_y
+        resid = y_u - design @ ones.theta
         loss = check_loss(resid, vertical_direction.tau)
         assert 2.0 * float(np.sum(loss)) == pytest.approx(float(np.sum(2.0 * loss)), rel=1e-15)
         assert twos.objective == pytest.approx(2.0 * ones.objective, rel=1e-7)
@@ -90,8 +88,8 @@ class TestOptimalityProperties:
         data = Dataset(y=np.column_stack([y1, y2]))
         direction = Direction(u=np.array([0.0, 1.0]), tau=0.5)
         w = np.exp(-0.5 * (x - 2.0) ** 2 / 0.25)
-        fit = frequentist_fit(data, direction, weights=w)
-        assert fit.theta.alpha == pytest.approx(1.0, abs=0.1)
+        fit = fit_check_loss(*optimize._direction_design(data, direction), direction.tau, weights=w)
+        assert fit.theta[-1] == pytest.approx(1.0, abs=0.1)  # alpha
 
 
 class TestErrors:
