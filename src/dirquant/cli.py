@@ -322,6 +322,10 @@ def _cmd_contour(cfg: dict, args) -> int:
     taus = [_as_float(v, "tau", _UNIT) for v in _as_list(_get(cfg, "tau", required=True))]
     n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions", minimum=3)
     estimator = _choice(_get(cfg, "estimator", "bayes-mean"), "estimator", ("bayes-mean", "frequentist"))
+    chain_keys = [key for key in ("draws", "burn_in") if key in cfg]
+    if estimator == "frequentist" and chain_keys:
+        raise ConfigError(f"contour with estimator=frequentist runs no chain and reads no "
+                          f"{', '.join(map(repr, chain_keys))}")
     draws, burn = _sampler_settings(cfg)
     data, report, seed = _load_common(cfg)
     out = _out_dir(cfg, args)
@@ -432,6 +436,8 @@ def _cmd_elicit(cfg: dict, args) -> int:
                      ("standard-normal", "uniform-ball", "custom-radius"))
     k = _as_int(_get(cfg, "k", "2"), "k", minimum=2)
     p = _as_int(_get(cfg, "p", "0"), "p", minimum=0)
+    if "radius" in cfg and family != "custom-radius":
+        raise ConfigError(f"elicit with family={family} reads no 'radius'; only family=custom-radius does")
     radius = _as_float(cfg["radius"], "radius") if "radius" in cfg else None
     if family == "custom-radius" and not (radius is not None and radius >= 0.0):
         raise ConfigError("custom-radius family needs a nonnegative radius")
@@ -476,9 +482,6 @@ def run(command: str, cfg: dict, args) -> int:
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     unread = [key for key in cfg if key not in _KEYS[command]]
-    if "simultaneous" in unread:
-        raise ConfigError("config key 'simultaneous' is no longer supported: independent per-direction "
-                          "chains give the same posterior, and every bayes-mean contour runs them")
     if unread:
         raise ConfigError(f"{command} reads no config key {', '.join(map(repr, unread))}; "
                           f"it reads {', '.join(sorted(_KEYS[command]))}")

@@ -18,12 +18,6 @@ LATENT_FLOOR = 1e-12
 # kernel-weight degeneracy threshold
 WEIGHT_FLOOR = 1e-300
 
-# rows (chains x observations) from which a pass over the rows is split
-# into more, cheaper calls: a row-scaled (n, d) design formed one column at
-# a time, a sparse smoothing band taken by index (optimize docstring).
-# Below this many, the calls' fixed cost outweighs what they save.
-SPLIT_ROWS = 2_000
-
 # smoothed check-loss continuation schedule
 SMOOTHING_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 

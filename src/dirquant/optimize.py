@@ -24,32 +24,37 @@ and 0.65 ms.
 
 Every pass over the rows runs down one column at a time, because a
 broadcast over a C-ordered (n, d) array has an inner loop of length d:
-standardization writes (z_j - mu_j) / sd_j column by column, and from
-constants.SPLIT_ROWS rows on the stage forms its curvature-weighted design
-z_j * curv the same way (below that, d calls cost more than one
-broadcast).  Both are elementwise, so the bytes are those of the
-broadcast.  The column moments are numpy's own: on a C-ordered array with
-d >= 2 columns, ``mean``/``std`` along axis 0 add row after row, a running
-sum per column, which ``np.add.accumulate`` over a contiguous copy of the
-column reproduces; any other layout (an F-ordered design reduces pairwise)
-keeps numpy's reduction.  zs takes z's layout, never a column-major copy
-of a C-ordered one, and ``scaled`` stays C-ordered: the solver's
-``z @ theta``, ``z.T @ g`` and ``scaled.T @ z`` go to BLAS, whose kernels
-for the other layout sum in another order (checked under OpenBLAS: the
-bytes change).  At n = 1e5, d = 2 (2-vCPU x86_64, one BLAS thread, best
-of repeats) the moments took 6.1 ms through numpy and 1.8 ms by columns,
-and the standardization 2.7 ms by broadcast and 0.56 ms by columns.
+standardization writes (z_j - mu_j) / sd_j column by column, and the stage
+forms its curvature-weighted design z_j * curv the same way.  Both are
+elementwise, so the bytes are those of the broadcast.  The column moments
+are numpy's own: on a C-ordered array with d >= 2 columns, ``mean``/``std``
+along axis 0 add row after row, a running sum per column, which
+``np.add.accumulate`` over a contiguous copy of the column reproduces; any
+other layout (an F-ordered design reduces pairwise) keeps numpy's
+reduction.  zs takes z's layout, never a column-major copy of a C-ordered
+one, and ``scaled`` stays C-ordered: the solver's ``z @ theta``,
+``z.T @ g`` and ``scaled.T @ z`` go to BLAS, whose kernels for the other
+layout sum in another order (checked under OpenBLAS: the bytes change).
+At n = 1e5, d = 2 (2-vCPU x86_64, one BLAS thread, best of repeats) the
+moments took 6.1 ms through numpy and 1.8 ms by columns, and the
+standardization 2.7 ms by broadcast and 0.56 ms by columns.
 
 The loss's Huber branch takes three dense passes (r^2, / 2 eps, a masked
-copy).  From constants.SPLIT_ROWS = 2,000 rows on, when fewer than a
-quarter of theta's residuals lie in the band, the stage has the loss take
-the rows in the band by index instead: the candidates' bands are about as
-full as theta's.  Below that size the gather's fixed cost (nonzero, take, put)
-outweighs the passes it saves, and with every residual in the band the
-masked copy is faster.  Measured per loss on the same host (min of
+copy).  When fewer than a quarter of theta's residuals lie in the band, the
+stage has the loss take the rows in the band by index instead: the
+candidates' bands are about as full as theta's.  With every residual in the
+band the masked copy is faster.  Measured per loss on the same host (min of
 repeats): the gather takes 0.65-0.8 of the dense passes' time at n = 7,500
 for any band of up to half the rows, 0.8-1.0 at n = 2,000, 1.1-1.3 at
 n <= 1,000, and 1.2-1.7 with every row in the band.
+
+Small problems take the same column passes and the same gather, although
+below about 2,000 rows their d calls and the gather's fixed cost (nonzero,
+take, put) cost a little more than one broadcast or the dense passes.  The
+difference is lost in the fit: with a broadcast path below 2,000 rows and
+without it (2-vCPU x86_64, one BLAS thread), the desk tables' 40 start fits
+took 91.3 and 92.6 ms (median of 12), and desk-sized Gibbs engine calls at
+n = 100 took 54.8 and 55.0 ms (9 of 20 alternations won).
 
 When no residual lies in the smoothing band |r| < eps, the Hessian is zero
 and the damped step for lam_k = lam * 10^k is -grad / lam_k: every candidate
@@ -100,7 +105,7 @@ path and is certified at the last eps it ran, 1e-3.  A 1e5-row frequentist
 contour command (3 taus x 32 directions, one BLAS thread) prepares 32
 problems and runs 96 fits on them: 82 fits were certified in the first
 round and 14 after one fix-up round of at most 80 rows, none fell back, the
-full-data objectives matched the full solve's within 4e-16 relative and
+full-data check losses matched the full solve's within 4e-16 relative and
 theta within 7e-11, and the solver's loss evaluations covered 54M rows
 instead of 736M.
 
@@ -116,14 +121,14 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants
 from .ald import HyperplaneParams
 from .errors import DomainError, RankError, ShapeError
-from .geometry import Dataset, Direction, OrthoBasis, check_loss, project
+from .geometry import Dataset, Direction, OrthoBasis, project
 
 __all__ = ["FitResult", "CheckLossProblem", "fit_prepared", "fit_check_loss", "frequentist_fit"]
 
@@ -139,10 +144,8 @@ _ROUNDS = 3
 @dataclass(frozen=True)
 class FitResult:
     theta: object  # HyperplaneParams for hyperplane fits, ndarray for design-level fits
-    objective: float
     iterations: int
     converged: bool
-    stage_objectives: tuple = field(default=())
 
 
 def _smoothed_loss(r, w, tau, eps, a, q, inside, gather=False):
@@ -192,8 +195,7 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
     np.matmul(z, theta, out=r)
     np.subtract(y, r, out=r)
     # theta's band, counted before the first loss so that a sparse one gathers
-    gather = (n >= constants.SPLIT_ROWS
-              and 4 * int(np.count_nonzero(np.less(np.abs(r, out=a), eps, out=inside))) < n)
+    gather = 4 * int(np.count_nonzero(np.less(np.abs(r, out=a), eps, out=inside))) < n
     f = _smoothed_loss(r, w_mul, tau, eps, a, q, inside, gather)
 
     def attempt(hess, scale, lam_k):
@@ -229,17 +231,14 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
         np.less(a, eps, out=inside)
         in_band = int(np.count_nonzero(inside))
         # the candidates' bands are about as full as theta's
-        gather = n >= constants.SPLIT_ROWS and 4 * in_band < n
+        gather = 4 * in_band < n
         found = None
         if in_band:
             np.multiply(inside, 0.5 / eps, out=curv)
             if w_mul is not None:
                 curv *= w
-            if n >= constants.SPLIT_ROWS:
-                for j in range(d):
-                    np.multiply(z[:, j], curv, out=scaled[:, j])
-            else:
-                np.multiply(z, curv[:, None], out=scaled)
+            for j in range(d):
+                np.multiply(z[:, j], curv, out=scaled[:, j])
             hess = scaled.T @ z
             scale = max(np.max(np.abs(np.diag(hess))), 1.0)
             for _ in range(40):
@@ -281,20 +280,18 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
 
 def _solve(zs, ys, tau, w, schedule, theta=None):
     """The continuation schedule over every given row, from theta or, when
-    None, from weighted least squares; returns theta, the Newton iterations,
-    whether every stage converged and each stage's unsmoothed objective."""
+    None, from weighted least squares; returns theta, the Newton iterations
+    and whether every stage converged."""
     if theta is None:
         zw = zs * np.sqrt(w + 1e-300)[:, None]
         theta, *_ = np.linalg.lstsq(zw, ys * np.sqrt(w + 1e-300), rcond=None)
     total_iter = 0
     converged = True
-    stage_obj = []
     for eps in schedule:
         theta, _, its, ok = _newton_stage(zs, ys, tau, w, theta, eps)
         total_iter += its
         converged = converged and ok
-        stage_obj.append(float(np.sum(w * check_loss(ys - zs @ theta, tau))))
-    return theta, total_iter, converged, stage_obj
+    return theta, total_iter, converged
 
 
 def _band(r, w, tau, width):
@@ -345,24 +342,24 @@ def _preprocessed_solve(zs, ys, tau, w, schedule):
             if 2 * m >= n:
                 break
             sub = np.sort(rng.choice(n, m, replace=False))
-            theta, its, _, _ = _solve(zs[sub], ys[sub], tau, w[sub], schedule[:_SUBSAMPLE_STAGES])
+            theta, its, _ = _solve(zs[sub], ys[sub], tau, w[sub], schedule[:_SUBSAMPLE_STAGES])
             spent += its
             lower, upper = _band(ys - zs @ theta, w, tau, 2 * m)
         zr, yr, wr = _reduced(zs, ys, w, lower, upper)
-        theta, its, ok, stage_obj = _solve(zr, yr, tau, wr, schedule, theta)
+        theta, its, ok = _solve(zr, yr, tau, wr, schedule, theta)
         spent += its
         misplaced = _misplaced(ys - zs @ theta, lower, upper, eps)
         count = int(np.count_nonzero(misplaced))
         if count == 0:
-            return theta, spent, ok, stage_obj
+            return theta, spent, ok
         if count > 0.1 * 2 * m:
             m *= 2
             theta = None
         else:
             lower &= ~misplaced
             upper &= ~misplaced
-    theta, its, ok, stage_obj = _solve(zs, ys, tau, w, schedule)
-    return theta, spent + its, ok, stage_obj
+    theta, its, ok = _solve(zs, ys, tau, w, schedule)
+    return theta, spent + its, ok
 
 
 def _column_moments(z):
@@ -444,11 +441,8 @@ def fit_prepared(problem: CheckLossProblem, tau):
     prepared problem.
 
     Returns a FitResult whose theta is the raw coefficient vector in design
-    order, objective the unsmoothed weighted check loss at that vector, and
-    stage_objectives the unsmoothed objective after each continuation stage
-    (at or above PREPROCESS_ROWS rows, the reduced problem's, whose globs
-    count as their members once every member is on its side).  iterations
-    counts every Newton iteration the call ran.
+    order, iterations counts every Newton iteration the call ran, and
+    converged says whether every continuation stage converged.
     """
     return _fit_schedule(problem, tau, constants.SMOOTHING_SCHEDULE)
 
@@ -460,8 +454,7 @@ def _fit_schedule(problem: CheckLossProblem, tau, schedule):
         raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
     p = problem
     solve = _preprocessed_solve if p.n >= PREPROCESS_ROWS else _solve
-    theta_s, total_iter, converged, stage_obj = solve(p.zs, p.ys, tau, p.w, schedule)
-    stage_obj = [s * p.y_sd for s in stage_obj]
+    theta_s, total_iter, converged = solve(p.zs, p.ys, tau, p.w, schedule)
 
     # undo standardization: y = y_mu + y_sd * ys, z_j = col_mu_j + col_sd_j * zs_j
     const_col = p.const_col
@@ -472,14 +465,7 @@ def _fit_schedule(problem: CheckLossProblem, tau, schedule):
         j = int(np.nonzero(const_col)[0][0])
         cval = p.z[0, j]
         theta[j] = theta[j] + (p.y_mu - shift) / cval
-    objective = float(np.sum(p.w * check_loss(p.y - p.z @ theta, tau)))
-    return FitResult(
-        theta=theta,
-        objective=objective,
-        iterations=total_iter,
-        converged=converged,
-        stage_objectives=tuple(stage_obj),
-    )
+    return FitResult(theta=theta, iterations=total_iter, converged=converged)
 
 
 def fit_check_loss(design, y, tau, weights=None):
@@ -509,10 +495,4 @@ def frequentist_fit(data: Dataset, direction: Direction, basis: OrthoBasis | Non
     """
     raw = fit_prepared(_direction_problem(data, direction, basis), direction.tau)
     params = HyperplaneParams.from_vector(raw.theta, data.k, data.p)
-    return FitResult(
-        theta=params,
-        objective=raw.objective,
-        iterations=raw.iterations,
-        converged=raw.converged,
-        stage_objectives=raw.stage_objectives,
-    )
+    return FitResult(theta=params, iterations=raw.iterations, converged=raw.converged)

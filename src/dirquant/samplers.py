@@ -364,7 +364,6 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     kw2, kwy = (1.0, y) if unit else (weights * weights, weights * y)
     fit = np.empty((n_chains, n, 1))
     scaled = np.empty(design.shape)  # design * kw^2 / (gamma^2 w)
-    by_column = n_chains * n >= constants.SPLIT_ROWS
     gig = _GigWork((n_chains, n), copies)
     theta = np.array(thetas, dtype=float)[:, :, None]
     noise = np.empty((n_chains, d, 1))
@@ -383,11 +382,8 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
         # a_lat's buffer, and the GIG scratch, are free until the next sweep
         gw = np.multiply(gam2, w, out=a_lat)
         t = np.divide(kw2, gw, out=gig.t)
-        if by_column:
-            for j in range(d):
-                np.multiply(design[:, :, j], t, out=scaled[:, :, j])
-        else:
-            np.multiply(design, t[:, :, None], out=scaled)
+        for j in range(d):
+            np.multiply(design[:, :, j], t, out=scaled[:, :, j])
         prec = prior_prec + np.matmul(scaled.transpose(0, 2, 1), design)
         resp = np.multiply(eta, w, out=w)
         np.subtract(kwy, resp, out=resp)

@@ -320,7 +320,7 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "'simultaneous'" in err
-        assert "independent per-direction chains give the same posterior" in err
+        assert "contour reads no config key 'simultaneous'" in err
         assert not os.path.exists(tmp_path / "oc")
 
     def test_tube_slices_shift_with_covariate(self, score_csv, tmp_path):
@@ -457,6 +457,9 @@ class TestCommands:
         # a misspelled key, which the command does not read
         ("fit", "directon", "0,1"), ("ci", "levle", "0.9"), ("contour", "directons", "8"),
         ("tube", "bandwith", "2"), ("simulate", "replicatons", "2"), ("elicit", "familly", "uniform-ball"),
+        # a key the chosen estimator or family does not read: the base's
+        # draws and burn_in, and its radius
+        ("contour", "estimator", "frequentist"), ("elicit", "family", "standard-normal"),
     ])
     def test_config_values_exit_2(self, score_csv, tmp_path, capsys, tiny_desk, command, key, value):
         # each command gets only the keys it reads, then one key changed
