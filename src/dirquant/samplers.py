@@ -17,20 +17,25 @@ directions, one chain per direction samples the joint posterior of a
 contour's hyperplanes.
 
 The engine allocates its (B, n) work arrays once per call, the nu = 1/2 GIG
-draw among them, and skips the kernel-weight products when every weight is
-1.  Callers that stack chains take at most ``_ROW_BUDGET`` chain rows
+draw among them, holds each chain's mixture constants as a full row of
+that shape, and skips the kernel-weight products when every weight is 1.
+Callers that stack chains take at most ``_ROW_BUDGET`` chain rows
 (chains x n) per call, because stacking pays up to about that many rows and
 no further.  Per chain-sweep, measured on the engine at d = 2 with unit
-weights (best of 7 interleaved runs, 2-vCPU x86_64, numpy 2.4, one BLAS
-thread): 107/11.8/12.0/13.0 us at n = 1e2 for B = 1/40/163/655;
-157/72/66/77/83 us at n = 1e3 for B = 1/8/16/32/65; 273/192/182/174/183 us
-at n = 2e3 for B = 1/4/8/16/32; 852/812/807 us at n = 1e4 for B = 1/2/4.
-Every stacked chain adds its rows to the call's memory, so the budget also
-bounds peak RSS.
+weights (best of 18 interleaved runs, 2-vCPU x86_64 host shared with other
+work, numpy 2.4, one BLAS thread): 56/7.2/7.4/8.1 us at n = 1e2 for
+B = 1/40/163/655; 96/43/47/47/50 us at n = 1e3 for B = 1/8/16/32/65;
+137/88/92/95/99 us at n = 2e3 for B = 1/4/8/16/32; 417/427/454 us at
+n = 1e4 for B = 1/2/4.  The engine before the bit-select GIG kernel and
+the full-row constants took 55/7.7/7.1/8.4, 103/50/48/51/55,
+151/100/98/101/108 and 449/460/463 us in the same runs.  Every stacked
+chain adds its rows to the call's memory, so the budget also bounds peak
+RSS.
 
 Latent-scale draws use the nu = 1/2 generalized inverse Gaussian, sampled
 exactly through the reciprocal inverse-Gaussian identity by one kernel
-(``_gig_half_kernel``) that works in caller buffers; ``sample_gig_half``
+(``_gig_half_kernel``) that works in caller buffers and takes each lane's
+root by a bit select, not a masked divide; ``sample_gig_half``
 takes one Generator, or one per row of a 2-D draw, so that stacked chains
 keep their own streams.  The conditional
 sampler carries the unit-exponential latent variable internally (the
@@ -231,8 +236,11 @@ def sample_gig_half(a, b, rng, size=None, *, out=None):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if (a < 0).any() or (b <= 0).any():
-        if (a < 0).any() or (b < 0).any():
+    # one pass each; fmin skips NaN as the comparisons do (np.min would not)
+    a_min = np.fmin.reduce(a, axis=None, initial=np.inf)
+    b_min = np.fmin.reduce(b, axis=None, initial=np.inf)
+    if a_min < 0 or b_min <= 0:
+        if a_min < 0 or b_min < 0:
             raise DomainError("GIG parameters must be nonnegative")
         raise DomainError("nu = 1/2 GIG requires b > 0 (density not normalizable at b = 0)")
     scalar = a.ndim == 0 and b.ndim == 0 and size is None
@@ -268,8 +276,9 @@ def sample_gig_half(a, b, rng, size=None, *, out=None):
 
 class _GigWork:
     """Buffers of one shape for ``_gig_half_kernel``: the normals ``nu`` and
-    uniforms ``u`` it reads, and its scratch ``t`` and ``root``.  The draw is
-    returned in ``u``; ``nu``, ``t`` and ``root`` are free between draws.
+    uniforms ``u`` it reads, and its scratch ``t``, ``root`` and ``accept``
+    (1 or 0 per lane, as uint64).  The draw is returned in ``u``; ``nu``,
+    ``t`` and ``root`` are free between draws.
 
     ``copies`` holds (row, source) pairs of a 2-D draw whose row repeats the
     random stream of an earlier source row (chains of equal seed): a draw
@@ -278,7 +287,7 @@ class _GigWork:
 
     def __init__(self, shape, copies=()):
         self.nu, self.u, self.t, self.root = (np.empty(shape) for _ in range(4))
-        self.small, self.accept = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.small, self.accept = np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint64)
         self.copies = tuple(copies)
 
 
@@ -289,7 +298,7 @@ def _gig_half_kernel(a, b, work):
     nu, u, t, root = work.nu, work.u, work.t, work.root
     # where a <= b * 1e-150 the gamma limit (nu / b)^2 replaces the draw, and
     # ab and ratio hold placeholders; only then is nu needed after y = nu^2
-    small = np.less_equal(a, np.multiply(b, 1e-150), out=work.small)
+    small = np.less_equal(a, np.multiply(b, 1e-150, out=root), out=work.small)
     any_small = small.any()
     y = np.multiply(nu, nu, out=None if any_small else nu)
     np.multiply(a, b, out=t)
@@ -314,7 +323,17 @@ def _gig_half_kernel(a, b, work):
     if any_small:
         np.copyto(ratio, 1.0, where=small)
     x = np.multiply(ratio, h, out=u)
-    np.divide(ratio, h, out=x, where=accept)  # x = ratio / h where accepted, else ratio * h
+    # ratio / h over every lane, then x = ratio / h where accepted, else
+    # ratio * h, by a bit select, x ^= (x ^ q) * accept: a masked divide
+    # runs about five times slower per element than a full one.  A lane
+    # that rejects has h > 0 (h = 0 always accepts), so its discarded
+    # quotient can only overflow
+    with np.errstate(over="ignore"):
+        quotient = np.divide(ratio, h, out=h).view(np.uint64)
+    bits = x.view(np.uint64)
+    quotient ^= bits
+    quotient *= accept
+    bits ^= quotient
     if any_small:
         np.divide(nu, b, out=nu)
         np.copyto(x, np.multiply(nu, nu, out=nu), where=small)
@@ -350,10 +369,11 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     copies = [(j, source) for j, source in enumerate(rngs) if isinstance(source, int)]
     rngs = [rngs[r] if isinstance(r, int) else r for r in rngs]
     mcs = [mixture_constants(tau) for tau in taus]
-    eta = np.array([[mc.eta] for mc in mcs])
-    gamma = np.array([[mc.gamma] for mc in mcs])
-    gam2 = np.array([[mc.gamma**2] for mc in mcs])
-    b_lat = np.array([[np.sqrt(2.0 + mc.eta**2 / mc.gamma**2)] for mc in mcs])
+    consts = np.array([(mc.eta, mc.gamma, mc.gamma**2, np.sqrt(2.0 + mc.eta**2 / mc.gamma**2))
+                       for mc in mcs])
+    # each chain's constants fill its row: against (B, 1) columns every
+    # (B, n) product runs about 1.6 times slower
+    eta, gamma, gam2, b_lat = (np.repeat(col[:, None], n, axis=1) for col in consts.T)
     precs = [np.linalg.inv(prior.covariance) for prior in priors]
     prior_prec = np.array(precs)
     # theta, the right-hand side and the noise are kept as (B, d, 1) columns

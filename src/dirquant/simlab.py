@@ -31,8 +31,6 @@ N((0, x0/2), [[1, 1.5], [1.5, 8]]), the law the conditional oracle targets.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,6 +335,10 @@ def _run_replications(tasks, n_draws, burn_in, workers=1):
     outcomes = [None] * len(tasks)
     pool = None
     if workers > 1:  # spawn: forking a process whose BLAS may run threads is unsafe
+        # imported here: every other command would pay for them at start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         run = pool.map if pool else map

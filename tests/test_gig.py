@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+
+import reference_kernels as ref
 
 from dirquant.errors import DomainError
 from dirquant.samplers import sample_gig_half
@@ -97,3 +101,63 @@ class TestShapesAndEdges:
         expected = np.interp(centers, grid, dens)
         mask = expected > 0.01
         assert np.max(np.abs(hist[mask] - expected[mask])) < 0.03
+
+
+class TestKernelLanes:
+    """The kernel divides ratio by h in every lane and keeps the quotient
+    only where the draw accepts.  A rejecting lane's quotient may overflow;
+    the draw must keep the reference's bytes, and warn only where the
+    reference's masked arithmetic would."""
+
+    N = 20_000
+    SEED = 22
+
+    def _h_and_accept(self):
+        # each lane's h at ab = 1 and its acceptance, from the normals and
+        # uniforms sample_gig_half draws for SEED
+        rng = np.random.default_rng(self.SEED)
+        y = rng.standard_normal(self.N) ** 2
+        u = rng.random(self.N)
+        t = 4.0 * y
+        h = t / (y + np.sqrt(y * y + t)) ** 2
+        return h, u <= 1.0 / (1.0 + h)
+
+    def test_overflowing_discarded_quotients(self):
+        # rejecting lanes get ratio = a / b = 2^1022 at ab = 1, so ratio / h
+        # overflows wherever h < 1/4; accepting lanes keep a = b = 1
+        h, accept = self._h_and_accept()
+        scale = np.where(accept, 1.0, 2.0**511)
+        a, b = scale, 1.0 / scale
+        overflowing = ~accept & (h < 0.25)
+        assert overflowing.sum() > 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sample_gig_half(a, b, np.random.default_rng(self.SEED))
+        with np.errstate(over="ignore"):
+            want = ref.sample_gig_half(a, b, np.random.default_rng(self.SEED))
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[overflowing]).all()
+
+    def test_zero_h_lanes_accept_and_warn(self):
+        # ab = 2^-1080 underflows to 0 without reaching the gamma limit, so
+        # h = 0 and every lane accepts ratio / 0 = inf, warning as the
+        # reference does
+        a = np.full(100, 2.0**-540)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            got = sample_gig_half(a, a, np.random.default_rng(self.SEED))
+        with np.errstate(divide="ignore", over="ignore"):
+            want = ref.sample_gig_half(a, a, np.random.default_rng(self.SEED))
+        assert got.tobytes() == want.tobytes()
+        assert np.isposinf(got).all()
+
+    def test_validation_skips_nan_like_the_comparisons(self):
+        # a NaN neither passes nor fails a parameter check, as with (a < 0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sample_gig_half(np.array([np.nan, 1.0]), np.array([1.0, np.nan]),
+                                  np.random.default_rng(self.SEED))
+        assert np.isnan(got).all()
+        for a, b in (([np.nan, -1.0], 1.0), (1.0, [np.nan, 0.0]), (1.0, [np.nan, -0.0])):
+            with pytest.raises(DomainError):
+                sample_gig_half(np.array(a), np.array(b), np.random.default_rng(self.SEED))
+        assert sample_gig_half(np.zeros(0), 1.0, np.random.default_rng(self.SEED)).shape == (0,)

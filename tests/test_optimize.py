@@ -115,6 +115,18 @@ class TestErrors:
         with pytest.raises(DomainError):
             fit_check_loss(np.ones((5, 1)), np.zeros(5), 0.2, weights=-np.ones(5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["design", "response", "weights"])
+    def test_non_finite_values_rejected(self, name, value):
+        rng = np.random.default_rng(12)
+        arrays = {"design": np.column_stack([rng.standard_normal(50), np.ones(50)]),
+                  "response": rng.standard_normal(50), "weights": np.ones(50)}
+        arrays[name].flat[7] = value
+        # -inf weights are refused as negative, before the finiteness check
+        match = "nonnegative" if name == "weights" and value < 0 else name
+        with pytest.raises(DomainError, match=match):
+            fit_check_loss(arrays["design"], arrays["response"], 0.2, weights=arrays["weights"])
+
 
 def _star_scores(n, seed):
     """Jittered integer test scores, as the frequentist contour fits them."""
@@ -230,6 +242,33 @@ class TestPreprocessing:
         _same_fit_bytes(below, _full_solve(lambda: fit_check_loss(z[:-1], y[:-1], 0.3), monkeypatch))
         fit_check_loss(z, y, 0.3)
         assert calls == [n]
+
+    def test_band_selection_matches_the_sort(self):
+        # unit weights take a selection unless a cut falls between equal or
+        # NaN residuals; the masks are the sort's, on random and on rounded
+        # (tied) residuals
+        def by_sort(r, tau, width):
+            order = np.argsort(r)
+            k = int(np.searchsorted(np.cumsum(np.ones(r.size)), tau * r.size))
+            lo = max(0, k - width // 2)
+            lower, upper = np.zeros(r.size, dtype=bool), np.zeros(r.size, dtype=bool)
+            lower[order[:lo]] = True
+            upper[order[lo + width:]] = True
+            return lower, upper
+
+        rng = np.random.default_rng(23)
+        mismatches = 0
+        for case in range(300):
+            n = int(rng.integers(5, 3000))
+            width, tau = int(rng.integers(1, n)), float(rng.uniform(0.001, 0.999))
+            r = rng.standard_normal(n)
+            if case % 2:
+                r = np.round(r, int(rng.integers(0, 3)))
+            if case % 7 == 0:
+                r[rng.random(n) < 0.05] = np.nan
+            got, want = optimize._band(r, np.ones(n), tau, width), by_sort(r, tau, width)
+            mismatches += not (np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]))
+        assert mismatches == 0
 
     def test_zero_weight_glob_is_dropped(self, monkeypatch):
         # a location fit whose lowest rows carry no weight: at tau = 0.0203 the
@@ -385,6 +424,18 @@ class TestNewtonStage:
                                                 (1000, 1e-3, True)])
     def test_first_loss_takes_the_start_band(self, monkeypatch, n, eps, gather):
         assert self._first_gather(monkeypatch, n, eps) is gather
+
+    def test_nan_response_runs_every_stage_to_max_iter(self):
+        # a NaN residual makes every loss NaN: no step is accepted and no
+        # stage converges, so each runs its 60 iterations
+        rng = np.random.default_rng(32)
+        z = np.column_stack([rng.standard_normal(500), np.ones(500)])
+        y = rng.standard_normal(500)
+        y[7] = np.nan
+        theta, f, its, ok = optimize._newton_stage(z, y, 0.3, np.ones(500), np.zeros(2), 0.1)
+        assert np.isnan(theta).all() and np.isnan(f) and (its, ok) == (60, False)
+        theta, its, ok = optimize._solve(z, y, 0.3, np.ones(500), constants.SMOOTHING_SCHEDULE)
+        assert np.isnan(theta).all() and (its, ok) == (60 * len(constants.SMOOTHING_SCHEDULE), False)
 
 
 def _standardized_by_numpy(z, y):

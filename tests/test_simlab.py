@@ -1,6 +1,9 @@
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from dirquant import samplers, simlab
 from dirquant.errors import DomainError
@@ -253,6 +256,15 @@ class TestExperiments:
         a = simulation_tables(SMALL)["rmse"]
         b = simulation_tables(SMALL)["rmse"]
         assert a == b
+
+    def test_cli_import_leaves_out_the_pool_modules(self):
+        # only a study with workers > 1 needs them; a fresh interpreter shows
+        # what importing the CLI loads
+        code = ("import sys, dirquant.cli; "
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
     def test_workers_match_serial(self):
         a = simulation_tables(SMALL, tables=UNCONDITIONAL)
