@@ -23,7 +23,8 @@ from .errors import ConfigError, DataError, DirquantError, NumericalError
 from .geometry import Dataset, Direction
 from .inference import asymptotic_ci, naive_ci, posterior_mean, subgradient_diagnostics
 from .priors import spherical_prior
-from .samplers import KernelSpec, PriorSpec, _rng_from_seed, default_bandwidth, gibbs_unconditional
+from .samplers import (KernelSpec, PriorSpec, _rng_from_seed, _window_weights, default_bandwidth,
+                       gibbs_unconditional)
 
 __all__ = ["main", "run", "parse_config_file", "ingest_csv"]
 
@@ -316,6 +317,14 @@ def _cmd_fit(cfg: dict, args) -> int:
     return 0
 
 
+def _say_if_empty(command: str, poly, where: str) -> None:
+    """An empty polygon is written as a legal region; stderr says why."""
+    if poly.is_empty:
+        print(f"{command}: warning: the {where} region is empty: its {poly.n_directions} fitted "
+              "halfplanes share no region of positive area (the responses may lie on a line, "
+              "or no point may be that deep)", file=sys.stderr)
+
+
 def _cmd_contour(cfg: dict, args) -> int:
     if _as_list(_get(cfg, "covariates", "")):
         raise ConfigError("contour takes no covariates; tube slices the conditional quantile regions")
@@ -336,6 +345,7 @@ def _cmd_contour(cfg: dict, args) -> int:
         tag = f"{tau:g}".replace(".", "p")
         io.write_polygon(poly, os.path.join(out, f"contour_tau{tag}.csv"),
                          os.path.join(out, f"contour_tau{tag}.json"), provenance=prov)
+        _say_if_empty("contour", poly, f"tau={tau:g}")
     print(f"contour: wrote {len(taus)} polygon(s) to {out}")
     return 0
 
@@ -352,6 +362,8 @@ def _cmd_tube(cfg: dict, args) -> int:
     bandwidth = _as_float(h, "bandwidth", _POSITIVE) if h else None
     data, report, seed = _load_common(cfg)
     kernel = KernelSpec(bandwidth=bandwidth or default_bandwidth(data.x))
+    for x0 in x0s:  # every window, before the first slice is written
+        _window_weights(kernel, data.x, x0)
     out = _out_dir(cfg, args)
     prov = io.provenance_block(cfg, seed)
     for tau in taus:
@@ -361,6 +373,7 @@ def _cmd_tube(cfg: dict, args) -> int:
             tag = f"tau{tau:g}_x{x0:g}".replace(".", "p").replace("-", "m")
             io.write_polygon(poly, os.path.join(out, f"tube_{tag}.csv"),
                              os.path.join(out, f"tube_{tag}.json"), provenance=prov)
+            _say_if_empty("tube", poly, f"tau={tau:g}, x0={x0:g}")
     print(f"tube: wrote {len(taus) * len(x0s)} slice(s) to {out}")
     return 0
 

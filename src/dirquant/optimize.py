@@ -66,7 +66,19 @@ loss evaluations.  Rounding cannot break that order: if step k is accepted,
 convexity puts step k + 1, a tenth as long, at least 0.9 of the tolerance
 1e-12 max(1, |f|) below the threshold, while summation and residual rounding
 are about 1e-15 |f|.  With curvature in the band, the damping path is a
-curve, not a ray, and the scan stays sequential.
+curve, not a ray, and the scan stays sequential.  Every stage starts lam
+at 1e-10, so a stage's first such search would climb about 15 decades;
+instead each search starts at the last accepted zero-curvature damping of
+the same ``_solve`` (one log10 finds its k) and doubles its probes' reach
+down or up from there before bisecting (``_damping_search``).  Any search
+that brackets the smallest accepted k returns it, so every bit is the
+scan's.
+
+A reduced problem (below) has a few thousand unit-weight rows and one or
+two globs.  A stage multiplies by its weights only the rows whose weight
+is not 1 when they are at most a sixteenth of the rows (``_stage_weights``);
+the other products would be x * 1.0 == x, so the bytes are the dense
+multiply's.
 
 Fits of at least PREPROCESS_ROWS = 20,000 rows solve a reduced problem
 first (Portnoy & Koenker 1997, "The Gaussian hare and the Laplacian
@@ -98,15 +110,29 @@ tortoise", Statist. Sci. 12(4)).  In order:
    all rows runs from weighted least squares, and its result is returned.
 
 Step 3 needs the residuals' order only at the band's two cuts.  With unit
-weights the quantile's rank is ceil(n tau) - 1, so ``_band`` partitions the
-residuals at the two ranks beside each cut and takes each mask by one
-comparison with the value there.  Where a cut falls between equal (or NaN)
-residuals, only the sort decides which of them lie below it, so that band,
-like every weighted one, takes the argsort and cumsum: the masks are the
-sort's, ties included.  At n = 1e5 (2-vCPU x86_64, best of repeats) a band
-took 1.5-1.8 ms by selection against 5.0-5.8 ms by the sort, and all 97
-bands of a 1e5-row frequentist contour command (jittered star-like scores,
-32 directions, 3 taus) took the selection.
+weights the quantile's rank is ceil(n tau) - 1, so ``_band`` selects the
+values at the two ranks beside each cut and takes each mask by one
+comparison with the value there.  It selects them in a window of the
+residuals (``_window``): those between two bounds read from a sorted
+strided sample of about _BAND_SAMPLE residuals, about four standard errors
+outside the ranks' sample quantiles, and the count of residuals below the
+window places its ranks.  A bound past the sample's end, or one that
+misses a needed rank, opens to -inf or inf, so the window always holds
+the ranks.  Where a cut falls between equal (or NaN) residuals, only the
+sort decides which of them lie below it, so that band, like every weighted
+one, takes the argsort and cumsum: the masks are the sort's, ties
+included.  A frequentist contour command on 1e5 rows (jittered star-like
+scores, 32 directions, 3 taus; 2-vCPU x86_64, mean over its 96 bands)
+took 0.55 ms per band in windows of about 12,000 residuals, against
+1.6-1.8 ms by selection over all rows; all 96 took the window.
+
+Every fit of a problem draws the same subsamples: each starts a Generator
+seeded with _SUBSAMPLE_SEED, and its j-th draw has m 2^j rows whatever
+tau is.  So the problem keeps each draw, its gathered rows and their
+least-squares start when a fit first needs it (``_subsample``), and its
+other taus reuse them; they are freed with the problem.  The unit-weight
+globs of ``_reduced`` take their member count as their total weight, which
+is what the sum of their 0/1 weights gives.
 
 Below the threshold a fit is the full solve, bit for bit as before; the
 chain starts of `fit` (n = 1e4) and `contour` (n = 2e3) stay there.  At or
@@ -118,10 +144,13 @@ problems and runs 96 fits on them: 82 fits were certified in the first
 round and 14 after one fix-up round of at most 80 rows, none fell back, the
 full-data check losses matched the full solve's within 4e-16 relative and
 theta within 7e-11, and the solver's loss evaluations covered 54M rows
-instead of 736M.
+instead of 736M.  On perfbench's seed-1 input the resumed damping searches
+bring its 96 fits from 9,332 loss evaluations over 53.8M rows to 7,616 over
+43.3M, with the same bytes.
 
-A fit is two steps.  `CheckLossProblem` validates the design, checks its
-rank and standardizes it; none of that depends on tau.  `fit_prepared`
+A fit is two steps.  `CheckLossProblem` validates the design,
+standardizes it and checks the standardized design's rank; none of that
+depends on tau.  `fit_prepared`
 then fits one tau on it through the whole schedule (``_fit_schedule`` takes
 the stages, so a chain start can take fewer), and `fit_check_loss` is the
 pair at one tau.  A contour's direction u has one design [y_perp, x, 1]
@@ -184,18 +213,73 @@ def _smoothed_loss(r, w, tau, eps, a, q, inside, gather=False):
     np.multiply(tau - 0.5, r, out=q)
     q += a
     if w is not None:
-        q *= w
+        _weigh(q, w)
     return float(q.sum())
 
 
-# damping exponents the zero-curvature search tries before bisecting
-_GALLOP = (0, 1, 3, 7, 15, 31, 39)
+def _stage_weights(w):
+    """What a stage multiplies by: None for unit weights, since
+    x * 1.0 == x; the rows whose weight is not 1 and their weights when they
+    are few, as a reduced problem's globs are; else w."""
+    other = w != 1.0
+    if not other.any():
+        return None
+    rows = other.nonzero()[0]
+    return (rows, w[rows]) if 16 * rows.size <= w.size else w
 
 
-def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
+def _weigh(x, w):
+    """x *= w in place, for w from ``_stage_weights``."""
+    if type(w) is tuple:
+        rows, values = w
+        x[rows] *= values
+    else:
+        x *= w
+
+
+def _damping_search(accepts, first):
+    """The smallest k in [0, 40) with accepts(k), or None, for an
+    acceptance monotone in k.  Probes start at first and step away from it
+    by 1, 2, 4, ...: down while accepted, up while rejected, until a
+    rejected and an accepted k (or an end of the range) bracket the answer;
+    bisection closes the bracket.  Each accepted probe lies below every
+    accepted one before it, so the last accepted probe is the k returned.
+    From first = 0 the probes are the gallop 0, 1, 3, 7, 15, 31, 39."""
+    step, lo, hi = 1, -1, None  # the largest k known rejected, the smallest known accepted
+    if accepts(first):
+        hi = first
+        while hi > 0:
+            k = max(hi - step, 0)
+            if not accepts(k):
+                lo = k
+                break
+            hi, step = k, 2 * step
+    else:
+        lo = first
+        while lo < 39:
+            k = min(lo + step, 39)
+            if accepts(k):
+                hi = k
+                break
+            lo, step = k, 2 * step
+        if hi is None:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accepts(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11, hint=None):
+    # hint, when given, is a one-item list holding the last accepted
+    # zero-curvature damping of the caller's solve (None before the first);
+    # the stage starts its zero-curvature searches there and updates it
     n, d = z.shape
     sw = float(np.sum(w))
-    w_mul = w if np.any(w != 1.0) else None  # x * 1.0 == x: unit weights skip the multiplies
+    w_mul = _stage_weights(w)
     lam = 1e-10
     z_t = z.T
     eye = np.eye(d)
@@ -235,7 +319,7 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
         g1 *= 0.5
         g1 += tau - 0.5
         if w_mul is not None:
-            g1 *= w
+            _weigh(g1, w_mul)
         grad = -(z_t @ g1)
         if np.abs(grad).max() <= gtol * max(1.0, sw):
             return theta, f, it, True
@@ -248,7 +332,7 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
         if in_band:
             np.multiply(inside, 0.5 / eps, out=curv)
             if w_mul is not None:
-                curv *= w
+                _weigh(curv, w_mul)
             for j in range(d):
                 np.multiply(z[:, j], curv, out=scaled[:, j])
             hess = scaled.T @ z
@@ -261,25 +345,27 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
         else:
             # zero curvature: every candidate is theta - grad / lam_k on one
             # ray, so acceptance is monotone in k (module docstring) and a
-            # search finds the smallest accepted k that the scan would
+            # search finds the smallest accepted k that the scan would,
+            # starting near the solve's last accepted damping
             lams = [lam]
             for _ in range(39):
                 lams.append(lams[-1] * 10.0)
-            lo = -1  # the largest k known to be rejected
-            for k in _GALLOP:
-                found = attempt(zero, 1.0, lams[k])
-                if found is not None:
-                    break
-                lo = k
-            if found is not None:
-                while k - lo > 1:
-                    mid = (lo + k) // 2
-                    closer = attempt(zero, 1.0, lams[mid])
-                    if closer is None:
-                        lo = mid
-                    else:
-                        found, k = closer, mid
+            first = 0
+            if hint is not None and hint[0] is not None:
+                first = min(max(math.floor(math.log10(hint[0] / lam)), 0), 39)
+
+            def accepts(k):
+                nonlocal found
+                cand = attempt(zero, 1.0, lams[k])
+                if cand is not None:
+                    found = cand
+                return cand is not None
+
+            k = _damping_search(accepts, first)
+            if k is not None:
                 lam = lams[k]
+                if hint is not None:
+                    hint[0] = lam
         if found is None:
             return theta, f, it, False
         improved = f - found[1]
@@ -290,17 +376,23 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
     return theta, f, it, False
 
 
+def _least_squares(zs, ys, w):
+    """Weighted least squares: the schedule's start when none is given."""
+    root = np.sqrt(w + 1e-300)
+    return np.linalg.lstsq(zs * root[:, None], ys * root, rcond=None)[0]
+
+
 def _solve(zs, ys, tau, w, schedule, theta=None):
     """The continuation schedule over every given row, from theta or, when
     None, from weighted least squares; returns theta, the Newton iterations
     and whether every stage converged."""
     if theta is None:
-        zw = zs * np.sqrt(w + 1e-300)[:, None]
-        theta, *_ = np.linalg.lstsq(zw, ys * np.sqrt(w + 1e-300), rcond=None)
+        theta = _least_squares(zs, ys, w)
     total_iter = 0
     converged = True
+    hint = [None]  # the stages' last accepted zero-curvature damping
     for eps in schedule:
-        theta, _, its, ok = _newton_stage(zs, ys, tau, w, theta, eps)
+        theta, _, its, ok = _newton_stage(zs, ys, tau, w, theta, eps, hint=hint)
         total_iter += its
         converged = converged and ok
     return theta, total_iter, converged
@@ -308,18 +400,24 @@ def _solve(zs, ys, tau, w, schedule, theta=None):
 
 def _band(r, w, tau, width):
     """Masks of the rows below and above the `width` rows whose residual
-    ranks lie nearest the weighted tau-quantile of r: by selection with unit
-    weights, by the sort otherwise or at a tied cut (module docstring)."""
+    ranks lie nearest the weighted tau-quantile of r (w is None for unit
+    weights): by selection in a window of r with unit weights, by the sort
+    otherwise or at a tied cut (module docstring)."""
     n = r.size
-    if not np.any(w != 1.0):
+    if w is None:
         lo = max(0, math.ceil(tau * n) - 1 - width // 2)
         hi = lo + width
         cuts = [c for c in (lo, hi) if 0 < c < n]
-        v = np.partition(r, [k for c in cuts for k in (c - 1, c)]) if cuts else r
-        if all(v[c - 1] < v[c] for c in cuts):
-            lower = r < v[lo] if lo > 0 else np.zeros(n, dtype=bool)
-            upper = ~(r < v[hi]) if hi < n else np.zeros(n, dtype=bool)  # NaN ranks last
-            return lower, upper
+        if not cuts:
+            return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        window, below = _window(r, cuts[0] - 1, cuts[-1])
+        if window is not None:
+            v = np.partition(window, [k - below for c in cuts for k in (c - 1, c)])
+            if all(v[c - 1 - below] < v[c - below] for c in cuts):
+                lower = r < v[lo - below] if lo > 0 else np.zeros(n, dtype=bool)
+                upper = ~(r < v[hi - below]) if hi < n else np.zeros(n, dtype=bool)  # NaN ranks last
+                return lower, upper
+        w = np.ones(n)
     order = np.argsort(r)
     cw = np.cumsum(w[order])
     k = int(np.searchsorted(cw, tau * cw[-1]))
@@ -331,15 +429,53 @@ def _band(r, w, tau, width):
     return lower, upper
 
 
+# the strided sample of residuals whose order statistics bound _band's window
+_BAND_SAMPLE = 4096
+
+
+def _window(r, first, last):
+    """(values, count of r below them): the residuals between two bounds,
+    whose ranks in r's sorted order (NaN last) run from the count up and
+    hold ranks first to last; None for the values when rank last is a NaN.
+    The bounds are order statistics of a strided sample of r, about four
+    standard errors outside the ranks' sample quantiles; a bound that misses
+    a rank opens to -inf or inf."""
+    n = r.size
+    sample = np.sort(r[::max(1, n // _BAND_SAMPLE)])
+    k = sample.size
+    margin = 2 * math.isqrt(k) + 1
+    i, j = first * k // n - margin, last * k // n + margin
+    a = sample[i] if i >= 0 else -np.inf
+    b = sample[j] if j < k else np.inf
+    while True:
+        below = int(np.count_nonzero(r < a))
+        inside = r >= a
+        inside &= r <= b
+        size = int(np.count_nonzero(inside))
+        if below > first:
+            a = -np.inf
+        elif last >= below + size and b < np.inf:
+            b = np.inf
+        else:
+            break
+    return (r.take(inside.nonzero()[0]) if last < below + size else None), below
+
+
 def _reduced(zs, ys, w, lower, upper):
     """The rows outside both globs, then one row per glob of positive
-    weight: its members' weighted means, weighted by their total weight."""
+    weight: its members' weighted means, weighted by their total weight (w
+    is None for unit weights, and a glob's total is its member count)."""
     band = np.flatnonzero(~(lower | upper))
-    rows_z, rows_y, rows_w = [zs.take(band, axis=0)], [ys.take(band)], [w.take(band)]
-    wg = np.empty(w.shape)
+    rows_z, rows_y = [zs.take(band, axis=0)], [ys.take(band)]
+    rows_w = [np.ones(band.size) if w is None else w.take(band)]
+    wg = np.empty(zs.shape[0])
     for glob in (lower, upper):
-        np.multiply(w, glob, out=wg)
-        total = float(wg.sum())
+        if w is None:
+            np.copyto(wg, glob)
+            total = float(np.count_nonzero(glob))
+        else:
+            np.multiply(w, glob, out=wg)
+            total = float(wg.sum())
         if total > 0.0:
             rows_z.append((wg @ zs)[None, :] / total)
             rows_y.append(np.array([wg @ ys / total]))
@@ -352,14 +488,35 @@ def _misplaced(r, lower, upper, eps):
     return (lower & (r > -eps)) | (upper & (r < eps))
 
 
-def _preprocessed_solve(zs, ys, tau, w, schedule):
-    """`_solve` through the reduced problem of the module docstring, falling
-    back to the full solve when no round is certified."""
+def _subsample(problem, j, m):
+    """Draw j, of m rows, of the reduced problem's subsamples: the rows'
+    standardized design, response and weights and their least-squares
+    start.  The draws come from one Generator seeded with _SUBSAMPLE_SEED,
+    in order, so draw j is the same at every tau, and the problem keeps
+    each for its other taus."""
+    p = problem
+    if j == len(p.subsamples):
+        if p.subsample_rng is None:
+            p.subsample_rng = np.random.default_rng(_SUBSAMPLE_SEED)
+        sub = np.sort(p.subsample_rng.choice(p.n, m, replace=False))
+        zsub, ysub, wsub = p.zs[sub], p.ys[sub], p.w[sub]
+        start = _least_squares(zsub, ysub, wsub)
+        start.flags.writeable = False
+        p.subsamples.append((zsub, ysub, wsub, start))
+    return p.subsamples[j]
+
+
+def _preprocessed_solve(problem, tau, schedule):
+    """`_solve` of a prepared problem through the reduced problem of the
+    module docstring, falling back to the full solve when no round is
+    certified."""
+    p = problem
+    zs, ys, w = p.zs, p.ys, p.w
+    w_band = None if p.unit_weights else w
     n, d = zs.shape
     eps = schedule[-1]
-    rng = np.random.default_rng(_SUBSAMPLE_SEED)
     m = math.ceil(math.sqrt(d) * n ** (2.0 / 3.0))
-    spent = 0
+    draws = spent = 0
     theta = None
     r = np.empty(n)
 
@@ -371,11 +528,12 @@ def _preprocessed_solve(zs, ys, tau, w, schedule):
         if theta is None:
             if 2 * m >= n:
                 break
-            sub = np.sort(rng.choice(n, m, replace=False))
-            theta, its, _ = _solve(zs[sub], ys[sub], tau, w[sub], schedule[:_SUBSAMPLE_STAGES])
+            zsub, ysub, wsub, start = _subsample(p, draws, m)
+            draws += 1
+            theta, its, _ = _solve(zsub, ysub, tau, wsub, schedule[:_SUBSAMPLE_STAGES], start)
             spent += its
-            lower, upper = _band(residuals(), w, tau, 2 * m)
-        zr, yr, wr = _reduced(zs, ys, w, lower, upper)
+            lower, upper = _band(residuals(), w_band, tau, 2 * m)
+        zr, yr, wr = _reduced(zs, ys, w_band, lower, upper)
         theta, its, ok = _solve(zr, yr, tau, wr, schedule, theta)
         spent += its
         misplaced = _misplaced(residuals(), lower, upper, eps)
@@ -441,16 +599,17 @@ class CheckLossProblem:
             if not np.isfinite(w).all():
                 raise DomainError("weights contain a NaN or infinite value")
         # a NaN or inf in the design or response makes its sd NaN (inf - inf
-        # is NaN, silenced here); only then are the values themselves read,
-        # because huge finite values can overflow the sd too
-        with np.errstate(invalid="ignore"):
+        # is NaN), and finite values too large to square make it inf; both
+        # are silenced here, and only a non-finite sd leads to a look at the
+        # values to tell the two apart
+        with np.errstate(invalid="ignore", over="ignore"):
             col_mu, col_sd = _column_moments(z)
             y_sd = float(y.std())
         for name, values, sd in (("design", z, col_sd), ("response", y, y_sd)):
-            if not np.isfinite(sd).all() and not np.isfinite(values).all():
-                raise DomainError(f"{name} contains a NaN or infinite value")
-        if np.linalg.matrix_rank(z) < d:
-            raise RankError("design matrix is rank deficient")
+            if not np.isfinite(sd).all():
+                if not np.isfinite(values).all():
+                    raise DomainError(f"{name} contains a NaN or infinite value")
+                raise DomainError(f"{name} values are too large: their variance overflows")
 
         const_col = col_sd <= 1e-12 * (1.0 + np.abs(col_mu))
         if not np.any(const_col):
@@ -471,9 +630,18 @@ class CheckLossProblem:
             else:
                 np.subtract(z[:, j], col_mu[j], out=zs[:, j])
                 zs[:, j] /= col_sd[j]
+        # on zs, whose columns share one scale: the rank's relative
+        # tolerance would drop a column of the raw design that is 1e14
+        # times smaller than another
+        if np.linalg.matrix_rank(zs) < d:
+            raise RankError("design matrix is rank deficient")
         ys = (y - y_mu) / y_sd
         self.n = n
         self.z, self.y, self.w = z, y, w
+        self.unit_weights = weights is None or not np.any(w != 1.0)
+        # the reduced problem's subsample draws, made on first need (_subsample)
+        self.subsamples = []
+        self.subsample_rng = None
         self.zs, self.ys = zs, ys
         self.col_mu, self.col_sd, self.const_col = col_mu, col_sd, const_col
         self.y_mu, self.y_sd = y_mu, y_sd
@@ -496,8 +664,10 @@ def _fit_schedule(problem: CheckLossProblem, tau, schedule):
     if not (0.0 < tau < 1.0):
         raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
     p = problem
-    solve = _preprocessed_solve if p.n >= PREPROCESS_ROWS else _solve
-    theta_s, total_iter, converged = solve(p.zs, p.ys, tau, p.w, schedule)
+    if p.n >= PREPROCESS_ROWS:
+        theta_s, total_iter, converged = _preprocessed_solve(p, tau, schedule)
+    else:
+        theta_s, total_iter, converged = _solve(p.zs, p.ys, tau, p.w, schedule)
 
     # undo standardization: y = y_mu + y_sd * ys, z_j = col_mu_j + col_sd_j * zs_j
     const_col = p.const_col

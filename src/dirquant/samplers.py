@@ -613,6 +613,15 @@ def kernel_weights(kernel: KernelSpec, x, x0) -> np.ndarray:
     return (2.0 * np.pi * h * h) ** (-0.5 * x0.size) * np.exp(-0.5 * sq / (h * h))
 
 
+def _window_weights(kernel: KernelSpec, x, x0) -> np.ndarray:
+    """``kernel_weights``, refused with ``DegenerateWindowError`` when every
+    weight lies below ``constants.WEIGHT_FLOOR``: no row carries mass."""
+    weights = kernel_weights(kernel, x, x0)
+    if float(np.max(weights, initial=0.0)) < constants.WEIGHT_FLOOR:
+        raise DegenerateWindowError(f"all kernel weights underflowed at x0 = {np.atleast_1d(x0).tolist()}")
+    return weights
+
+
 # the constant c of default_bandwidth's rule
 _BANDWIDTH_RULE = 9.0
 
@@ -657,9 +666,7 @@ def _conditional_problem(data, direction, design, kernel, prior, seed=0, init=No
         raise ShapeError(f"prior dimension must be {design.dim}, got {prior.dim}")
     if design.regressors.shape[0] != data.n:
         raise ShapeError("design rows do not match the data")
-    weights = kernel_weights(kernel, data.x, design.x0)
-    if float(np.max(weights, initial=0.0)) < constants.WEIGHT_FLOOR:
-        raise DegenerateWindowError("all kernel weights underflowed at this x0")
+    weights = _window_weights(kernel, data.x, design.x0)
     theta0 = _resolve_init(init, design.regressors, design.response, direction, weights, prior)
     return _ChainProblem(design.response, design.regressors, weights, direction.tau, prior, theta0,
                          int(seed), "gibbs-conditional", design.names())

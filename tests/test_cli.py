@@ -311,6 +311,50 @@ class TestCommands:
         assert "config error: tau must lie in (0, 1), got '1.5'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("estimator", ["frequentist", "bayes-mean"])
+    def test_overflowing_responses_are_a_data_error(self, tmp_path, capsys, estimator):
+        # responses whose squares overflow: exit 3 naming the array, with
+        # no numpy warning (raised as an error here)
+        path = tmp_path / "huge.csv"
+        y = np.random.default_rng(5).standard_normal((300, 2)) * 1e200
+        path.write_text("a,b\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in y))
+        argv = ["contour", "--set", f"input={path}", "--set", "response=a,b", "--set", "tau=0.2",
+                "--set", "directions=8", "--set", f"estimator={estimator}", "--out", str(tmp_path / "oc")]
+        if estimator == "bayes-mean":
+            argv += ["--set", "draws=60", "--set", "burn_in=10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: design values are too large: their variance overflows\n"
+        assert not list((tmp_path / "oc").glob("contour_*"))
+
+    def test_empty_contour_says_why(self, tmp_path, capsys):
+        # collinear responses: the tau-depth region is at most a segment, so
+        # the polygon is empty; it is written as before and stderr says so
+        path = tmp_path / "line.csv"
+        a = np.random.default_rng(5).standard_normal(300)
+        path.write_text("a,b\n" + "".join(f"{float(v)!r},{float(2.0 * v)!r}\n" for v in a))
+        out = tmp_path / "oc"
+        argv = ["contour", "--set", f"input={path}", "--set", "response=a,b", "--set", "tau=0.2",
+                "--set", "estimator=frequentist", "--out", str(out)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err == ("contour: warning: the tau=0.2 region is empty: its 32 fitted halfplanes "
+                       "share no region of positive area (the responses may lie on a line, "
+                       "or no point may be that deep)\n")
+        assert json.loads((out / "contour_tau0p2.json").read_text())["properties"]["empty"] is True
+
+    def test_tube_checks_every_window_before_the_first_slice(self, score_csv, tmp_path, capsys):
+        out = tmp_path / "ot"
+        argv = ["tube", "--set", f"input={score_csv}", "--set", "response=math,read",
+                "--set", "covariates=experience", "--set", "tau=0.2", "--set", "x0=10,1e9",
+                "--set", "directions=8", "--set", "draws=60", "--set", "burn_in=10", "--out", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: all kernel weights underflowed at x0 = [1000000000.0]\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_contour_refuses_the_removed_simultaneous_key(self, score_csv, tmp_path, capsys, value):
         # a key that once selected a different chain stream must not be ignored

@@ -1,4 +1,7 @@
 import hashlib
+import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +110,35 @@ class TestErrors:
         with pytest.raises(RankError):
             fit_check_loss(z, np.arange(50.0), 0.2)
 
+    def test_rank_is_checked_on_the_standardized_design(self):
+        # a covariate 1e14 times the constant column's scale is full rank;
+        # the raw design's relative tolerance called it deficient
+        rng = np.random.default_rng(13)
+        x, y = rng.standard_normal(50), rng.standard_normal(50)
+        small = fit_check_loss(np.column_stack([x, np.ones(50)]), y, 0.3)
+        large = fit_check_loss(np.column_stack([1e14 * x, np.ones(50)]), y, 0.3)
+        assert large.theta[0] * 1e14 == pytest.approx(small.theta[0], rel=1e-6)
+        assert large.theta[1] == pytest.approx(small.theta[1], rel=1e-6, abs=1e-9)
+        # a nanosecond timestamp beside the constant column
+        stamp = 1.7e18 + 3.6e12 * np.arange(50.0)
+        fit = fit_check_loss(np.column_stack([stamp, np.ones(50)]), 2.0 * np.arange(50.0), 0.5)
+        assert fit.converged
+
+    @pytest.mark.parametrize("name", ["design", "response"])
+    def test_overflowing_moments_are_a_domain_error(self, name):
+        # finite values whose squares overflow: a DomainError naming the
+        # array, and no numpy warning
+        rng = np.random.default_rng(14)
+        design, y = np.column_stack([rng.standard_normal(50), np.ones(50)]), rng.standard_normal(50)
+        if name == "design":
+            design[:, 0] *= 1e200
+        else:
+            y *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} values are too large"):
+                fit_check_loss(design, y, 0.2)
+
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(DomainError):
             fit_check_loss(np.eye(2), np.zeros(2), 0.2)
@@ -133,6 +165,14 @@ def _star_scores(n, seed):
     cols = make_star_like(n, seed=seed)
     jitter = np.random.default_rng(seed + 1).uniform(0.0, 1.0, (n, 2))
     return Dataset(y=np.column_stack([cols["math"], cols["read"]]) + jitter)
+
+
+def _star_design(n, seed):
+    """A contour direction's standardized design [y_perp, 1] and response
+    on jittered scores, whose late stages start with empty smoothing bands."""
+    data = _star_scores(n, seed)
+    problem = optimize._direction_problem(data, Direction(u=unit_directions(32)[5], tau=0.2))
+    return problem.zs, problem.ys
 
 
 def _full_solve(fit, monkeypatch):
@@ -232,9 +272,9 @@ class TestPreprocessing:
         calls = []
         real = optimize._preprocessed_solve
 
-        def spy(*args):
-            calls.append(args[0].shape[0])
-            return real(*args)
+        def spy(problem, *args):
+            calls.append(problem.n)
+            return real(problem, *args)
 
         monkeypatch.setattr(optimize, "_preprocessed_solve", spy)
         below = fit_check_loss(z[:-1], y[:-1], 0.3)
@@ -243,32 +283,119 @@ class TestPreprocessing:
         fit_check_loss(z, y, 0.3)
         assert calls == [n]
 
-    def test_band_selection_matches_the_sort(self):
-        # unit weights take a selection unless a cut falls between equal or
-        # NaN residuals; the masks are the sort's, on random and on rounded
-        # (tied) residuals
-        def by_sort(r, tau, width):
-            order = np.argsort(r)
-            k = int(np.searchsorted(np.cumsum(np.ones(r.size)), tau * r.size))
-            lo = max(0, k - width // 2)
-            lower, upper = np.zeros(r.size, dtype=bool), np.zeros(r.size, dtype=bool)
-            lower[order[:lo]] = True
-            upper[order[lo + width:]] = True
-            return lower, upper
+    @staticmethod
+    def _band_by_sort(r, tau, width):
+        order = np.argsort(r)
+        k = int(np.searchsorted(np.cumsum(np.ones(r.size)), tau * r.size))
+        lo = max(0, k - width // 2)
+        lower, upper = np.zeros(r.size, dtype=bool), np.zeros(r.size, dtype=bool)
+        lower[order[:lo]] = True
+        upper[order[lo + width:]] = True
+        return lower, upper
 
-        rng = np.random.default_rng(23)
+    def test_band_selection_matches_the_sort(self, monkeypatch):
+        # unit weights take a selection in a window unless a cut falls
+        # between equal or NaN residuals; the masks are the sort's, on random
+        # and on rounded (tied) residuals.  The full strided sample takes
+        # every row of these short arrays; a sample of about 64 rows gives
+        # windows with bounds inside r
         mismatches = 0
-        for case in range(300):
-            n = int(rng.integers(5, 3000))
-            width, tau = int(rng.integers(1, n)), float(rng.uniform(0.001, 0.999))
-            r = rng.standard_normal(n)
-            if case % 2:
-                r = np.round(r, int(rng.integers(0, 3)))
-            if case % 7 == 0:
-                r[rng.random(n) < 0.05] = np.nan
-            got, want = optimize._band(r, np.ones(n), tau, width), by_sort(r, tau, width)
-            mismatches += not (np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]))
+        for sample in (optimize._BAND_SAMPLE, 64):
+            monkeypatch.setattr(optimize, "_BAND_SAMPLE", sample)
+            rng = np.random.default_rng(23)
+            for case in range(300):
+                n = int(rng.integers(5, 3000))
+                width, tau = int(rng.integers(1, n)), float(rng.uniform(0.001, 0.999))
+                if case % 5 == 0:
+                    tau = float(rng.choice([0.001, 0.01, 0.99, 0.999]))  # a bound opens
+                r = rng.standard_normal(n)
+                if case % 2:
+                    r = np.round(r, int(rng.integers(0, 3)))
+                if case % 7 == 0:
+                    r[rng.random(n) < 0.05] = np.nan
+                got, want = optimize._band(r, None, tau, width), self._band_by_sort(r, tau, width)
+                mismatches += not (np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]))
         assert mismatches == 0
+
+    @pytest.mark.parametrize("kind", ["low", "high", "tie", "nan", "open-low", "open-high"])
+    def test_band_window_cases(self, monkeypatch, kind):
+        # the windows the selection meets: a strided sample that misses the
+        # ranks, so the lower or the upper bound opens; a tie at a cut; NaN
+        # at a cut; and ranks past the sample's margin, so a bound starts open
+        monkeypatch.setattr(optimize, "_BAND_SAMPLE", 50)
+        n, width = 5000, 400
+        r = np.random.default_rng(24).standard_normal(n)
+        tau = {"nan": 0.95, "open-low": 0.01, "open-high": 0.99}.get(kind, 0.5)
+        lo = max(0, math.ceil(tau * n) - 1 - width // 2)
+        cuts = [c for c in (lo, lo + width) if 0 < c < n]
+        if kind in ("low", "high"):
+            # every sampled row lies far to one side of the ranks
+            r[::n // 50] = 1e6 if kind == "low" else -1e6
+        elif kind == "tie":
+            order = np.argsort(r)
+            r[order[lo - 5:lo + 5]] = r[order[lo]]
+        elif kind == "nan":
+            r[np.random.default_rng(25).choice(n, 400, replace=False)] = np.nan
+        window, below = optimize._window(r, cuts[0] - 1, cuts[-1])
+        if kind in ("low", "open-low"):
+            assert below == 0  # the lower bound is -inf
+        if kind in ("high", "open-high"):
+            assert below + window.size == n  # the upper bound is inf
+        if kind == "tie":
+            v = np.sort(window)
+            assert v[lo - 1 - below] == v[lo - below]  # the sort decides
+        if kind == "nan":
+            assert window is None  # the upper cut's rank is a NaN: the sort decides
+        got, want = optimize._band(r, None, tau, width), self._band_by_sort(r, tau, width)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_weighted_band_is_the_sort(self):
+        # weights keep the argsort, whatever they are
+        rng = np.random.default_rng(25)
+        r, w = rng.standard_normal(1000), rng.uniform(0.0, 2.0, 1000)
+        lower, upper = optimize._band(r, w, 0.3, 100)
+        order = np.argsort(r)
+        k = int(np.searchsorted(np.cumsum(w[order]), 0.3 * w.sum()))
+        assert np.array_equal(np.flatnonzero(lower), np.sort(order[:k - 50]))
+        assert np.array_equal(np.flatnonzero(upper), np.sort(order[k + 50:]))
+        assert np.array_equal(optimize._band(r, np.ones(1000), 0.3, 100)[0],
+                              optimize._band(r, None, 0.3, 100)[0])
+
+    def test_problem_keeps_its_draws_for_every_tau(self, monkeypatch):
+        # a problem fitted at its taus in any order, one of them through
+        # every round, gives the bytes of a fresh problem per tau: the
+        # draws it keeps do not depend on tau or on the order of the fits
+        z, y = self._problem(optimize.PREPROCESS_ROWS, seed=8)
+        fitting = {}
+        real = optimize._misplaced
+
+        def every_member_at_half(r, lower, upper, eps):
+            # at tau = 0.5 every round gives up, so that fit takes draws 0-2
+            return (lower | upper) if fitting["tau"] == 0.5 else real(r, lower, upper, eps)
+
+        def fit(problem, tau):
+            fitting["tau"] = tau
+            return optimize.fit_prepared(problem, tau)
+
+        def solve(zs, *args):
+            if len(args[3]) == optimize._SUBSAMPLE_STAGES:
+                subsample_rows.append(zs.shape[0])
+            return real_solve(zs, *args)
+
+        real_solve, subsample_rows = optimize._solve, []
+        monkeypatch.setattr(optimize, "_misplaced", every_member_at_half)
+        monkeypatch.setattr(optimize, "_solve", solve)
+        taus = (0.4, 0.05, 0.2)
+        fresh = {tau: fit(optimize.CheckLossProblem(z, y), tau) for tau in (*taus, 0.5)}
+        m = math.ceil(math.sqrt(3) * optimize.PREPROCESS_ROWS ** (2.0 / 3.0))
+        for order in (taus, taus[::-1], (0.5, *taus), (*taus, 0.5)):
+            problem = optimize.CheckLossProblem(z, y)
+            for tau in order:
+                subsample_rows.clear()
+                _same_fit_bytes(fit(problem, tau), fresh[tau])
+                assert subsample_rows == ([m, 2 * m, 4 * m] if tau == 0.5 else [m])
+            assert len(problem.subsamples) == (3 if 0.5 in order else 1)
+            assert all(not start.flags.writeable for *_, start in problem.subsamples)
 
     def test_zero_weight_glob_is_dropped(self, monkeypatch):
         # a location fit whose lowest rows carry no weight: at tau = 0.0203 the
@@ -362,9 +489,9 @@ class TestChainStarts:
         schedules, certified, solved_rows = [], [], []
         real_pre, real_misplaced, real_solve = optimize._preprocessed_solve, optimize._misplaced, optimize._solve
 
-        def pre(zs, ys, tau, w, schedule):
+        def pre(problem, tau, schedule):
             schedules.append(schedule)
-            return real_pre(zs, ys, tau, w, schedule)
+            return real_pre(problem, tau, schedule)
 
         def misplaced(r, lower, upper, eps):
             certified.append((eps, bool(np.all(r[lower] <= -eps) and np.all(r[upper] >= eps))))
@@ -424,6 +551,67 @@ class TestNewtonStage:
                                                 (1000, 1e-3, True)])
     def test_first_loss_takes_the_start_band(self, monkeypatch, n, eps, gather):
         assert self._first_gather(monkeypatch, n, eps) is gather
+
+    def test_damping_search_finds_the_scan_k(self):
+        # for every boundary k* of a monotone acceptance (40: none accepted)
+        # and every first probe, absent (0), below, at or above k*, the
+        # search returns the sequential scan's k, and its last accepted
+        # probe is that k, whose candidate the stage keeps
+        worst = 0
+        for k_star, first in itertools.product(range(41), range(40)):
+            probes = []
+
+            def accepts(k):
+                probes.append(k)
+                return k >= k_star
+
+            k = optimize._damping_search(accepts, first)
+            assert k == (None if k_star == 40 else k_star), (k_star, first)
+            accepted = [p for p in probes if p >= k_star]
+            assert k is None or accepted[-1] == k
+            assert all(0 <= p < 40 for p in probes) and len(set(probes)) == len(probes)
+            worst = max(worst, len(probes))
+        assert worst <= 12
+
+    def test_solve_resumes_its_damping_search(self, monkeypatch):
+        # the stages of one solve share the last accepted zero-curvature
+        # damping, and every stage keeps the reference's bytes
+        z, y = _star_design(3000, seed=2)
+        hints = []
+        real = optimize._newton_stage
+
+        def stage(*args, hint=None, **kwargs):
+            hints.append(hint[0])
+            return real(*args, hint=hint, **kwargs)
+
+        monkeypatch.setattr(optimize, "_newton_stage", stage)
+        theta, its, ok = optimize._solve(z, y, 0.2, np.ones(3000), constants.SMOOTHING_SCHEDULE)
+        assert hints[0] is None and any(h is not None for h in hints)
+        monkeypatch.setattr(optimize, "_newton_stage", lambda *a, hint=None, **k: ref._newton_stage(*a, **k))
+        want = optimize._solve(z, y, 0.2, np.ones(3000), constants.SMOOTHING_SCHEDULE)
+        assert theta.tobytes() == want[0].tobytes() and (its, ok) == want[1:]
+
+    def test_glob_weights_multiply_their_rows_only(self):
+        # a reduced problem's weights: unit rows and two globs.  The stage
+        # multiplies the globs' rows alone and keeps the dense multiply's bytes
+        z, y = _star_design(3000, seed=3)
+        w = np.ones(3000)
+        w[[17, 2999]] = [1250.0, 740.0]
+        rows, values = optimize._stage_weights(w)
+        assert rows.tolist() == [17, 2999] and values.tolist() == [1250.0, 740.0]
+        assert optimize._stage_weights(np.ones(10)) is None
+        dense = np.random.default_rng(4).uniform(0.5, 2.0, 3000)
+        assert optimize._stage_weights(dense) is dense
+        r = y - z @ np.linalg.lstsq(z, y, rcond=None)[0]
+        for eps, gather in ((0.5, False), (0.01, True)):
+            bufs = [np.empty(3000), np.empty(3000), np.empty(3000, dtype=bool)]
+            sparse = optimize._smoothed_loss(r, (rows, values), 0.3, eps, *bufs, gather)
+            assert sparse == optimize._smoothed_loss(r, w, 0.3, eps, *bufs, gather)
+        theta0 = np.linalg.lstsq(z, y, rcond=None)[0]
+        for eps in (1e-1, 1e-4):
+            got = optimize._newton_stage(z, y, 0.3, w, theta0, eps)
+            want = ref._newton_stage(z, y, 0.3, w, theta0, eps)
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
     def test_nan_response_runs_every_stage_to_max_iter(self):
         # a NaN residual makes every loss NaN: no step is accepted and no
