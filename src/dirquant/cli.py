@@ -211,7 +211,9 @@ def ingest_csv(path: str, response_cols, covariate_cols=(), jitter: bool = False
 
     With ``jitter`` a uniform(0, 1) perturbation is added to every response
     entry so discrete scores become continuous (ties broken almost surely).
-    Returns (dataset, report) where report counts dropped rows.
+    A column whose finite values are too large for their variance to be a
+    float raises ``DataError`` naming it.  Returns (dataset, report) where
+    report counts dropped rows.
     """
     grid = _numeric_grid(path)
     if grid is None:
@@ -223,13 +225,38 @@ def ingest_csv(path: str, response_cols, covariate_cols=(), jitter: bool = False
         header, body = grid
         arr = body.take(_column_indices(path, header, response_cols, covariate_cols), axis=1)
         rows_in, dropped = body.shape[0], 0
+        grid = body = None  # only the requested columns are kept
     k = len(response_cols)
     y = arr[:, :k]
     x = arr[:, k:] if len(covariate_cols) else None
     if jitter:
-        y = y + _rng_from_seed(seed).uniform(size=y.shape)
+        # y + noise in the draw's buffer: IEEE addition commutes, so the
+        # bytes and the C layout are those of y + noise
+        noise = _rng_from_seed(seed).uniform(size=y.shape)
+        noise += y
+        y = noise
+    for kind, names, values in (("response", response_cols, y), ("covariate", covariate_cols, x)):
+        huge = _overflowing(names, values)
+        if huge:
+            raise DataError(f"values of {kind} column{'s' if len(huge) > 1 else ''} "
+                            f"{', '.join(huge)} are too large: their variance overflows")
     report = {"rows_in": rows_in, "rows_used": arr.shape[0], "rows_dropped": dropped}
     return Dataset(y=y, x=x), report
+
+
+def _overflowing(names, values) -> list[str]:
+    """The quoted names of the columns whose finite values have a variance
+    that overflows.  A column's sum of squared deviations is at most its sum
+    of squares, so a column whose ``np.dot`` with itself is finite (no
+    n-length temporary) is passed without a look at its variance."""
+    huge = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, name in enumerate(names):
+            col = values[:, j]
+            if (not np.isfinite(np.dot(col, col)) and np.isfinite(col).all()
+                    and not np.isfinite(col.std())):
+                huge.append(repr(name))
+    return huge
 
 
 # ---------------------------------------------------------------------------

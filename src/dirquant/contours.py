@@ -39,7 +39,7 @@ from . import constants
 from .ald import HyperplaneParams
 from .errors import DomainError, NumericalError, ShapeError, UnboundedRegionError
 from .geometry import Dataset, Direction, OrthoBasis, orthonormal_complement, project, unit_directions
-from .optimize import _direction_problem, fit_prepared
+from .optimize import CheckLossProblem, _direction_design, _direction_problem, fit_prepared
 from .samplers import (
     KernelSpec,
     PriorSpec,
@@ -315,10 +315,10 @@ def tau_contours(
             # one design and start problem for every tau; with no more rows
             # than coefficients the chains start from the prior mean, unfitted
             column, basis = columns[idx], bases[idx]
-            start = (_direction_problem(data, column[0], basis=basis)
-                     if data.n > data.k + data.p else None)
+            design, y = _direction_design(data, column[0], basis)
+            start = CheckLossProblem(design, y) if data.n > data.k + data.p else None
             return [(_unconditional_problem(data, direction, prior, seed=_direction_seed(seed, idx),
-                                            basis=basis, prepared=start), None)
+                                            basis=basis, prepared=(design, y, start)), None)
                     for direction in column]
 
         by_direction = [[posterior_mean(chain) for chain, _ in pairs]

@@ -492,24 +492,24 @@ class _ChainProblem:
 def _unconditional_problem(data, direction, prior, seed=0, init=None, basis=None,
                            prepared=None) -> _ChainProblem:
     """The chain ``gibbs_unconditional`` runs: design [y_perp, x, 1] and unit
-    weights.  ``prepared``, direction u's ``CheckLossProblem``
-    (``optimize._direction_problem``), lends the chain its design, response
-    and start problem, so the chains of one u at several taus project,
-    check and standardize it once."""
+    weights.  ``prepared``, direction u's ``_direction_design`` and the
+    ``CheckLossProblem`` made from it (None when the chains start unfitted),
+    lends the chain its design, response and start problem, so the chains
+    of one u at several taus project, check and standardize it once."""
     k = direction.k
     if data is None:
         p = prior.dim - k
         if p < 0:
             raise ShapeError("prior dimension below the response dimension")
         y = np.zeros(0)
-        design = np.zeros((0, prior.dim))
+        design, start = np.zeros((0, prior.dim)), None
     else:
         p = data.p
         if prior.dim != k + p:
             raise ShapeError(f"prior dimension must be {k + p}, got {prior.dim}")
-        design, y = (_direction_design(data, direction, basis) if prepared is None
-                     else (prepared.z, prepared.y))
-    theta0 = _resolve_init(init, design, y, direction, None, prior, prepared)
+        design, y, start = ((*_direction_design(data, direction, basis), None) if prepared is None
+                            else prepared)
+    theta0 = _resolve_init(init, design, y, direction, None, prior, start)
     weights = np.broadcast_to(1.0, y.shape)  # unit weights, without a buffer
     return _ChainProblem(y, design, weights, direction.tau, prior, theta0, int(seed),
                          "gibbs-unconditional", unconditional_param_names(k, p), (k, p))

@@ -119,7 +119,8 @@ def dgp_sample(spec: DgpSpec) -> Dataset:
         return Dataset(y=rng.standard_normal((n, 2)) @ chol.T)
     chol = np.linalg.cholesky(_SIGMA_JOINT)
     xz = rng.standard_normal((n, 3)) @ chol.T
-    x = xz[:, :1]
+    # copies, so that no view keeps the (n, 3) draw alive
+    x = xz[:, :1].copy()
     y = xz[:, 1:].copy()
     y[:, 1] += x[:, 0]
     return Dataset(y=y, x=x)

@@ -89,6 +89,32 @@ class TestIngest:
         plain, _ = ingest_csv(str(path), ["a", "b"])
         assert np.all(data.y >= plain.y) and np.all(data.y < plain.y + 1.0)
 
+    def test_jitter_is_added_in_the_draws_buffer(self, tmp_path):
+        # y + noise written into the noise: the same bytes and C layout,
+        # and no view of the columns read
+        path = tmp_path / "cov.csv"
+        path.write_text("a,b,c\n" + "".join(f"{i % 7},{i % 5},{i}\n" for i in range(50)))
+        data, _ = ingest_csv(str(path), ["a", "b"], ["c"], jitter=True, seed=4)
+        plain, _ = ingest_csv(str(path), ["a", "b"], ["c"])
+        expected = plain.y + samplers._rng_from_seed(4).uniform(size=(50, 2))
+        assert data.y.tobytes() == expected.tobytes()
+        assert data.y.flags.c_contiguous and data.y.base is None
+
+    @pytest.mark.parametrize("column", ["b", "c"])
+    def test_overflowing_column_is_named(self, tmp_path, column):
+        # finite values whose variance overflows: a DataError naming the
+        # column and its role, before any estimation
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((40, 3))
+        values[:, "abc".index(column)] *= 1e200
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,c\n" + "".join(",".join(map(repr, map(float, row))) + "\n" for row in values))
+        role = "response" if column == "b" else "covariate"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^values of {role} column '{column}' are too large"):
+                ingest_csv(str(path), ["a", "b"], ["c"])
+
     def test_malformed_line_reported(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n3\n")
@@ -313,8 +339,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("estimator", ["frequentist", "bayes-mean"])
     def test_overflowing_responses_are_a_data_error(self, tmp_path, capsys, estimator):
-        # responses whose squares overflow: exit 3 naming the array, with
-        # no numpy warning (raised as an error here)
+        # responses whose squares overflow: exit 3 naming the response
+        # columns read, with no numpy warning (raised as an error here)
         path = tmp_path / "huge.csv"
         y = np.random.default_rng(5).standard_normal((300, 2)) * 1e200
         path.write_text("a,b\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in y))
@@ -326,7 +352,8 @@ class TestCommands:
             warnings.simplefilter("error")
             assert main(argv) == 3
         err = capsys.readouterr().err
-        assert err == "data error: design values are too large: their variance overflows\n"
+        assert err == ("data error: values of response columns 'a', 'b' are too large: "
+                       "their variance overflows\n")
         assert not list((tmp_path / "oc").glob("contour_*"))
 
     def test_empty_contour_says_why(self, tmp_path, capsys):

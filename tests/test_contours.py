@@ -304,8 +304,11 @@ class TestTauContour:
 
         def unconverged(problem, tau, **kwargs):
             fit = real_fit(problem, tau, **kwargs)
-            # the problem's response is y_u = y @ u, which gives u back
-            u = np.linalg.lstsq(square_data.y, problem.y, rcond=None)[0]
+            # the problem's response is (y @ u - mean) / sd, which gives u
+            # back up to its positive scale
+            ones = np.ones((square_data.n, 1))
+            u = np.linalg.lstsq(np.hstack([square_data.y, ones]), problem.ys, rcond=None)[0][:2]
+            u /= np.linalg.norm(u)
             if u[0] < -0.5:
                 fit = dataclasses.replace(fit, iterations=iterations[tau], converged=False)
             return fit

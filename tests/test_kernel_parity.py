@@ -141,10 +141,11 @@ def _reference_gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     return draws.reshape(n_draws, len(blocks), -1)
 
 
-def _reference_stage(*args, hint=None, **kwargs):
+def _reference_stage(z, y, tau, w, *args, hint=None, **kwargs):
     """The reference Newton stage, which scans every damping from the
-    stage's first and so takes no hint of the solve's last one."""
-    return ref._newton_stage(*args, **kwargs)
+    stage's first and so takes no hint of the solve's last one, and takes
+    unit weights (None) as the array of ones it was passed."""
+    return ref._newton_stage(z, y, tau, np.ones(z.shape[0]) if w is None else w, *args, **kwargs)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import reference_kernels as ref
 
-from dirquant import constants, optimize, samplers
+from dirquant import constants, contours, optimize, samplers
 from dirquant.errors import DomainError, RankError
 from dirquant.geometry import Dataset, Direction, check_loss, orthonormal_complement, project, unit_directions
 from dirquant.optimize import fit_check_loss, frequentist_fit
@@ -82,11 +83,12 @@ class TestOptimalityProperties:
         # full fit's path, so the losses differ by what the last stage did
         assert normal_data.n < optimize.PREPROCESS_ROWS
         tau = diag_direction.tau
-        problem = optimize._direction_problem(normal_data, diag_direction)
+        design, y_u = optimize._direction_design(normal_data, diag_direction)
+        problem = optimize.CheckLossProblem(design, y_u)
         seven = optimize._fit_schedule(problem, tau, constants.SMOOTHING_SCHEDULE[:7])
         full = optimize.fit_prepared(problem, tau)
         assert len(constants.SMOOTHING_SCHEDULE) == 8
-        seven_loss, full_loss = (float(np.sum(check_loss(problem.y - problem.z @ fit.theta, tau)))
+        seven_loss, full_loss = (float(np.sum(check_loss(y_u - design @ fit.theta, tau)))
                                  for fit in (seven, full))
         assert abs(full_loss - seven_loss) < 1e-6 * normal_data.n
 
@@ -158,6 +160,113 @@ class TestErrors:
         match = "nonnegative" if name == "weights" and value < 0 else name
         with pytest.raises(DomainError, match=match):
             fit_check_loss(arrays["design"], arrays["response"], 0.2, weights=arrays["weights"])
+
+
+class TestLeanProblem:
+    """A prepared problem holds one standardized copy of its rows, and its
+    rank check makes no n x d copy when the Gram matrix certifies full rank."""
+
+    N = 100_000
+
+    @staticmethod
+    def _arrays_nbytes(problem):
+        return sum(v.nbytes for v in vars(problem).values() if isinstance(v, np.ndarray))
+
+    def test_direction_problem_keeps_d_plus_one_columns(self):
+        data = _star_scores(self.N, seed=1)
+        column = [Direction(u=unit_directions(32)[5], tau=tau) for tau in (0.05, 0.2, 0.4)]
+        problem = optimize._direction_problem(data, column[0])
+        d = problem.zs.shape[1]
+        # zs and ys, plus the d-vectors of the moments and the start; the
+        # raw design, response and unit weights are not kept
+        assert problem.w is None
+        assert self._arrays_nbytes(problem) <= (d + 1) * 8 * self.N + 1024
+        for direction in column:
+            optimize.fit_prepared(problem, direction.tau)
+        assert self._arrays_nbytes(problem) <= (d + 1) * 8 * self.N + 1024
+
+    def test_frequentist_direction_traced_peak(self):
+        # one direction's preparation and three fits at 1e5 rows: 7.6 MiB at
+        # the code that kept the raw design, response, unit weights and an
+        # SVD copy beside the standardized rows, 4.6 MiB without them
+        data = _star_scores(self.N, seed=1)
+        u = unit_directions(32)[5]
+        column = [Direction(u=u, tau=tau) for tau in (0.05, 0.2, 0.4)]
+        basis = orthonormal_complement(u)
+        tracemalloc.start()
+        try:
+            contours._frequentist_fits(data, column, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0 * 2**20
+
+    def test_full_rank_design_makes_no_svd(self, monkeypatch):
+        calls = []
+        real = np.linalg.matrix_rank
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", spy)
+        optimize._direction_problem(_star_scores(self.N, seed=2), Direction(u=unit_directions(32)[3], tau=0.2))
+        assert calls == []
+        # a design the Gram matrix cannot certify goes to the SVD
+        with pytest.raises(RankError):
+            optimize.CheckLossProblem(np.ones((self.N, 2)), np.arange(float(self.N)))
+        assert calls == [(self.N, 2)]
+
+    @staticmethod
+    def _designs(n, d, rng):
+        """(name, design) pairs: full rank with a constant column, exactly
+        collinear, constant only, a constant column too large to square,
+        and singular values falling geometrically from 1 to s_min/s_max
+        = 1e-4 ... 1e-14."""
+        full = np.column_stack([rng.standard_normal((n, d - 1)), np.ones(n)])
+        collinear = full.copy()
+        collinear[:, 0] = 3.0 * collinear[:, 1] if d > 2 else 3.0
+        yield "full rank", full
+        yield "collinear", collinear
+        yield "constant only", np.ones((n, d)) * np.arange(1.0, d + 1.0)
+        huge = full.copy()
+        huge[:, -1] = 1e200
+        yield "huge constant", huge
+        q = np.linalg.qr(rng.standard_normal((n, d)))[0]
+        v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        for e in range(4, 15):
+            s = np.sqrt(n) * np.geomspace(1.0, 10.0 ** -e, d)
+            yield f"s_min/s_max 1e-{e}", np.ascontiguousarray((q * s) @ v.T)
+
+    def test_gram_certificate_decides_as_the_svd(self, monkeypatch):
+        svd_calls = []
+        real = np.linalg.matrix_rank
+
+        def spy(a, *args, **kwargs):
+            svd_calls.append(1)
+            return real(a, *args, **kwargs)
+
+        rng = np.random.default_rng(29)
+        certified = fallen_back = 0
+        for n in (50, 1000, self.N):
+            for d in (2, 3, 4):
+                for name, z in self._designs(n, d, rng):
+                    expected = real(z) == d
+                    with monkeypatch.context() as m:
+                        m.setattr(np.linalg, "matrix_rank", spy)
+                        svd_calls.clear()
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            got = optimize._full_rank(z)
+                    assert got == expected, (n, d, name)
+                    if svd_calls:
+                        fallen_back += 1
+                    else:
+                        certified += 1
+                        assert expected, (n, d, name)
+        # both ways are taken: full-rank and 1e-4 designs are certified, and
+        # deficient, huge and near-deficient ones go to the SVD
+        assert certified >= 18 and fallen_back >= 27
 
 
 def _star_scores(n, seed):
@@ -448,7 +557,7 @@ class TestChainStarts:
         out = np.where(const, 0.0, theta * p.col_sd / p.y_sd)
         j = int(np.flatnonzero(const)[0])
         shift = np.sum(np.where(const, 0.0, theta * p.col_mu))
-        out[j] = (theta[j] * p.z[0, j] - p.y_mu + shift) / p.y_sd
+        out[j] = (theta[j] * p.zs[0, j] - p.y_mu + shift) / p.y_sd  # zs keeps the raw constant
         return out
 
     @pytest.mark.parametrize("n, median_gap, largest_gap", [(100, 0.01, 0.1), (2000, 0.025, 0.25)])
@@ -585,10 +694,12 @@ class TestNewtonStage:
             return real(*args, hint=hint, **kwargs)
 
         monkeypatch.setattr(optimize, "_newton_stage", stage)
-        theta, its, ok = optimize._solve(z, y, 0.2, np.ones(3000), constants.SMOOTHING_SCHEDULE)
+        w = np.ones(3000)
+        start = optimize._least_squares(z, y, w)
+        theta, its, ok = optimize._solve(z, y, 0.2, w, constants.SMOOTHING_SCHEDULE, start)
         assert hints[0] is None and any(h is not None for h in hints)
         monkeypatch.setattr(optimize, "_newton_stage", lambda *a, hint=None, **k: ref._newton_stage(*a, **k))
-        want = optimize._solve(z, y, 0.2, np.ones(3000), constants.SMOOTHING_SCHEDULE)
+        want = optimize._solve(z, y, 0.2, w, constants.SMOOTHING_SCHEDULE, start)
         assert theta.tobytes() == want[0].tobytes() and (its, ok) == want[1:]
 
     def test_glob_weights_multiply_their_rows_only(self):
@@ -622,7 +733,8 @@ class TestNewtonStage:
         y[7] = np.nan
         theta, f, its, ok = optimize._newton_stage(z, y, 0.3, np.ones(500), np.zeros(2), 0.1)
         assert np.isnan(theta).all() and np.isnan(f) and (its, ok) == (60, False)
-        theta, its, ok = optimize._solve(z, y, 0.3, np.ones(500), constants.SMOOTHING_SCHEDULE)
+        theta, its, ok = optimize._solve(z, y, 0.3, np.ones(500), constants.SMOOTHING_SCHEDULE,
+                                         optimize._least_squares(z, y, np.ones(500)))
         assert np.isnan(theta).all() and (its, ok) == (60 * len(constants.SMOOTHING_SCHEDULE), False)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dirquant.geometry import Dataset, Direction, check_loss, orthonormal_complement, project
-from dirquant.simlab import DgpSpec, dgp_sample
+from dirquant.simlab import DgpSpec, dgp_sample, population_params_oracle
 from quadrature_oracle import _check_loss_sums, exact_posterior
 
 U45 = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -59,3 +59,29 @@ def test_rejects_models_outside_k2_p0():
     data = Dataset(y=np.zeros((10, 2)) + np.arange(10)[:, None], x=np.arange(10.0)[:, None])
     with pytest.raises(ValueError):
         exact_posterior(data, Direction(u=U01, tau=0.2))
+
+
+# datasets per sample size, fixed before the test first ran; the
+# exact-posterior probe behind ROADMAP item 3 used 200, 200, 120 and 60
+BIAS_DATASETS = {250: 150, 1000: 150, 4000: 80, 16000: 30}
+
+
+def test_posterior_mean_bias_falls_with_n():
+    """The unit-scale exact posterior mean's beta bias, in sampling sd, on
+    DGP 2 at u = 45 deg, tau = 0.2: -1.34, -0.71, -0.26 and -0.04 at the
+    probe's n = 250, 1,000, 4,000 and 16,000.  It shrinks as n grows, as
+    asymptotically correct intervals need; no sampler runs.  With R
+    datasets a ratio carries a Monte Carlo error of about R^(-1/2) sd, so
+    the orderings asserted are several such errors wide."""
+    direction = Direction(u=U45, tau=0.2)
+    basis = orthonormal_complement(direction.u)
+    truth = population_params_oracle(2, direction, 1_000_000, basis=basis).beta_y[0]
+    ratio = {}
+    for n, datasets in BIAS_DATASETS.items():
+        means = np.array([exact_posterior(dgp_sample(DgpSpec(id=2, n=n, seed=1000 * n + rep)),
+                                          direction, basis=basis).mean[0]
+                          for rep in range(datasets)])
+        ratio[n] = abs(means.mean() - truth) / means.std(ddof=1)
+    assert ratio[250] > 1.0
+    assert ratio[250] > ratio[1000] > ratio[4000]
+    assert ratio[1000] > ratio[16000]

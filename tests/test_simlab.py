@@ -125,6 +125,11 @@ class TestDgpSampling:
         assert cov[0, 1] == pytest.approx(1.5, rel=0.1)
         assert np.var(data.x[:, 0]) == pytest.approx(4.0, rel=0.05)
 
+    def test_regression_sample_keeps_no_view_of_its_draw(self):
+        # x and y are copies, so the (n, 3) normal draw is freed
+        data = dgp_sample(DgpSpec(id=4, n=1000, seed=4))
+        assert data.x.base is None and data.y.base is None
+
     def test_conditional_variant_law(self):
         data = dgp4_conditional_sample(200_000, seed=5)
         x = data.x[:, 0]

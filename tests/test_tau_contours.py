@@ -88,7 +88,7 @@ def _preparation_counts(monkeypatch, estimator, **kwargs):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "matrix_rank", counting("rank", np.linalg.matrix_rank))
+    monkeypatch.setattr(optimize, "_full_rank", counting("rank", optimize._full_rank))
     counted_project = counting("project", project)
     for module in (optimize, contours):
         monkeypatch.setattr(module, "project", counted_project)
@@ -108,6 +108,30 @@ def test_each_bayes_direction_is_prepared_once(monkeypatch):
     # 96 chains start from fits on 32 prepared problems
     counts = _preparation_counts(monkeypatch, "bayes-mean", n_draws=20, burn_in=5)
     assert counts == {"rank": 32, "project": 32, "fit": 96}
+
+
+@pytest.mark.parametrize("estimator, kwargs", [("frequentist", {}),
+                                               ("bayes-mean", {"n_draws": 20, "burn_in": 5})])
+def test_each_direction_solves_least_squares_once(monkeypatch, estimator, kwargs):
+    # the full solve's start is kept on the prepared problem, read-only, so
+    # the 96 fits or chain starts of 32 directions make 32 lstsq calls
+    data = Dataset(y=np.random.default_rng(23).standard_normal((400, 2)))
+    calls, starts = [], []
+    real_lstsq, real_start = np.linalg.lstsq, optimize._full_start
+
+    def lstsq(*args, **kwargs):
+        calls.append(1)
+        return real_lstsq(*args, **kwargs)
+
+    def full_start(problem):
+        starts.append(real_start(problem))
+        return starts[-1]
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    monkeypatch.setattr(optimize, "_full_start", full_start)
+    tau_contours(data, (0.05, 0.2, 0.4), 32, estimator=estimator, **kwargs)
+    assert len(calls) == 32 and len(starts) == 96
+    assert not any(start.flags.writeable for start in starts)
 
 
 def test_tau_contour_is_one_tau_of_tau_contours():
