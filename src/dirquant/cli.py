@@ -220,15 +220,21 @@ def ingest_csv(path: str, response_cols, covariate_cols=(), jitter: bool = False
         parsed, rows_in, dropped = _parse_rows(path, response_cols, covariate_cols)
         if not parsed:
             raise DataError(f"{path}: no complete rows after dropping missing values")
-        arr = np.array(parsed)
+        body = np.array(parsed)
+        parsed = None
+        idx = list(range(body.shape[1]))
     else:
         header, body = grid
-        arr = body.take(_column_indices(path, header, response_cols, covariate_cols), axis=1)
+        idx = _column_indices(path, header, response_cols, covariate_cols)
         rows_in, dropped = body.shape[0], 0
-        grid = body = None  # only the requested columns are kept
+        grid = None
+    # responses and covariates in arrays of their own, so that neither keeps
+    # the other alive: the jitter below replaces y, and the full-width body
+    # is dropped once its columns are taken
     k = len(response_cols)
-    y = arr[:, :k]
-    x = arr[:, k:] if len(covariate_cols) else None
+    y = body.take(idx[:k], axis=1)
+    x = body.take(idx[k:], axis=1) if len(covariate_cols) else None
+    body = None
     if jitter:
         # y + noise in the draw's buffer: IEEE addition commutes, so the
         # bytes and the C layout are those of y + noise
@@ -240,7 +246,7 @@ def ingest_csv(path: str, response_cols, covariate_cols=(), jitter: bool = False
         if huge:
             raise DataError(f"values of {kind} column{'s' if len(huge) > 1 else ''} "
                             f"{', '.join(huge)} are too large: their variance overflows")
-    report = {"rows_in": rows_in, "rows_used": arr.shape[0], "rows_dropped": dropped}
+    report = {"rows_in": rows_in, "rows_used": y.shape[0], "rows_dropped": dropped}
     return Dataset(y=y, x=x), report
 
 

@@ -28,16 +28,21 @@ standardization writes (z_j - mu_j) / sd_j column by column, and the stage
 forms its curvature-weighted design z_j * curv the same way.  Both are
 elementwise, so the bytes are those of the broadcast.  The column moments
 are numpy's own: on a C-ordered array with d >= 2 columns, ``mean``/``std``
-along axis 0 add row after row, a running sum per column, which
-``np.add.accumulate`` over a contiguous copy of the column reproduces; any
-other layout (an F-ordered design reduces pairwise) keeps numpy's
-reduction.  zs takes z's layout, never a column-major copy of a C-ordered
-one, and ``scaled`` stays C-ordered: the solver's ``z @ theta``,
-``z.T @ g`` and ``scaled.T @ z`` go to BLAS, whose kernels for the other
-layout sum in another order (checked under OpenBLAS: the bytes change).
-At n = 1e5, d = 2 (2-vCPU x86_64, one BLAS thread, best of repeats) the
-moments took 6.1 ms through numpy and 1.8 ms by columns, and the
-standardization 2.7 ms by broadcast and 0.56 ms by columns.
+along axis 0 add row after row from 0.0, a running sum per column.
+``_column_moments`` takes that sum over the columns themselves, strided
+views and a broadcast constant included, _CHUNK = 8,192 rows at a time:
+each chunk (or its squared deviations) goes into one 64 KiB buffer, its
+first entry takes the sum so far, and ``np.add.accumulate`` carries it
+on, so no n-length copy is made.  Any other layout (an F-ordered or
+one-column design reduces pairwise) keeps numpy's reduction.  zs takes
+z's layout, never a column-major copy of a C-ordered one, and ``scaled``
+stays C-ordered: the solver's ``z @ theta``, ``z.T @ g`` and
+``scaled.T @ z`` go to BLAS, whose kernels for the other layout sum in
+another order (checked under OpenBLAS: the bytes change).  At n = 1e5,
+d = 2 (2-vCPU x86_64, one BLAS thread, best of repeats) the moments took
+5.3 ms through numpy, 2.0 ms over an n-length copy of each column and
+1.65 ms in chunks, and the standardization 2.7 ms by broadcast and
+0.56 ms by columns.
 
 The loss's Huber branch takes three dense passes (r^2, / 2 eps, a masked
 copy).  When fewer than a quarter of theta's residuals lie in the band, the
@@ -164,13 +169,23 @@ constant columns keep the raw values that un-standardizing reads, the
 standardized response ys, and the weights only when some weight is not 1.
 Unit weights travel as None, which every pass reads as x * 1.0 == x and a
 weight sum of n, so the bytes are those of an array of ones.  The problem
-keeps no reference to the design and response it was made from; a Bayes
-contour's chains, which run on the raw design, keep theirs beside it.  On
-a 1e5-row direction of a frequentist contour (jittered star-like scores,
-d = 2) the problem holds 2.4 MB, three n-vectors, where keeping the raw
-design, response and unit weights too made it 5.6 MB; one direction's
-preparation and three fits peak at 4.58 MiB traced by ``tracemalloc``,
-against 7.58 MiB with those copies and the rank check's SVD copy.
+keeps no reference to the arrays it was made from.  A frequentist
+direction's problem (``_direction_problem``: contours, `frequentist_fit`
+and simlab's oracles) is made from the projection's columns, y_perp's and
+x's as views and the constant as ``np.broadcast_to(1.0, n)``, never from a
+stacked design, and drops them once zs and ys hold their values; a 2-D
+design is read as the same column views, so both take one path and give
+the same bytes.  A Bayes contour's chains, which run on the stacked
+design, keep it beside the problem.  A reduced fit makes its residual
+buffer after the first subsample draw, whose ``Generator.choice`` builds
+an n-length index array, and lends it to ``_reduced`` for the glob
+weights.  On a 1e5-row direction of a frequentist contour (jittered
+star-like scores, d = 2) the problem holds 2.4 MB, three n-vectors; traced
+by ``tracemalloc``, its preparation peaks at 3.06 MiB and its three fits
+at 3.93 MiB, against 4.58 and 4.50 MiB when the problem was made from a
+stacked design with an n-length copy per column for the moments.  On a
+DGP 4 oracle's d = 3 direction the peaks are 3.82 and 5.08 MiB, against
+6.10 and 5.89 MiB.
 
 The rank check decides as ``np.linalg.matrix_rank(zs) == d``, which holds
 iff the SVD's s_min > n eps s_max (n > d), but certifies full rank without
@@ -510,14 +525,14 @@ def _window(r, first, last):
     return (r.take(inside.nonzero()[0]) if last < below + size else None), below
 
 
-def _reduced(zs, ys, w, lower, upper):
+def _reduced(zs, ys, w, lower, upper, wg):
     """The rows outside both globs, then one row per glob of positive
     weight: its members' weighted means, weighted by their total weight (w
-    is None for unit weights, and a glob's total is its member count)."""
+    is None for unit weights, and a glob's total is its member count).  wg
+    is an n-length scratch buffer for the glob weights."""
     band = np.flatnonzero(~(lower | upper))
     rows_z, rows_y = [zs.take(band, axis=0)], [ys.take(band)]
     rows_w = [np.ones(band.size) if w is None else w.take(band)]
-    wg = np.empty(zs.shape[0])
     for glob in (lower, upper):
         if w is None:
             np.copyto(wg, glob)
@@ -566,9 +581,12 @@ def _preprocessed_solve(problem, tau, schedule):
     m = math.ceil(math.sqrt(d) * n ** (2.0 / 3.0))
     draws = spent = 0
     theta = None
-    r = np.empty(n)
+    r = None  # made after the first draw, whose Generator.choice builds n indices
 
     def residuals():
+        nonlocal r
+        if r is None:
+            r = np.empty(n)
         np.matmul(zs, theta, out=r)
         return np.subtract(ys, r, out=r)
 
@@ -581,8 +599,9 @@ def _preprocessed_solve(problem, tau, schedule):
             theta, its, _ = _solve(zsub, ysub, tau, wsub, schedule[:_SUBSAMPLE_STAGES], start)
             spent += its
             lower, upper = _band(residuals(), w, tau, 2 * m)
-        zr, yr, wr = _reduced(zs, ys, w, lower, upper)
+        zr, yr, wr = _reduced(zs, ys, w, lower, upper, r)
         theta, its, ok = _solve(zr, yr, tau, wr, schedule, theta)
+        del zr, yr, wr  # before a fix-up round builds its own
         spent += its
         misplaced = _misplaced(residuals(), lower, upper, eps)
         count = int(np.count_nonzero(misplaced))
@@ -598,23 +617,39 @@ def _preprocessed_solve(problem, tau, schedule):
     return theta, spent + its, ok
 
 
-def _column_moments(z):
-    """``z.mean(axis=0)`` and ``z.std(axis=0)``, bit for bit, with each
-    column's passes over one contiguous copy of it."""
-    n, d = z.shape
-    if not z.flags.c_contiguous or d < 2:
-        return z.mean(axis=0), z.std(axis=0)
-    # numpy reduces axis 0 of a C-ordered array with two or more columns row
-    # after row, one running sum per column, and accumulate is that sum
-    mu, sd = np.empty(d), np.empty(d)
-    col, acc = np.empty(n), np.empty(n)
-    for j in range(d):
-        np.copyto(col, z[:, j])
-        mu[j] = np.add.accumulate(col, out=acc)[-1] / n
-        col -= mu[j]
-        col *= col
-        sd[j] = np.sqrt(np.add.accumulate(col, out=acc)[-1] / n)
+# the rows a column-moment pass takes at a time (``_column_moments``)
+_CHUNK = 8192
+
+
+def _column_moments(columns):
+    """``z.mean(axis=0)`` and ``z.std(axis=0)``, bit for bit, of the
+    C-ordered (n, d) array, d >= 2, whose columns are given, in chunks of
+    _CHUNK rows with no n-length copy."""
+    n = columns[0].size
+    mu, sd = np.empty(len(columns)), np.empty(len(columns))
+    buf, acc = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
+    for j, col in enumerate(columns):
+        mu[j] = _running_sum(col, None, buf, acc) / n
+        sd[j] = np.sqrt(_running_sum(col, mu[j], buf, acc) / n)
     return mu, sd
+
+
+def _running_sum(col, mu, buf, acc):
+    """The running sum of col, or of (col - mu)^2, from 0.0 and row after
+    row, as numpy adds axis 0 of a C-ordered array with two or more columns:
+    each chunk's accumulate starts from the sum so far."""
+    total = 0.0
+    for start in range(0, col.size, buf.size):
+        part = col[start:start + buf.size]
+        b = buf[:part.size]
+        if mu is None:
+            np.copyto(b, part)
+        else:
+            np.subtract(part, mu, out=b)
+            b *= b
+        b[0] += total
+        total = np.add.accumulate(b, out=acc[:part.size])[-1]
+    return total
 
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -632,6 +667,15 @@ def _full_rank(zs):
         if np.linalg.eigvalsh(gram)[0] > bound:
             return True
     return np.linalg.matrix_rank(zs) == d
+
+
+def _refuse_non_finite(name, columns, sd):
+    """DomainError when a moment is not finite: the columns hold a NaN or
+    an inf, or values too large for their variance to be a float."""
+    if not np.isfinite(sd).all():
+        if not all(np.isfinite(col).all() for col in columns):
+            raise DomainError(f"{name} contains a NaN or infinite value")
+        raise DomainError(f"{name} values are too large: their variance overflows")
 
 
 class CheckLossProblem:
@@ -652,8 +696,31 @@ class CheckLossProblem:
 
     def __init__(self, design, y, weights=None):
         z = np.atleast_2d(np.asarray(design, dtype=float))
+        # numpy reduces axis 0 of a C-ordered design with two or more columns
+        # row after row, which the column sums reproduce; any other layout
+        # (an F-ordered design reduces pairwise) keeps numpy's reduction
+        whole = None if z.flags.c_contiguous and z.shape[1] >= 2 else z
+        self._prepare([y, *z.T], weights, z.shape, whole)
+
+    @classmethod
+    def _of_columns(cls, parts):
+        """The problem of response parts[0] against the C-ordered design
+        whose two or more columns are parts[1:], without stacking them.
+        parts is emptied, so the problem releases its arrays once zs and ys
+        hold their values."""
+        problem = cls.__new__(cls)
+        problem._prepare(parts, None, (parts[0].size, len(parts) - 1), None)
+        return problem
+
+    def _prepare(self, parts, weights, shape, whole):
+        """Validate and standardize response parts[0] and the (n, d) design's
+        columns parts[1:].  The design is ``whole`` when numpy's reduction
+        gives its moments, and zs takes its layout, on which the solver's
+        products depend; else the design is C-ordered, and so is zs."""
+        y, *columns = parts
+        parts.clear()
         y = np.asarray(y, dtype=float)
-        n, d = z.shape
+        n, d = shape
         if y.shape != (n,):
             raise ShapeError("response length does not match the design")
         if n <= d:
@@ -674,13 +741,13 @@ class CheckLossProblem:
         # are silenced here, and only a non-finite sd leads to a look at the
         # values to tell the two apart
         with np.errstate(invalid="ignore", over="ignore"):
-            col_mu, col_sd = _column_moments(z)
+            if whole is None:
+                col_mu, col_sd = _column_moments(columns)
+            else:
+                col_mu, col_sd = whole.mean(axis=0), whole.std(axis=0)
             y_sd = float(y.std())
-        for name, values, sd in (("design", z, col_sd), ("response", y, y_sd)):
-            if not np.isfinite(sd).all():
-                if not np.isfinite(values).all():
-                    raise DomainError(f"{name} contains a NaN or infinite value")
-                raise DomainError(f"{name} values are too large: their variance overflows")
+        _refuse_non_finite("design", columns, col_sd)
+        _refuse_non_finite("response", [y], y_sd)
 
         const_col = col_sd <= 1e-12 * (1.0 + np.abs(col_mu))
         if not np.any(const_col):
@@ -692,22 +759,27 @@ class CheckLossProblem:
         col_sd = np.where(const_col, 1.0, col_sd)
         if y_sd <= 1e-300:
             y_sd = 1.0
-        # (z - col_mu) / col_sd with z's constant columns, one column at a
-        # time into z's layout, which the solver's products depend on
-        zs = np.empty_like(z)
-        for j in range(d):
+        # (z - col_mu) / col_sd with z's constant columns, one column at a time
+        zs = np.empty(shape) if whole is None else np.empty_like(whole)
+        for j, col in enumerate(columns):
             if const_col[j]:
-                zs[:, j] = z[:, j]
+                zs[:, j] = col
             else:
-                np.subtract(z[:, j], col_mu[j], out=zs[:, j])
+                np.subtract(col, col_mu[j], out=zs[:, j])
                 zs[:, j] /= col_sd[j]
+        # the last references to a projection's columns (``_of_columns``):
+        # y_perp is freed before ys is made, and y_u after
+        del columns, whole
+        ys = np.subtract(y, y_mu)
+        ys /= y_sd
+        del y
         # on zs, whose columns share one scale: the rank's relative
         # tolerance would drop a column of the raw design that is 1e14
         # times smaller than another
         if not _full_rank(zs):
             raise RankError("design matrix is rank deficient")
         self.n = n
-        self.zs, self.ys, self.w = zs, (y - y_mu) / y_sd, w
+        self.zs, self.ys, self.w = zs, ys, w
         self.col_mu, self.col_sd, self.const_col = col_mu, col_sd, const_col
         self.y_mu, self.y_sd = y_mu, y_sd
         # made on first need: the full solve's start (_full_start) and the
@@ -756,18 +828,26 @@ def fit_check_loss(design, y, tau, weights=None):
     return fit_prepared(CheckLossProblem(design, y, weights), tau)
 
 
-def _direction_design(data: Dataset, direction: Direction, basis: OrthoBasis | None = None):
-    """Direction u's design [y_perp, x, 1] and its response y_u, the
-    coefficient order (beta_y, beta_x, alpha) of fits and chains alike."""
+def _direction_columns(data: Dataset, direction: Direction, basis: OrthoBasis | None = None) -> list:
+    """[y_u, then direction u's design columns]: y_perp's and x's columns,
+    as views, and the constant, broadcast; the coefficient order
+    (beta_y, beta_x, alpha) of fits and chains alike."""
     projected = project(data, direction, basis)
-    return np.column_stack([projected.y_perp, data.x, np.ones(data.n)]), projected.y_u
+    return [projected.y_u, *projected.y_perp.T, *data.x.T, np.broadcast_to(1.0, data.n)]
+
+
+def _direction_design(data: Dataset, direction: Direction, basis: OrthoBasis | None = None):
+    """Direction u's design [y_perp, x, 1], stacked, and its response y_u."""
+    y_u, *columns = _direction_columns(data, direction, basis)
+    return np.column_stack(columns), y_u
 
 
 def _direction_problem(data: Dataset, direction: Direction,
                        basis: OrthoBasis | None = None) -> CheckLossProblem:
-    """The prepared problem of direction u's ``_direction_design``.  It
-    depends on u only, so one serves every tau."""
-    return CheckLossProblem(*_direction_design(data, direction, basis))
+    """The prepared problem of direction u's ``_direction_design``, made
+    from the projection's columns without stacking them.  It depends on u
+    only, so one serves every tau."""
+    return CheckLossProblem._of_columns(_direction_columns(data, direction, basis))
 
 
 def frequentist_fit(data: Dataset, direction: Direction, basis: OrthoBasis | None = None) -> FitResult:

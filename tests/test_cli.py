@@ -100,6 +100,21 @@ class TestIngest:
         assert data.y.tobytes() == expected.tobytes()
         assert data.y.flags.c_contiguous and data.y.base is None
 
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_covariates_hold_no_view_of_the_responses(self, tmp_path, jitter, missing):
+        # responses and covariates are arrays of their own, from the C
+        # reader and from the per-row parser (which a missing cell selects),
+        # so the covariates keep no raw response column alive
+        rows = [f"{i % 7},{i % 5},{i}" for i in range(50)]
+        if missing:
+            rows[3] = "1,,3"
+        path = tmp_path / "cov.csv"
+        path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        data, _ = ingest_csv(str(path), ["a", "b"], ["c"], jitter=jitter, seed=4)
+        assert data.x.base is None and data.y.base is None
+        assert data.x[:, 0].tolist() == [float(i) for i in range(50) if not (missing and i == 3)]
+
     @pytest.mark.parametrize("column", ["b", "c"])
     def test_overflowing_column_is_named(self, tmp_path, column):
         # finite values whose variance overflows: a DataError naming the

@@ -3,17 +3,18 @@ import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
 
-from dirquant import constants, contours, optimize, samplers
+from dirquant import constants, optimize, samplers
 from dirquant.errors import DomainError, RankError
 from dirquant.geometry import Dataset, Direction, check_loss, orthonormal_complement, project, unit_directions
 from dirquant.optimize import fit_check_loss, frequentist_fit
-from dirquant.simlab import make_star_like
+from dirquant.simlab import DgpSpec, dgp_sample, make_star_like
 
 
 class TestLocationReduction:
@@ -186,20 +187,30 @@ class TestLeanProblem:
         assert self._arrays_nbytes(problem) <= (d + 1) * 8 * self.N + 1024
 
     def test_frequentist_direction_traced_peak(self):
-        # one direction's preparation and three fits at 1e5 rows: 7.6 MiB at
-        # the code that kept the raw design, response, unit weights and an
-        # SVD copy beside the standardized rows, 4.6 MiB without them
-        data = _star_scores(self.N, seed=1)
-        u = unit_directions(32)[5]
-        column = [Direction(u=u, tau=tau) for tau in (0.05, 0.2, 0.4)]
-        basis = orthonormal_complement(u)
-        tracemalloc.start()
-        try:
-            contours._frequentist_fits(data, column, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6.0 * 2**20
+        # one direction's preparation, then three fits, at 1e5 rows: the
+        # problem is built from the projection's columns, releases them once
+        # standardized, and the fits' residual buffer waits for the first
+        # subsample draw and lends itself to the globs.  Traced peaks
+        # (preparation / fits) at the code that stacked the design and
+        # copied each column for its moments, and here: 4.58 / 4.50 and
+        # 3.06 / 3.93 MiB on jittered star-like scores (d = 2), 6.10 / 5.89
+        # and 3.82 / 5.08 MiB on a DGP 4 oracle's [y_perp, x, 1] (d = 3)
+        cases = [(_star_scores(self.N, seed=1), unit_directions(32)[5], (3.5, 4.3)),
+                 (dgp_sample(DgpSpec(id=4, n=self.N, seed=5)), np.array([1.0, 1.0]) / np.sqrt(2.0), (4.3, 5.4))]
+        for data, u, (preparation_bound, fits_bound) in cases:
+            tracemalloc.start()
+            try:
+                problem = optimize._direction_problem(data, Direction(u=u, tau=0.2), orthonormal_complement(u))
+                preparation = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                for tau in (0.05, 0.2, 0.4):
+                    optimize.fit_prepared(problem, tau)
+                fits = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            d = problem.zs.shape[1]
+            assert preparation < preparation_bound * 2**20, d
+            assert fits < fits_bound * 2**20, d
 
     def test_full_rank_design_makes_no_svd(self, monkeypatch):
         calls = []
@@ -515,8 +526,8 @@ class TestPreprocessing:
         reduced = []
         real = optimize._reduced
 
-        def spy(zs, ys, w_full, lower, upper):
-            out = real(zs, ys, w_full, lower, upper)
+        def spy(zs, ys, w_full, lower, upper, scratch):
+            out = real(zs, ys, w_full, lower, upper, scratch)
             reduced.append((float(np.sum(w_full * lower)), int(np.count_nonzero(~(lower | upper))),
                             out[2].size))
             return out
@@ -781,3 +792,74 @@ class TestStandardization:
         for got, want in zip((problem.col_mu, problem.col_sd, problem.zs, problem.ys), expected):
             assert got.tobytes() == want.tobytes()
             assert got.strides == want.strides
+
+
+class TestColumnBuiltProblem:
+    """A direction's problem made from the projection's columns is the
+    problem of the stacked design [y_perp, x, 1], byte for byte, at row
+    counts around the moments' chunk."""
+
+    @staticmethod
+    def _data(n, p):
+        rng = np.random.default_rng(41 + p)
+        y = 500.0 + rng.standard_normal((n, 2)) @ [[30.0, 12.0], [0.0, 25.0]]
+        return Dataset(y=y, x=10.0 + 3.0 * rng.standard_normal((n, p)) if p else None)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("n", [optimize._CHUNK - 1, optimize._CHUNK, 3 * optimize._CHUNK + 1, 100_000])
+    def test_same_bytes_as_the_stacked_design(self, n, p):
+        data = self._data(n, p)
+        direction = Direction(u=unit_directions(32)[7], tau=0.2)
+        design, y = optimize._direction_design(data, direction)
+        built = optimize._direction_problem(data, direction)
+        stacked = optimize.CheckLossProblem(design, y)
+        assert built.zs.shape == (n, 2 + p)
+        for got, want in zip((built.col_mu, built.col_sd, built.zs, built.ys),
+                             (stacked.col_mu, stacked.col_sd, stacked.zs, stacked.ys)):
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+        # and both are numpy's own reductions and broadcasts
+        for got, want in zip((built.col_mu, built.col_sd, built.zs, built.ys), _standardized_by_numpy(design, y)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_one_row(self, p):
+        # the moments of a single row are numpy's, and both problems refuse it
+        data = self._data(1, p)
+        direction = Direction(u=unit_directions(32)[7], tau=0.2)
+        design, y = optimize._direction_design(data, direction)
+        mu, sd = optimize._column_moments(list(design.T))
+        assert mu.tobytes() == design.mean(axis=0).tobytes()
+        assert sd.tobytes() == design.std(axis=0).tobytes()
+        for make in (lambda: optimize._direction_problem(data, direction),
+                     lambda: optimize.CheckLossProblem(design, y)):
+            with pytest.raises(DomainError, match="need more observations"):
+                make()
+
+    def test_running_sums_start_from_zero(self):
+        # numpy's axis-0 sum starts at 0.0, so a column of -0.0 sums to 0.0
+        z = np.full((2 * optimize._CHUNK + 3, 2), -0.0)
+        z[:, 1] = np.linspace(-1.0, 1.0, z.shape[0])
+        mu, sd = optimize._column_moments(list(z.T))
+        assert mu.tobytes() == z.mean(axis=0).tobytes()
+        assert sd.tobytes() == z.std(axis=0).tobytes()
+
+    def test_projection_is_released_before_the_rank_check(self, monkeypatch):
+        # once zs and ys hold their values, y_perp and y_u are dropped: the
+        # rank check, and the fits after it, run without them
+        refs, alive = [], []
+        real_project, real_rank = optimize.project, optimize._full_rank
+
+        def project_spy(*args):
+            projected = real_project(*args)
+            refs.extend(weakref.ref(a) for a in (projected.y_u, projected.y_perp))
+            return projected
+
+        def rank_spy(zs):
+            alive.extend(ref() is not None for ref in refs)
+            return real_rank(zs)
+
+        monkeypatch.setattr(optimize, "project", project_spy)
+        monkeypatch.setattr(optimize, "_full_rank", rank_spy)
+        optimize._direction_problem(self._data(5000, 1), Direction(u=unit_directions(32)[7], tau=0.2))
+        assert alive == [False, False]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirquant.geometry import Dataset, Direction, check_loss, orthonormal_complement, project
+from dirquant.optimize import frequentist_fit
 from dirquant.simlab import DgpSpec, dgp_sample, population_params_oracle
 from quadrature_oracle import _check_loss_sums, exact_posterior
 
@@ -85,3 +86,30 @@ def test_posterior_mean_bias_falls_with_n():
     assert ratio[250] > 1.0
     assert ratio[250] > ratio[1000] > ratio[4000]
     assert ratio[1000] > ratio[16000]
+
+
+# response scales c of the property test below, in increasing order
+SCALES = (0.25, 1.0, 4.0, 16.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_posterior_mean_approaches_the_fit_as_the_response_grows(seed):
+    """Under y -> c y the check-loss fit is equivariant: its slope stays and
+    its alpha scales by c.  The unit-scale working likelihood is not: with
+    its scale and the prior fixed, a larger c makes the likelihood sharper,
+    and the exact posterior mean's slope draws nearer the fit's.  On DGP 2
+    at n = 1,000, u = 45 deg, tau = 0.2, the gap read 0.135, 0.048, 0.016
+    and 0.007 at c = 0.25, 1, 4 and 16 on seed 1 (seeds 2 and 3 alike);
+    no sampler runs."""
+    direction = Direction(u=U45, tau=0.2)
+    basis = orthonormal_complement(direction.u)
+    data = dgp_sample(DgpSpec(id=2, n=1000, seed=seed))
+    base = frequentist_fit(data, direction, basis=basis).theta
+    gaps = []
+    for c in SCALES:
+        scaled = Dataset(y=c * data.y)
+        fit = frequentist_fit(scaled, direction, basis=basis).theta
+        assert fit.beta_y[0] == pytest.approx(base.beta_y[0], rel=1e-9)
+        assert fit.alpha / c == pytest.approx(base.alpha, rel=1e-9)
+        gaps.append(abs(exact_posterior(scaled, direction, basis=basis).mean[0] - fit.beta_y[0]))
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
