@@ -18,10 +18,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import constants, io, simlab
+from .ald import HyperplaneParams
 from .contours import tau_contours, tube_slice
 from .errors import ConfigError, DataError, DirquantError, NumericalError
 from .geometry import Dataset, Direction
-from .inference import asymptotic_ci, naive_ci, posterior_mean, subgradient_diagnostics
+from .inference import asymptotic_ci, naive_ci, posterior_vector, subgradient_diagnostics
 from .priors import spherical_prior
 from .samplers import (KernelSpec, PriorSpec, _rng_from_seed, _window_weights, default_bandwidth,
                        gibbs_unconditional)
@@ -96,9 +97,22 @@ def _choice(value: str, key: str, options) -> str:
     return value
 
 
-# open intervals of tau and level, and of the prior variances and bandwidth
+# open intervals of tau and level, of the prior variances and bandwidth,
+# and of the prior means and x0
 _UNIT = (0.0, 1.0)
 _POSITIVE = (0.0, math.inf)
+_FINITE = (-math.inf, math.inf)
+
+
+def _file_tags(key: str, values, tags) -> list[str]:
+    """tags, the file-name tags of a list key's values; values whose tags
+    collide would write their artifacts over each other's, so they are
+    refused."""
+    clash = [v for v, tag in zip(values, tags) if tags.count(tag) > 1]
+    if clash:
+        raise ConfigError(f"{key} values {clash} would write the same artifact files "
+                          "(file names keep 6 significant digits)")
+    return tags
 
 
 # the config keys each command reads (README, "Config keys by command");
@@ -280,9 +294,13 @@ def _load_common(cfg: dict):
     return data, report, seed
 
 
-def _prior_from_config(cfg: dict, d: int) -> PriorSpec:
-    mean = _as_floats(_get(cfg, "prior_mean", ",".join(["0"] * d)))
-    var = _as_floats(_get(cfg, "prior_variance", ",".join(["1000"] * d)))
+def _prior_from_config(cfg: dict) -> PriorSpec:
+    """N(prior_mean, diag(prior_variance)) over the chain's k + p
+    coefficients, N(0, 1000 I) by default; read before ingest."""
+    d = len(_as_list(_get(cfg, "response", required=True))) + len(_as_list(_get(cfg, "covariates", "")))
+    mean = [_as_float(v, "prior_mean", _FINITE) for v in _as_list(_get(cfg, "prior_mean", ",".join(["0"] * d)))]
+    var = [_as_float(v, "prior_variance", _POSITIVE)
+           for v in _as_list(_get(cfg, "prior_variance", ",".join(["1000"] * d)))]
     if len(mean) != d or len(var) != d:
         raise ConfigError(f"prior must have dimension {d}")
     return PriorSpec(mean=np.array(mean), covariance=np.diag(var))
@@ -318,16 +336,17 @@ def _cmd_fit(cfg: dict, args) -> int:
     direction = _direction(cfg)
     level = _as_float(_get(cfg, "level", "0.95"), "level", _UNIT)
     draws, burn = _sampler_settings(cfg)
+    prior = _prior_from_config(cfg)
     data, report, seed = _load_common(cfg)
-    prior = _prior_from_config(cfg, data.k + data.p)
     chain = gibbs_unconditional(data, direction, prior, n_draws=draws, burn_in=burn, seed=seed)
     out = _out_dir(cfg, args)
     prov = io.provenance_block(cfg, seed)
     io.write_chain(chain, os.path.join(out, "chain.csv"), os.path.join(out, "chain.json"),
                    extra_meta={"provenance": prov, "ingest": report})
-    theta = posterior_mean(chain)
+    estimate = posterior_vector(chain)
+    theta = HyperplaneParams.from_vector(estimate, data.k, data.p)
     summary = {
-        "posterior_mean": {name: float(v) for name, v in zip(chain.names, chain.post_burn().mean(axis=0))},
+        "posterior_mean": {name: float(v) for name, v in zip(chain.names, estimate)},
         "acceptance_rate": chain.acceptance_rate,
         "subgradient": None,
         "ci": None,
@@ -363,6 +382,7 @@ def _cmd_contour(cfg: dict, args) -> int:
         raise ConfigError("contour takes no covariates; tube slices the conditional quantile regions")
     taus = [_as_float(v, "tau", _UNIT) for v in _as_list(_get(cfg, "tau", required=True))]
     n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions", minimum=3)
+    tags = _file_tags("tau", taus, [f"{tau:g}".replace(".", "p") for tau in taus])
     estimator = _choice(_get(cfg, "estimator", "bayes-mean"), "estimator", ("bayes-mean", "frequentist"))
     chain_keys = [key for key in ("draws", "burn_in") if key in cfg]
     if estimator == "frequentist" and chain_keys:
@@ -374,8 +394,7 @@ def _cmd_contour(cfg: dict, args) -> int:
     prov = io.provenance_block(cfg, seed)
     polys = tau_contours(data, taus, n_directions=n_dir, estimator=estimator,
                          n_draws=draws, burn_in=burn, seed=seed)
-    for tau, poly in zip(taus, polys):
-        tag = f"{tau:g}".replace(".", "p")
+    for tau, tag, poly in zip(taus, tags, polys):
         io.write_polygon(poly, os.path.join(out, f"contour_tau{tag}.csv"),
                          os.path.join(out, f"contour_tau{tag}.json"), provenance=prov)
         _say_if_empty("contour", poly, f"tau={tau:g}")
@@ -383,11 +402,18 @@ def _cmd_contour(cfg: dict, args) -> int:
     return 0
 
 
+def _tube_tag(value: float) -> str:
+    """A tau or x0 as a tube slice's file name shows it: 0.2 as 0p2, -1 as m1."""
+    return f"{value:g}".replace(".", "p").replace("-", "m")
+
+
 def _cmd_tube(cfg: dict, args) -> int:
     if not _as_list(_get(cfg, "covariates", "")):
         raise ConfigError("tube requires at least one covariate column (covariates)")
     taus = [_as_float(v, "tau", _UNIT) for v in _as_list(_get(cfg, "tau", required=True))]
-    x0s = _as_floats(_get(cfg, "x0", required=True))
+    x0s = [_as_float(v, "x0", _FINITE) for v in _as_list(_get(cfg, "x0", required=True))]
+    tau_tags = _file_tags("tau", taus, [_tube_tag(tau) for tau in taus])
+    x0_tags = _file_tags("x0", x0s, [_tube_tag(x0) for x0 in x0s])
     n_dir = _as_int(_get(cfg, "directions", str(constants.DEFAULT_N_DIRECTIONS)), "directions", minimum=3)
     draws, burn = _sampler_settings(cfg)
     kind = _choice(_get(cfg, "design", "local-constant"), "design", ("local-constant", "local-bilinear"))
@@ -399,13 +425,13 @@ def _cmd_tube(cfg: dict, args) -> int:
         _window_weights(kernel, data.x, x0)
     out = _out_dir(cfg, args)
     prov = io.provenance_block(cfg, seed)
-    for tau in taus:
-        for x0 in x0s:
+    for tau, tau_tag in zip(taus, tau_tags):
+        for x0, x0_tag in zip(x0s, x0_tags):
             poly = tube_slice(data, tau, x0, kernel, design_kind=kind,
                               n_directions=n_dir, n_draws=draws, burn_in=burn, seed=seed)
-            tag = f"tau{tau:g}_x{x0:g}".replace(".", "p").replace("-", "m")
-            io.write_polygon(poly, os.path.join(out, f"tube_{tag}.csv"),
-                             os.path.join(out, f"tube_{tag}.json"), provenance=prov)
+            name = f"tube_tau{tau_tag}_x{x0_tag}"
+            io.write_polygon(poly, os.path.join(out, f"{name}.csv"),
+                             os.path.join(out, f"{name}.json"), provenance=prov)
             _say_if_empty("tube", poly, f"tau={tau:g}, x0={x0:g}")
     print(f"tube: wrote {len(taus) * len(x0s)} slice(s) to {out}")
     return 0
@@ -419,8 +445,8 @@ def _cmd_ci(cfg: dict, args) -> int:
     direction = _direction(cfg)
     level = _as_float(_get(cfg, "level", "0.95"), "level", _UNIT)
     draws, burn = _sampler_settings(cfg)
+    prior = _prior_from_config(cfg)
     data, report, seed = _load_common(cfg)
-    prior = _prior_from_config(cfg, data.k)
     chain = gibbs_unconditional(data, direction, prior, n_draws=draws, burn_in=burn, seed=seed)
     ci = asymptotic_ci(chain, data, direction, level=level)
     nci = naive_ci(chain, level=level)

@@ -50,7 +50,7 @@ from .samplers import (
     _vague_prior,
     make_conditional_design,
 )
-from .inference import posterior_mean
+from .inference import posterior_mean, posterior_vector
 
 __all__ = [
     "ContourPolygon",
@@ -61,7 +61,6 @@ __all__ = [
     "tukey_depth",
     "tube_slice",
     "polygon_area",
-    "polygon_contains",
 ]
 
 
@@ -88,20 +87,6 @@ def polygon_area(vertices) -> float:
         return 0.0
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def polygon_contains(polygon: ContourPolygon, point, tol: float = 1e-9) -> bool:
-    """Membership in a convex counterclockwise polygon via edge cross products."""
-    v = polygon.vertices
-    if v.shape[0] < 3:
-        return False
-    p = np.asarray(point, dtype=float)
-    nxt = np.roll(v, -1, axis=0)
-    edge = nxt - v
-    rel = p - v
-    cross = edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]
-    scale = np.maximum(np.linalg.norm(edge, axis=1), 1e-300)
-    return bool(np.all(cross >= -tol * scale))
 
 
 def to_upper_halfplane(
@@ -407,7 +392,7 @@ def tube_slice(
     planes = []
     chains = _direction_chains(prepare, [[d] for d in dirs], data.n, n_draws, burn_in)
     for idx, [(chain, design)] in enumerate(chains):
-        alpha, beta_y = design.params_at_x0(chain.post_burn().mean(axis=0))
+        alpha, beta_y = design.params_at_x0(posterior_vector(chain))
         theta = HyperplaneParams(alpha=alpha, beta_y=beta_y, beta_x=None)
         planes.append(to_upper_halfplane(theta, dirs[idx], bases[idx]))
     return intersect_halfplanes(planes, tau=tau)

@@ -1,4 +1,4 @@
-"""Directions, orthonormal complements, projections, and the check loss.
+"""Directions, orthonormal complements, and projections.
 
 Everything downstream (likelihoods, samplers, contours) consumes these
 primitives.  All functions are pure and deterministic.
@@ -20,7 +20,6 @@ __all__ = [
     "ProjectedData",
     "orthonormal_complement",
     "project",
-    "check_loss",
     "unit_directions",
 ]
 
@@ -193,14 +192,6 @@ def project(data: Dataset, direction: Direction, basis: OrthoBasis | None = None
     if np.max(np.abs(direction.u @ gamma)) > constants.ORTHO_TOL:
         raise ShapeError("basis is not orthogonal to the direction")
     return ProjectedData(y_u=data.y @ direction.u, y_perp=data.y @ gamma)
-
-
-def check_loss(x, tau: float):
-    """Piecewise-linear quantile loss x * (tau - 1{x < 0})."""
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
-    x = np.asarray(x, dtype=float)
-    return x * (tau - (x < 0))
 
 
 def unit_directions(count: int) -> list[np.ndarray]:

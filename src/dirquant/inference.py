@@ -180,10 +180,11 @@ def asymptotic_ci(
     k = data.k
     post = chain.post_burn()
     n = data.n
-    theta_hat = posterior_mean(chain)
+    estimate = posterior_vector(chain)
+    theta_hat = HyperplaneParams.from_vector(estimate, k, 0)
     messages = []
 
-    centered = post - post.mean(axis=0)
+    centered = post - estimate
     v_mcmc = n * (centered.T @ centered / post.shape[0])
     if np.min(np.linalg.eigvalsh(v_mcmc)) <= 0:
         messages.append("chain covariance is singular; intervals may collapse")
@@ -213,7 +214,6 @@ def asymptotic_ci(
         messages.append(f"sandwich variance is not positive for {labels}; their intervals collapse")
         warnings.warn(messages[-1], RuntimeWarning, stacklevel=2)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    estimate = post.mean(axis=0)
     std_error = np.sqrt(np.maximum(variances, 0.0) / n)
     return CiResult(
         estimate=estimate,
@@ -233,9 +233,8 @@ def naive_ci(chain: Chain, level: float = 0.95) -> CiResult:
     post = chain.post_burn()
     lo = np.quantile(post, (1.0 - level) / 2.0, axis=0)
     hi = np.quantile(post, 1.0 - (1.0 - level) / 2.0, axis=0)
-    est = post.mean(axis=0)
     return CiResult(
-        estimate=est,
+        estimate=posterior_vector(chain),
         std_error=post.std(axis=0, ddof=1),
         lower=lo,
         upper=hi,

@@ -7,7 +7,6 @@ seed) for provenance.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -24,7 +23,6 @@ __all__ = [
     "provenance_block",
     "atomic_write_text",
     "write_chain",
-    "read_chain",
     "write_polygon",
     "write_table_csv",
     "write_json",
@@ -91,24 +89,6 @@ def write_chain(chain: Chain, csv_path: str, meta_path: str, extra_meta: dict | 
     if extra_meta:
         meta.update(extra_meta)
     write_json(meta_path, meta)
-
-
-def read_chain(csv_path: str, meta_path: str) -> Chain:
-    with open(meta_path) as handle:
-        meta = json.load(handle)
-    with open(csv_path) as handle:
-        reader = csv.reader(handle)
-        names = tuple(next(reader))
-        draws = np.array([[float(v) for v in row] for row in reader])
-    return Chain(
-        draws=draws,
-        burn_in=int(meta["burn_in"]),
-        seed=int(meta["seed"]),
-        sampler=meta["sampler"],
-        acceptance_rate=float(meta["acceptance_rate"]),
-        names=names,
-        layout=tuple(meta["layout"]) if meta.get("layout") else None,
-    )
 
 
 def write_polygon(polygon: ContourPolygon, csv_path: str, json_path: str, provenance: dict | None = None) -> None:

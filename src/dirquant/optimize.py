@@ -27,18 +27,17 @@ broadcast over a C-ordered (n, d) array has an inner loop of length d:
 standardization writes (z_j - mu_j) / sd_j column by column, and the stage
 forms its curvature-weighted design z_j * curv the same way.  Both are
 elementwise, so the bytes are those of the broadcast.  The column moments
-are numpy's own: on a C-ordered array with d >= 2 columns, ``mean``/``std``
+are those numpy gives a C-ordered array with d >= 2 columns: ``mean``/``std``
 along axis 0 add row after row from 0.0, a running sum per column.
 ``_column_moments`` takes that sum over the columns themselves, strided
 views and a broadcast constant included, _CHUNK = 8,192 rows at a time:
 each chunk (or its squared deviations) goes into one 64 KiB buffer, its
 first entry takes the sum so far, and ``np.add.accumulate`` carries it
-on, so no n-length copy is made.  Any other layout (an F-ordered or
-one-column design reduces pairwise) keeps numpy's reduction.  zs takes
-z's layout, never a column-major copy of a C-ordered one, and ``scaled``
-stays C-ordered: the solver's ``z @ theta``, ``z.T @ g`` and
-``scaled.T @ z`` go to BLAS, whose kernels for the other layout sum in
-another order (checked under OpenBLAS: the bytes change).  At n = 1e5,
+on, so no n-length copy is made.  Every design takes this path, whatever
+its layout, and zs and ``scaled`` are C-ordered: the solver's
+``z @ theta``, ``z.T @ g`` and ``scaled.T @ z`` go to BLAS, whose kernels
+for the other layout sum in another order (checked under OpenBLAS: the
+bytes change).  At n = 1e5,
 d = 2 (2-vCPU x86_64, one BLAS thread, best of repeats) the moments took
 5.3 ms through numpy, 2.0 ms over an n-length copy of each column and
 1.65 ms in chunks, and the standardization 2.7 ms by broadcast and
@@ -529,10 +528,9 @@ def _reduced(zs, ys, w, lower, upper, wg):
     """The rows outside both globs, then one row per glob of positive
     weight: its members' weighted means, weighted by their total weight (w
     is None for unit weights, and a glob's total is its member count).  wg
-    is an n-length scratch buffer for the glob weights."""
-    band = np.flatnonzero(~(lower | upper))
-    rows_z, rows_y = [zs.take(band, axis=0)], [ys.take(band)]
-    rows_w = [np.ones(band.size) if w is None else w.take(band)]
+    is an n-length scratch buffer for the glob weights.  The rows are taken
+    straight into the reduced arrays, with no copy between."""
+    globs = []
     for glob in (lower, upper):
         if w is None:
             np.copyto(wg, glob)
@@ -541,10 +539,21 @@ def _reduced(zs, ys, w, lower, upper, wg):
             np.multiply(w, glob, out=wg)
             total = float(wg.sum())
         if total > 0.0:
-            rows_z.append((wg @ zs)[None, :] / total)
-            rows_y.append(np.array([wg @ ys / total]))
-            rows_w.append(np.array([total]))
-    return np.concatenate(rows_z), np.concatenate(rows_y), np.concatenate(rows_w)
+            globs.append((wg @ zs / total, wg @ ys / total, total))
+    band = np.flatnonzero(~(lower | upper))
+    m, size = band.size, band.size + len(globs)
+    zr, yr, wr = np.empty((size, zs.shape[1])), np.empty(size), np.empty(size)
+    # the indices are in range, and with any mode but "raise" take writes
+    # into out without buffering it
+    zs.take(band, axis=0, out=zr[:m], mode="clip")
+    ys.take(band, out=yr[:m], mode="clip")
+    if w is None:
+        wr[:m] = 1.0
+    else:
+        w.take(band, out=wr[:m], mode="clip")
+    for i, glob_row in enumerate(globs, start=m):
+        zr[i], yr[i], wr[i] = glob_row
+    return zr, yr, wr
 
 
 def _misplaced(r, lower, upper, eps):
@@ -624,7 +633,8 @@ _CHUNK = 8192
 def _column_moments(columns):
     """``z.mean(axis=0)`` and ``z.std(axis=0)``, bit for bit, of the
     C-ordered (n, d) array, d >= 2, whose columns are given, in chunks of
-    _CHUNK rows with no n-length copy."""
+    _CHUNK rows with no n-length copy; for one column, the running sum's
+    moments."""
     n = columns[0].size
     mu, sd = np.empty(len(columns)), np.empty(len(columns))
     buf, acc = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
@@ -696,31 +706,24 @@ class CheckLossProblem:
 
     def __init__(self, design, y, weights=None):
         z = np.atleast_2d(np.asarray(design, dtype=float))
-        # numpy reduces axis 0 of a C-ordered design with two or more columns
-        # row after row, which the column sums reproduce; any other layout
-        # (an F-ordered design reduces pairwise) keeps numpy's reduction
-        whole = None if z.flags.c_contiguous and z.shape[1] >= 2 else z
-        self._prepare([y, *z.T], weights, z.shape, whole)
+        self._prepare([y, *z.T], weights)
 
     @classmethod
     def _of_columns(cls, parts):
-        """The problem of response parts[0] against the C-ordered design
-        whose two or more columns are parts[1:], without stacking them.
-        parts is emptied, so the problem releases its arrays once zs and ys
-        hold their values."""
+        """The problem of response parts[0] against the design whose
+        columns are parts[1:], without stacking them.  parts is emptied, so
+        the problem releases its arrays once zs and ys hold their values."""
         problem = cls.__new__(cls)
-        problem._prepare(parts, None, (parts[0].size, len(parts) - 1), None)
+        problem._prepare(parts, None)
         return problem
 
-    def _prepare(self, parts, weights, shape, whole):
+    def _prepare(self, parts, weights):
         """Validate and standardize response parts[0] and the (n, d) design's
-        columns parts[1:].  The design is ``whole`` when numpy's reduction
-        gives its moments, and zs takes its layout, on which the solver's
-        products depend; else the design is C-ordered, and so is zs."""
+        columns parts[1:] into the C-ordered zs and ys."""
         y, *columns = parts
         parts.clear()
         y = np.asarray(y, dtype=float)
-        n, d = shape
+        n, d = columns[0].size, len(columns)
         if y.shape != (n,):
             raise ShapeError("response length does not match the design")
         if n <= d:
@@ -741,10 +744,7 @@ class CheckLossProblem:
         # are silenced here, and only a non-finite sd leads to a look at the
         # values to tell the two apart
         with np.errstate(invalid="ignore", over="ignore"):
-            if whole is None:
-                col_mu, col_sd = _column_moments(columns)
-            else:
-                col_mu, col_sd = whole.mean(axis=0), whole.std(axis=0)
+            col_mu, col_sd = _column_moments(columns)
             y_sd = float(y.std())
         _refuse_non_finite("design", columns, col_sd)
         _refuse_non_finite("response", [y], y_sd)
@@ -760,7 +760,7 @@ class CheckLossProblem:
         if y_sd <= 1e-300:
             y_sd = 1.0
         # (z - col_mu) / col_sd with z's constant columns, one column at a time
-        zs = np.empty(shape) if whole is None else np.empty_like(whole)
+        zs = np.empty((n, d))
         for j, col in enumerate(columns):
             if const_col[j]:
                 zs[:, j] = col
@@ -769,7 +769,7 @@ class CheckLossProblem:
                 zs[:, j] /= col_sd[j]
         # the last references to a projection's columns (``_of_columns``):
         # y_perp is freed before ys is made, and y_u after
-        del columns, whole
+        del columns
         ys = np.subtract(y, y_mu)
         ys /= y_sd
         del y

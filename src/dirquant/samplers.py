@@ -99,6 +99,8 @@ class PriorSpec:
         d = mean.size
         if cov.shape != (d, d):
             raise ShapeError(f"covariance must be {d} x {d}, got {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise DomainError("prior mean and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > constants.SYMMETRY_TOL:
             raise ShapeError("prior covariance is not symmetric")
         if np.min(np.linalg.eigvalsh(cov)) <= 0:

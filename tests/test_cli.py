@@ -17,8 +17,9 @@ from dirquant.ald import HyperplaneParams
 from dirquant.errors import ConfigError, DataError
 from dirquant.geometry import Direction
 from dirquant.inference import score_covariance_matrix
-from dirquant.io import provenance_block, read_chain, write_chain, write_json
+from dirquant.io import provenance_block, write_chain, write_json
 from dirquant.samplers import Chain
+from references import polygon_contains, read_chain
 
 
 def run_cli(*args):
@@ -331,7 +332,7 @@ class TestCommands:
             ring = np.array(payload["geometry"]["coordinates"][0])
             assert np.allclose(ring[0], ring[-1])  # closed ring
             polys[tau] = ring[:-1]
-        from dirquant.contours import ContourPolygon, polygon_contains
+        from dirquant.contours import ContourPolygon
 
         outer = ContourPolygon(vertices=polys[0.05], tau=0.05, n_directions=16)
         mid = ContourPolygon(vertices=polys[0.2], tau=0.2, n_directions=16)
@@ -396,6 +397,53 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "numerical failure: all kernel weights underflowed at x0 = [1000000000.0]\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("contour", "tau", "0.1234567,0.1234568"), ("contour", "tau", "0.2,0.2"),
+        ("tube", "x0", "1,1.0000001"), ("tube", "x0", "3,3"), ("tube", "tau", "0.3,0.30000001"),
+    ])
+    def test_colliding_artifact_names_are_refused(self, score_csv, tmp_path, capsys, command, key, value):
+        # values that format to one file tag would overwrite each other's
+        # artifacts: refused before ingest, naming the values
+        argv = [command, "--set", f"input={score_csv}", "--set", "response=math,read",
+                "--set", "tau=0.2", "--set", "directions=8", "--set", "draws=60", "--set", "burn_in=10",
+                "--out", str(tmp_path / "out")]
+        if command == "tube":
+            argv += ["--set", "covariates=experience", "--set", "x0=10"]
+        argv += ["--set", f"{key}={value}"]
+        assert main(argv) == 2
+        floats = [float(v) for v in value.split(",")]
+        assert capsys.readouterr().err == (
+            f"config error: {key} values {floats} would write the same artifact files "
+            "(file names keep 6 significant digits)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("fit", "prior_mean", "nan,0", "prior_mean must lie in (-inf, inf), got 'nan'"),
+        ("ci", "prior_mean", "inf,0", "prior_mean must lie in (-inf, inf), got 'inf'"),
+        ("fit", "prior_variance", "inf,1", "prior_variance must lie in (0, inf), got 'inf'"),
+        ("ci", "prior_variance", "1,0", "prior_variance must lie in (0, inf), got '0'"),
+        ("fit", "prior_variance", "-1,1", "prior_variance must lie in (0, inf), got '-1'"),
+        ("fit", "prior_mean", "0,0,0", "prior must have dimension 2"),
+        ("tube", "x0", "nan", "x0 must lie in (-inf, inf), got 'nan'"),
+        ("tube", "x0", "10,-inf", "x0 must lie in (-inf, inf), got '-inf'"),
+    ])
+    def test_non_finite_values_are_refused(self, score_csv, tmp_path, capsys, command, key, value, message):
+        # a non-finite prior mean or x0, or a prior variance outside
+        # (0, inf), is a config error before ingest, with no numpy warning
+        # (raised as an error here) and nothing written
+        argv = [command, "--set", f"input={score_csv}", "--set", "response=math,read",
+                "--set", "tau=0.2", "--set", "draws=60", "--set", "burn_in=10", "--out", str(tmp_path / "out")]
+        if command == "tube":
+            argv += ["--set", "covariates=experience", "--set", "directions=8"]
+        else:
+            argv += ["--set", "direction=0,1"]
+        argv += ["--set", f"{key}={value}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["true", "false"])
     def test_contour_refuses_the_removed_simultaneous_key(self, score_csv, tmp_path, capsys, value):

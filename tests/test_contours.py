@@ -13,7 +13,6 @@ from dirquant.ald import HyperplaneParams
 from dirquant.contours import (
     intersect_halfplanes,
     polygon_area,
-    polygon_contains,
     tau_contour,
     tau_contours,
     to_upper_halfplane,
@@ -37,6 +36,7 @@ from dirquant.samplers import (
     kernel_weights,
     make_conditional_design,
 )
+from references import polygon_contains
 
 
 def _contains(plane, point) -> bool:

@@ -1,5 +1,5 @@
-"""Every public name a module exports resolves, and so does every
-``module.name`` the documentation points to.
+"""Every public name the package or a module exports resolves, and so does
+every ``module.name`` the documentation points to.
 
 Tools that walk the package (the benchmark's span tracer among them) look up
 each name of each module's ``__all__``; a name left behind by a deletion
@@ -32,6 +32,12 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"dirquant.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_every_package_api_name_resolves():
+    # dirquant.__all__ is the library API (README, "Library example")
+    assert dirquant.__all__
+    assert [name for name in dirquant.__all__ if not hasattr(dirquant, name)] == []
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

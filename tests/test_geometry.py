@@ -7,11 +7,11 @@ from dirquant.errors import DomainError, InvalidDirectionError, ShapeError
 from dirquant.geometry import (
     Dataset,
     Direction,
-    check_loss,
     orthonormal_complement,
     project,
     unit_directions,
 )
+from references import check_loss
 
 SQRT2 = np.sqrt(2.0)
 

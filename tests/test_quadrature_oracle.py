@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from dirquant.geometry import Dataset, Direction, check_loss, orthonormal_complement, project
+from dirquant.geometry import Dataset, Direction, orthonormal_complement, project
 from dirquant.optimize import frequentist_fit
 from dirquant.simlab import DgpSpec, dgp_sample, population_params_oracle
 from quadrature_oracle import _check_loss_sums, exact_posterior
+from references import check_loss
 
 U45 = np.array([1.0, 1.0]) / np.sqrt(2.0)
 U01 = np.array([0.0, 1.0])

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from dirquant import samplers
 from dirquant.ald import mixture_constants
 from dirquant.errors import (
     DegenerateWindowError,
+    DomainError,
     NumericalError,
     ShapeError,
 )
@@ -36,6 +38,18 @@ class TestPriorSpec:
     def test_non_pd_rejected(self):
         with pytest.raises(ShapeError):
             PriorSpec(mean=np.zeros(2), covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("mean, variances", [
+        ([np.nan, 0.0], [1.0, 1.0]), ([np.inf, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [np.inf, 1.0]), ([0.0, 0.0], [1.0, np.nan]),
+    ], ids=["nan mean", "inf mean", "inf variance", "nan variance"])
+    def test_non_finite_rejected(self, mean, variances):
+        # refused before the symmetry check, where inf - inf is NaN, and
+        # without a numpy warning (raised as an error here)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                PriorSpec(mean=np.array(mean), covariance=np.diag(variances))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
     def test_vague_prior_bytes(self, dim):
@@ -396,7 +410,8 @@ class TestMetropolisHastings:
         rng = np.random.default_rng(23)
         data = Dataset(y=rng.uniform(-0.5, 0.5, size=(1000, 2)))
         gibbs = gibbs_unconditional(data, vertical_direction, PRIOR2, n_draws=4000, burn_in=500, seed=1)
-        from dirquant.ald import HyperplaneParams, loglik_unconditional
+        from dirquant.ald import HyperplaneParams
+        from references import loglik_unconditional
 
         basis = orthonormal_complement(vertical_direction.u)
         projected = project(data, vertical_direction, basis)
