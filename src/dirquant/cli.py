@@ -63,11 +63,11 @@ def _as_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-def _as_floats(value: str) -> list[float]:
+def _as_floats(value: str, key: str) -> list[float]:
     try:
         return [float(v) for v in _as_list(value)]
-    except ValueError as exc:
-        raise ConfigError(f"expected numeric list, got {value!r}") from exc
+    except ValueError:
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}") from None
 
 
 def _as_int(value: str, key: str, minimum: int | None = None) -> int:
@@ -323,7 +323,7 @@ def _out_dir(cfg: dict, args) -> str:
 def _direction(cfg: dict) -> Direction:
     """The config's direction, one entry per response column, normalized,
     at its tau."""
-    u = np.array(_as_floats(_get(cfg, "direction", required=True)))
+    u = np.array(_as_floats(_get(cfg, "direction", required=True), "direction"))
     k = len(_as_list(_get(cfg, "response", required=True)))
     if u.size != k:
         raise ConfigError(f"direction must have one entry per response column ({k}), got {u.tolist()}")

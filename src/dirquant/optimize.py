@@ -1,28 +1,69 @@
 """Frequentist check-loss minimizers.
 
 These serve two roles: MCMC initialization and an estimation oracle that is
-independent of the samplers.  The solver replaces the kinked loss with a
-Huberized version and shrinks the smoothing width over a fixed continuation
-schedule, running a damped (Levenberg-regularized) Newton at each stage.
-Inputs are standardized internally so the schedule is scale-appropriate.
-Every frequentist fit runs the whole schedule, constants.SMOOTHING_SCHEDULE.
-A chain start runs its first three stages only (``samplers._INIT_STAGES``,
-eps down to 1e-3), because the chain's burn-in does the rest.  Over the 96
-problems of a 32-direction, 3-tau contour of jittered star-like scores at
-n = 2,000 (samples of seeds 1-6), the start's largest coefficient gap to
-the full fit is a median 0.015-0.018 and at most 0.07-0.22 standardized
-units / sqrt(n), and the largest, on a problem whose loss is flat along
-the gap, was 0.49 posterior sd; at n = 100 it is at most 0.04 / sqrt(n).
-The seed-1 contour's 96 fits at n = 2,000 took 0.76 s through the whole
-schedule and 0.18 s through three stages (2-vCPU x86_64, one BLAS thread).
+independent of the samplers.  The check loss sum_i w_i rho_tau(r_i) is a
+linear program in theta, and every fit that runs the whole continuation
+schedule, constants.SMOOTHING_SCHEDULE (`fit_prepared`, `fit_check_loss`,
+`frequentist_fit`, frequentist contours and simlab's oracles), returns its
+exact minimizer when one can be certified: the vertex through d rows of the
+problem.  Inputs are standardized internally, so the schedule and the
+certificate see one scale, and "the problem" below is the standardized one.
+
+The solver replaces the kinked loss with a Huberized version and shrinks the
+smoothing width eps over the schedule, running a damped
+(Levenberg-regularized) Newton at each stage.  After each stage with
+eps <= _VERTEX_EPS = 1e-3, a full-schedule solve tries a vertex (finite
+smoothing: Madsen & Nielsen 1993, SIAM J. Optim. 3(2); Chen 2007, J. Comput.
+Graph. Statist. 16(1)):
+
+1. Candidates: the d-subsets of the _VERTEX_ROWS = 16 rows whose residuals
+   lie nearest 0.  Every other row is held on its side of the stage's
+   theta, where its loss is linear, and the subset whose vertex minimizes
+   that model's loss is picked.
+2. theta = solve(zs[S], ys[S]), S in increasing row order.
+3. Certificate, the Koenker-Bassett conditions on every row: each residual
+   off S is nonzero beyond a bound on its rounding, and the multipliers v
+   of zs[S]' v = -sum_{i not in S} z_i w_i (tau - 1[r_i < 0]) lie strictly
+   inside [w_j (tau - 1), w_j tau], with slack beyond a bound on theirs.
+   Then the exact vertex is the unique minimizer: every direction leaves it
+   uphill.
+4. A certified vertex returns at once, converged.  Otherwise the next stage
+   runs, and a solve that never certifies (ties at the optimum, a basis row
+   of zero weight) returns its last iterate, as the schedule alone did.
+
+A certified fit's bytes depend only on the problem and its basis, not on the
+path to it.  A chain start runs the first three stages only
+(``samplers._INIT_STAGES``, eps down to 1e-3), tries no vertex and keeps its
+path and bytes, because the chain's burn-in does the rest.
+
+The rounding bounds (``_certify``).  eps is float64's epsilon, zb = zs[S],
+count the number of rows the problem stands for, zmax = max |zs|,
+ymax = max |ys|, sw = sum w and gamma_k = k eps / (1 - k eps) <= 2 k eps.
+LU with partial pivoting solves (zb + dZ) theta = ys[S] with
+||dZ|| <= gamma_3d || |L||U| || <= 2 c_d eps ||zb||
+(c_d = 3d (1 + (d^2 - d) 2^d), from growth factor 2^(d-1); Higham,
+Accuracy and Stability of Numerical Algorithms, 9.3), so theta lies within
+4 c_d eps ||M|| ||zb|| ||theta|| (infinity norms) of the exact vertex, M
+the computed inverse of zb, whose norm is within a factor 2 of the exact
+inverse's when 8 c_d eps kappa <= 1 (kappa = ||M|| ||zb|| in the 1- and
+the infinity norm; a worse conditioned basis is not certified).  A
+residual's evaluation adds gamma_{d+1} (ymax + zmax ||theta||_1), and
+theta's distance adds d zmax times it: a residual beyond that sum has the
+exact vertex's sign, and the sum must also lie below the schedule's last
+eps, which step 5 of the reduced problem reads.  The gradient sum over the
+rows rounds by at most gamma_{count+2} zmax sw in any summation order
+(terms w_i z_ij (tau - s), each within 2 eps of exact), and a reduced
+problem's glob means add as much again (step 4 below), so
+4 (count + 2) eps zmax sw bounds both.  The multipliers' solve adds the
+same LU error, so v lies within
+2 ||M||_1 (4 (count + 2) eps zmax sw + 2 c_d eps ||zb||_1 ||v||) of the
+exact multipliers, and each end of [w_j (tau - 1), w_j tau] must clear v
+by that plus 4 eps (w_j + |v_j|), its own and the subtraction's rounding.
+Every bound is in the problem's standardized units.
 
 A stage allocates its n-length buffers once and writes every elementwise
 pass into them, because fresh n-length temporaries page-fault on first
-touch: at n = 1e5 on a 2-vCPU x86_64 host, the loss with fresh temporaries
-made 579 minor faults and took 1.9 ms per call, with reused buffers none
-and 0.65 ms.
-
-Every pass over the rows runs down one column at a time, because a
+touch.  Every pass over the rows runs down one column at a time, because a
 broadcast over a C-ordered (n, d) array has an inner loop of length d:
 standardization writes (z_j - mu_j) / sd_j column by column, and the stage
 forms its curvature-weighted design z_j * curv the same way.  Both are
@@ -30,35 +71,21 @@ elementwise, so the bytes are those of the broadcast.  The column moments
 are those numpy gives a C-ordered array with d >= 2 columns: ``mean``/``std``
 along axis 0 add row after row from 0.0, a running sum per column.
 ``_column_moments`` takes that sum over the columns themselves, strided
-views and a broadcast constant included, _CHUNK = 8,192 rows at a time:
-each chunk (or its squared deviations) goes into one 64 KiB buffer, its
-first entry takes the sum so far, and ``np.add.accumulate`` carries it
-on, so no n-length copy is made.  Every design takes this path, whatever
-its layout, and zs and ``scaled`` are C-ordered: the solver's
-``z @ theta``, ``z.T @ g`` and ``scaled.T @ z`` go to BLAS, whose kernels
-for the other layout sum in another order (checked under OpenBLAS: the
-bytes change).  At n = 1e5,
-d = 2 (2-vCPU x86_64, one BLAS thread, best of repeats) the moments took
-5.3 ms through numpy, 2.0 ms over an n-length copy of each column and
-1.65 ms in chunks, and the standardization 2.7 ms by broadcast and
-0.56 ms by columns.
+views included, _CHUNK = 8,192 rows at a time: each chunk (or its squared
+deviations) goes into one 64 KiB buffer, its first entry takes the sum so
+far, and ``np.add.accumulate`` carries it on, so no n-length copy is made.
+A broadcast constant 1.0 takes no sum: for n < 2^53 its sums are exactly n
+and 0, so its moments are (1.0, 0.0).  zs and ``scaled`` are C-ordered
+whatever the input's layout: the solver's ``z @ theta``, ``z.T @ g`` and
+``scaled.T @ z`` go to BLAS, whose kernels for the other layout sum in
+another order (checked under OpenBLAS: the bytes change).
 
 The loss's Huber branch takes three dense passes (r^2, / 2 eps, a masked
 copy).  When fewer than a quarter of theta's residuals lie in the band, the
 stage has the loss take the rows in the band by index instead: the
 candidates' bands are about as full as theta's.  With every residual in the
-band the masked copy is faster.  Measured per loss on the same host (min of
-repeats): the gather takes 0.65-0.8 of the dense passes' time at n = 7,500
-for any band of up to half the rows, 0.8-1.0 at n = 2,000, 1.1-1.3 at
-n <= 1,000, and 1.2-1.7 with every row in the band.
-
-Small problems take the same column passes and the same gather, although
-below about 2,000 rows their d calls and the gather's fixed cost (nonzero,
-take, put) cost a little more than one broadcast or the dense passes.  The
-difference is lost in the fit: with a broadcast path below 2,000 rows and
-without it (2-vCPU x86_64, one BLAS thread), the desk tables' 40 start fits
-took 91.3 and 92.6 ms (median of 12), and desk-sized Gibbs engine calls at
-n = 100 took 54.8 and 55.0 ms (9 of 20 alternations won).
+band the masked copy is faster.  Small problems take the same column
+passes and the same gather.
 
 When no residual lies in the smoothing band |r| < eps, the Hessian is zero
 and the damped step for lam_k = lam * 10^k is -grad / lam_k: every candidate
@@ -71,8 +98,7 @@ convexity puts step k + 1, a tenth as long, at least 0.9 of the tolerance
 1e-12 max(1, |f|) below the threshold, while summation and residual rounding
 are about 1e-15 |f|.  With curvature in the band, the damping path is a
 curve, not a ray, and the scan stays sequential.  Every stage starts lam
-at 1e-10, so a stage's first such search would climb about 15 decades;
-instead each search starts at the last accepted zero-curvature damping of
+at 1e-10; each search starts at the last accepted zero-curvature damping of
 the same ``_solve`` (one log10 finds its k) and doubles its probes' reach
 down or up from there before bisecting (``_damping_search``).  Any search
 that brackets the smallest accepted k returns it, so every bit is the
@@ -91,27 +117,44 @@ tortoise", Statist. Sci. 12(4)).  In order:
 1. Standardize on the full data, as every fit does, so the schedule keeps
    its scale.
 2. Fit a subsample of m = ceil(sqrt(d) n^(2/3)) rows, drawn by a Generator
-   seeded with _SUBSAMPLE_SEED, through the first _SUBSAMPLE_STAGES stages
-   of the schedule (eps down to 1e-2): the fit only ranks the rows, and
-   its sampling error, about m^(-1/2) = 0.02 standardized units at n = 1e5,
-   outweighs what later stages would polish.
+   seeded with _SUBSAMPLE_SEED: the fit only ranks the rows, and its
+   sampling error, about m^(-1/2) = 0.02 standardized units at n = 1e5,
+   outweighs what later stages would polish.  A full-schedule fit's pilot
+   runs _SUBSAMPLE_STAGES = 1 stage (eps = 1e-1), a chain start's
+   _START_SUBSAMPLE_STAGES = 2 (down to 1e-2).
 3. Rank the full data's residuals from that fit and keep the M = 2m rows
    whose ranks lie nearest the weighted tau-quantile's (n tau with unit
    weights).  The rows below and the rows above each collapse into one
    "glob" row: its members' weighted mean design row and response,
    weighted by their total weight.  A glob of zero weight is dropped.
-4. Run the schedule on the reduced rows, from the subsample's theta.
-5. Certify: every glob member's full-data residual lies at or beyond the
-   last eps on its own side.  For |r| >= eps the Huberized loss is linear,
-   tau r - eps/4 above and (tau - 1) r - eps/4 below, so near the result a
-   glob's loss and gradient equal its members' sums exactly and its
-   curvature is theirs, zero.  The reduced stationary point is then the
-   full one, and by convexity the full smoothed problem's minimum.
+4. Solve the reduced rows from the subsample's theta.  A full-schedule fit
+   resumes at eps = _VERTEX_EPS, since a certified vertex does not depend
+   on the path, and certifies on the reduced rows with the full problem's
+   (n, zmax, ymax): each glob's mean rounds by at most gamma_{n+1} zmax
+   times its weight, which the gradient's bound covers.  A chain start runs
+   its three stages from eps = 1e-1.
+5. Check the globs: every glob member's full-data residual lies at or
+   beyond the last eps on its own side.  For |r| >= eps the Huberized loss
+   is linear, tau r - eps/4 above and (tau - 1) r - eps/4 below, so near
+   the result a glob's loss and gradient equal its members' sums exactly
+   and its curvature is theirs, zero.  The reduced stationary point is then
+   the full one, and by convexity the full smoothed problem's minimum; a
+   reduced vertex's certificate holds on the full data, whose members lie
+   beyond the residual bound on their sides and whose gradient is the
+   globs'.
 6. If a member is misplaced, every misplaced member joins the band and the
    reduced problem is solved again from the current theta; if more than a
    tenth of M are misplaced, m doubles and a fresh subsample starts over.
    After _ROUNDS reduced solves, or once 2m reaches n, the full solve over
    all rows runs from weighted least squares, and its result is returned.
+
+So a certified preprocessed fit has the bytes of a certified full solve,
+whose basis is the same unique optimum; an uncertified one is a certified
+minimizer of the same smoothed problem, but not the full solve's bytes.
+Below the threshold a fit is the full solve, bit for bit; the chain
+starts of `fit` (n = 1e4) and `contour` (n = 2e3) stay there, and a chain
+start of at least 20,000 rows takes the reduced path and is certified at
+the last eps it ran, 1e-3.
 
 Step 3 needs the residuals' order only at the band's two cuts.  With unit
 weights the quantile's rank is ceil(n tau) - 1, so ``_band`` selects the
@@ -125,43 +168,26 @@ misses a needed rank, opens to -inf or inf, so the window always holds
 the ranks.  Where a cut falls between equal (or NaN) residuals, only the
 sort decides which of them lie below it, so that band, like every weighted
 one, takes the argsort and cumsum: the masks are the sort's, ties
-included.  A frequentist contour command on 1e5 rows (jittered star-like
-scores, 32 directions, 3 taus; 2-vCPU x86_64, mean over its 96 bands)
-took 0.55 ms per band in windows of about 12,000 residuals, against
-1.6-1.8 ms by selection over all rows; all 96 took the window.
+included.
 
 Every fit of a problem draws the same subsamples: each starts a Generator
 seeded with _SUBSAMPLE_SEED, and its j-th draw has m 2^j rows whatever
 tau is.  So the problem keeps each draw, its gathered rows and their
 least-squares start when a fit first needs it (``_subsample``), and its
 other taus reuse them; they are freed with the problem.  The full solve's
-least-squares start is kept the same way (``_full_start``), so the three
-chain starts of a Bayes contour's direction make one ``lstsq``, not three.
-The unit-weight globs of ``_reduced`` take their member count as their
-total weight, which is what the sum of their 0/1 weights gives.
-
-Below the threshold a fit is the full solve, bit for bit as before; the
-chain starts of `fit` (n = 1e4) and `contour` (n = 2e3) stay there.  At or
-above it the result is a certified minimizer of the same smoothed problem,
-but not the full solve's bytes; a chain start of that size takes the same
-path and is certified at the last eps it ran, 1e-3.  A 1e5-row frequentist
-contour command (3 taus x 32 directions, one BLAS thread) prepares 32
-problems and runs 96 fits on them: 82 fits were certified in the first
-round and 14 after one fix-up round of at most 80 rows, none fell back, the
-full-data check losses matched the full solve's within 4e-16 relative and
-theta within 7e-11, and the solver's loss evaluations covered 54M rows
-instead of 736M.  On perfbench's seed-1 input the resumed damping searches
-bring its 96 fits from 9,332 loss evaluations over 53.8M rows to 7,616 over
-43.3M, with the same bytes.
+least-squares start (``_full_start``) and the certificate's extent are
+kept the same way, so the three chain starts of a Bayes contour's
+direction make one ``lstsq``, not three.  The unit-weight globs of
+``_reduced`` take their member count as their total weight, which is what
+the sum of their 0/1 weights gives.
 
 A fit is two steps.  `CheckLossProblem` validates the design,
 standardizes it and checks the standardized design's rank; none of that
-depends on tau.  `fit_prepared`
-then fits one tau on it through the whole schedule (``_fit_schedule`` takes
-the stages, so a chain start can take fewer), and `fit_check_loss` is the
-pair at one tau.  A contour's direction u has one design [y_perp, x, 1]
-against y_u for every tau, so a multi-tau frequentist contour prepares it
-once.
+depends on tau.  `fit_prepared` then fits one tau on it through the whole
+schedule (``_fit_schedule`` takes the stages, so a chain start can take
+fewer), and `fit_check_loss` is the pair at one tau.  A contour's
+direction u has one design [y_perp, x, 1] against y_u for every tau, so a
+multi-tau frequentist contour prepares it once.
 
 A prepared problem holds its rows once: the standardized design zs, whose
 constant columns keep the raw values that un-standardizing reads, the
@@ -178,13 +204,8 @@ the same bytes.  A Bayes contour's chains, which run on the stacked
 design, keep it beside the problem.  A reduced fit makes its residual
 buffer after the first subsample draw, whose ``Generator.choice`` builds
 an n-length index array, and lends it to ``_reduced`` for the glob
-weights.  On a 1e5-row direction of a frequentist contour (jittered
-star-like scores, d = 2) the problem holds 2.4 MB, three n-vectors; traced
-by ``tracemalloc``, its preparation peaks at 3.06 MiB and its three fits
-at 3.93 MiB, against 4.58 and 4.50 MiB when the problem was made from a
-stacked design with an n-length copy per column for the moments.  On a
-DGP 4 oracle's d = 3 direction the peaks are 3.82 and 5.08 MiB, against
-6.10 and 5.89 MiB.
+weights.  A vertex attempt holds a few vectors as long as the rows it is
+tried on, the reduced rows of a preprocessed fit.
 
 The rank check decides as ``np.linalg.matrix_rank(zs) == d``, which holds
 iff the SVD's s_min > n eps s_max (n > d), but certifies full rank without
@@ -201,13 +222,13 @@ n eps plus the SVD's own rounding (about n d eps) for every
 n < 2 / ((d + 1)^2 eps), about 5e14 at d = 3.  Every other design
 (deficient, nearly so with s_min / s_max below about sqrt(4 d n eps), or
 with a constant column too large to square) goes to ``matrix_rank``, so
-every decision is the SVD's.  At n = 1e5 the certificate took 0.6 ms
-(d = 2) and 1.3 ms (d = 3) against the SVD's 1.7 and 2.8 ms (2-vCPU
-x86_64, one BLAS thread).
+every decision is the SVD's.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,12 +242,21 @@ from .geometry import Dataset, Direction, OrthoBasis, project
 __all__ = ["FitResult", "CheckLossProblem", "fit_prepared", "fit_check_loss", "frequentist_fit"]
 
 # the reduced problem of the module docstring: fits of at least this many
-# rows take it, with this subsample seed and stage count, and fall back to
-# the full solve after this many reduced solves
+# rows take it, with this subsample seed, and fall back to the full solve
+# after this many reduced solves.  A full-schedule fit's pilot runs
+# _SUBSAMPLE_STAGES stages of the schedule, a chain start's
+# _START_SUBSAMPLE_STAGES
 PREPROCESS_ROWS = 20_000
 _SUBSAMPLE_SEED = 20_240_607
-_SUBSAMPLE_STAGES = 2
+_SUBSAMPLE_STAGES = 1
+_START_SUBSAMPLE_STAGES = 2
 _ROUNDS = 3
+
+# the vertex of the module docstring: a full-schedule solve tries one after
+# each stage with eps at most _VERTEX_EPS (where a reduced solve resumes),
+# among the d-subsets of the _VERTEX_ROWS rows whose residuals lie nearest 0
+_VERTEX_EPS = 1e-3
+_VERTEX_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -447,18 +477,137 @@ def _full_start(problem):
     return p.start
 
 
-def _solve(zs, ys, tau, w, schedule, theta):
+def _solve(zs, ys, tau, w, schedule, theta, extent=None):
     """The continuation schedule over every given row (w is None for unit
     weights) from theta; returns theta, the Newton iterations and whether
-    every stage converged."""
+    every stage converged.  A schedule that ends at the full schedule's last
+    eps tries a vertex after each stage with eps <= _VERTEX_EPS and returns
+    the first one certified, converged (``_vertex``); extent is the
+    certificate's (count, zmax, ymax), the rows' own when None."""
     total_iter = 0
     converged = True
     hint = [None]  # the stages' last accepted zero-curvature damping
+    exact = schedule[-1] == constants.SMOOTHING_SCHEDULE[-1]
+    if exact and extent is None:
+        extent = _extent(zs, ys)
     for eps in schedule:
         theta, _, its, ok = _newton_stage(zs, ys, tau, w, theta, eps, hint=hint)
         total_iter += its
         converged = converged and ok
+        if exact and eps <= _VERTEX_EPS:
+            vertex = _vertex(zs, ys, tau, w, theta, extent)
+            if vertex is not None:
+                return vertex, total_iter, True
     return theta, total_iter, converged
+
+
+def _extent(zs, ys):
+    """(n, max |zs|, max |ys|): the row count and sizes the certificate's
+    rounding bounds read (``_certify``)."""
+    return zs.shape[0], max(float(zs.max()), -float(zs.min())), max(float(ys.max()), -float(ys.min()))
+
+
+@functools.cache
+def _subsets(k, d):
+    """Every d-subset of range(k), one per row, in lexicographic order."""
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(k), d)),
+                          dtype=np.intp).reshape(-1, d)
+    subsets.flags.writeable = False
+    return subsets
+
+
+def _held_gradient(zs, r, tau, w, rows):
+    """sum_i z_i w_i (tau - 1[r_i < 0]) over the rows not in rows: minus
+    the check loss's gradient over them while each keeps the side of 0 its
+    residual r_i lies on."""
+    c = np.where(r < 0.0, tau - 1.0, tau)
+    if w is not None:
+        c *= w
+    c[rows] = 0.0
+    return zs.T @ c
+
+
+def _vertex(zs, ys, tau, w, theta, extent):
+    """The certified vertex near a stage's theta, or None.  Of the
+    d-subsets of the _VERTEX_ROWS rows whose residuals lie nearest 0, the
+    one picked minimizes the check loss with every other row held on its
+    side of theta, where its loss is linear; ``_certify`` decides."""
+    d = zs.shape[1]
+    r = ys - zs @ theta
+    a = np.abs(r)
+    # the rows below the _VERTEX_ROWS-th smallest |r|, then the first of
+    # those at it, by the np.partition that _band runs: argpartition's code
+    # would add to the process's resident pages
+    cut = np.partition(a, min(_VERTEX_ROWS, a.size) - 1)[min(_VERTEX_ROWS, a.size) - 1]
+    below = np.flatnonzero(a < cut)
+    near = np.sort(np.concatenate([below, np.flatnonzero(a == cut)[:_VERTEX_ROWS - below.size]]))
+    k = near.size  # _VERTEX_ROWS, or every row of a shorter problem; 0 if NaN reaches the cut
+    if k < d:
+        return None
+    h = _held_gradient(zs, r, tau, w, near)
+    zk, yk = zs[near], ys[near]
+    wk = 1.0 if w is None else w[near]
+    subsets = _subsets(k, d)
+    systems = zk[subsets]
+    solvable = np.linalg.det(systems) != 0.0
+    if not solvable.any():
+        return None
+    subsets, systems = subsets[solvable], systems[solvable]
+    with np.errstate(all="ignore"):
+        thetas = np.linalg.solve(systems, yk[subsets][..., None])[..., 0]
+        rk = yk - thetas @ zk.T
+        loss = (np.where(rk < 0.0, tau - 1.0, tau) * rk * wk).sum(axis=1) - thetas @ h
+    loss[~np.isfinite(loss)] = np.inf
+    best = int(np.argmin(loss))
+    if not np.isfinite(loss[best]):
+        return None
+    return _certify(zs, ys, tau, w, near[subsets[best]], extent)
+
+
+def _norms(a):
+    """(infinity norm, 1-norm) of a square matrix."""
+    a = np.abs(a)
+    return float(a.sum(axis=1).max()), float(a.sum(axis=0).max())
+
+
+def _certify(zs, ys, tau, w, basis, extent):
+    """theta = solve(zs[basis], ys[basis]) when the Koenker-Bassett
+    conditions certify it the exact minimizer of the check loss over every
+    row, with the rounding bounds of the module docstring; else None.
+    basis holds d row indices in increasing order."""
+    n, d = zs.shape
+    count, zmax, ymax = extent
+    zb = zs[basis]
+    try:
+        theta = np.linalg.solve(zb, ys[basis])
+        # zb's inverse, column by column, by the one-right-hand-side solve
+        # the stages run: np.linalg.inv's code would add resident pages
+        inverse = np.linalg.solve(np.broadcast_to(zb, (d, d, d)), np.eye(d)[..., None])[..., 0].T
+    except np.linalg.LinAlgError:
+        return None
+    (zb_inf, zb_one), (inv_inf, inv_one) = _norms(zb), _norms(inverse)
+    lu = 3 * d * (1 + (d * d - d) * 2**d)  # c_d: LU's backward error, in units of eps ||zb||
+    if not 8.0 * lu * _EPS * max(zb_inf * inv_inf, zb_one * inv_one) <= 1.0:
+        return None  # too ill-conditioned for the bounds (or not finite)
+    # every residual within err of the exact vertex's
+    step = 4.0 * lu * _EPS * inv_inf * zb_inf * float(np.abs(theta).max())
+    err = 2.0 * (d + 1) * _EPS * (ymax + zmax * float(np.abs(theta).sum())) + d * zmax * step
+    if not err < constants.SMOOTHING_SCHEDULE[-1]:
+        return None
+    r = ys - zs @ theta
+    a = np.abs(r)
+    a[basis] = np.inf
+    if not a.min() > err:
+        return None
+    # the basis rows' multipliers: zb' v = -(sum of the other rows' gradients)
+    v = np.linalg.solve(zb.T, -_held_gradient(zs, r, tau, w, basis))
+    sw = float(n) if w is None else float(np.sum(w))
+    grad_err = 4.0 * (count + 2) * _EPS * zmax * sw
+    v_err = 2.0 * inv_one * (grad_err + 2.0 * lu * _EPS * zb_one * float(np.abs(v).max()))
+    wb = np.ones(d) if w is None else w[basis]
+    slack = v_err + 4.0 * _EPS * (wb + np.abs(v))
+    inside = (v - wb * (tau - 1.0) > slack) & (wb * tau - v > slack)
+    return theta if inside.all() else None
 
 
 def _band(r, w, tau, width):
@@ -582,11 +731,20 @@ def _subsample(problem, j, m):
 def _preprocessed_solve(problem, tau, schedule):
     """`_solve` of a prepared problem through the reduced problem of the
     module docstring, falling back to the full solve when no round is
-    certified."""
+    certified.  A full-schedule fit's pilot runs _SUBSAMPLE_STAGES stages
+    and its reduced solves resume at _VERTEX_EPS, since a certified
+    vertex's bytes do not depend on the path to it; a chain start keeps
+    its path."""
     p = problem
     zs, ys, w = p.zs, p.ys, p.w
     n, d = zs.shape
     eps = schedule[-1]
+    if eps == constants.SMOOTHING_SCHEDULE[-1]:
+        pilot, resumed = schedule[:_SUBSAMPLE_STAGES], tuple(e for e in schedule if e <= _VERTEX_EPS)
+        if p.extent is None:
+            p.extent = _extent(zs, ys)
+    else:
+        pilot, resumed = schedule[:_START_SUBSAMPLE_STAGES], schedule
     m = math.ceil(math.sqrt(d) * n ** (2.0 / 3.0))
     draws = spent = 0
     theta = None
@@ -605,11 +763,12 @@ def _preprocessed_solve(problem, tau, schedule):
                 break
             zsub, ysub, wsub, start = _subsample(p, draws, m)
             draws += 1
-            theta, its, _ = _solve(zsub, ysub, tau, wsub, schedule[:_SUBSAMPLE_STAGES], start)
+            theta, its, _ = _solve(zsub, ysub, tau, wsub, pilot, start)
             spent += its
             lower, upper = _band(residuals(), w, tau, 2 * m)
         zr, yr, wr = _reduced(zs, ys, w, lower, upper, r)
-        theta, its, ok = _solve(zr, yr, tau, wr, schedule, theta)
+        # the full problem's extent bounds the reduced rows' rounding, globs included
+        theta, its, ok = _solve(zr, yr, tau, wr, resumed, theta, p.extent)
         del zr, yr, wr  # before a fix-up round builds its own
         spent += its
         misplaced = _misplaced(residuals(), lower, upper, eps)
@@ -622,7 +781,7 @@ def _preprocessed_solve(problem, tau, schedule):
         else:
             lower &= ~misplaced
             upper &= ~misplaced
-    theta, its, ok = _solve(zs, ys, tau, w, schedule, _full_start(p))
+    theta, its, ok = _solve(zs, ys, tau, w, schedule, _full_start(p), p.extent)
     return theta, spent + its, ok
 
 
@@ -639,6 +798,10 @@ def _column_moments(columns):
     mu, sd = np.empty(len(columns)), np.empty(len(columns))
     buf, acc = np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK))
     for j, col in enumerate(columns):
+        if col.strides == (0,) and col[0] == 1.0 and n < 2**53:
+            # a broadcast constant 1.0: its running sums are n and 0, exactly
+            mu[j], sd[j] = 1.0, 0.0
+            continue
         mu[j] = _running_sum(col, None, buf, acc) / n
         sd[j] = np.sqrt(_running_sum(col, mu[j], buf, acc) / n)
     return mu, sd
@@ -722,6 +885,8 @@ class CheckLossProblem:
         columns parts[1:] into the C-ordered zs and ys."""
         y, *columns = parts
         parts.clear()
+        if not columns:
+            raise ShapeError("design has no columns")
         y = np.asarray(y, dtype=float)
         n, d = columns[0].size, len(columns)
         if y.shape != (n,):
@@ -787,6 +952,7 @@ class CheckLossProblem:
         self.start = None
         self.subsamples = []
         self.subsample_rng = None
+        self.extent = None  # the certificate's (count, zmax, ymax), made by a full-schedule reduced fit
 
 
 def fit_prepared(problem: CheckLossProblem, tau):
@@ -795,7 +961,8 @@ def fit_prepared(problem: CheckLossProblem, tau):
 
     Returns a FitResult whose theta is the raw coefficient vector in design
     order, iterations counts every Newton iteration the call ran, and
-    converged says whether every continuation stage converged.
+    converged says whether theta is a certified vertex, the exact minimizer
+    (module docstring), or else every continuation stage converged.
     """
     return _fit_schedule(problem, tau, constants.SMOOTHING_SCHEDULE)
 

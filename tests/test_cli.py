@@ -578,7 +578,7 @@ class TestCommands:
         ("elicit", "p", "x"), ("elicit", "alpha_variance", "big"),
         ("elicit", "beta_variance", "x"), ("elicit", "radius", "x"),
         ("simulate", "replications", "abc"), ("simulate", "master_seed", "x"),
-        ("simulate", "threads", "x"),
+        ("simulate", "threads", "x"), ("fit", "direction", "a,b"), ("ci", "direction", "0,x"),
         # out of range: refused before ingest, so nothing is written
         ("contour", "estimator", "foo"), ("fit", "direction", "0,0"), ("fit", "tau", "1.5"),
         ("fit", "direction", "1,1,1"), ("ci", "direction", "1"), ("contour", "tau", "0.2,1.5"),

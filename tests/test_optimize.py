@@ -11,7 +11,7 @@ import pytest
 import reference_kernels as ref
 
 from dirquant import constants, optimize, samplers
-from dirquant.errors import DomainError, RankError
+from dirquant.errors import DomainError, RankError, ShapeError
 from dirquant.geometry import Dataset, Direction, orthonormal_complement, project, unit_directions
 from dirquant.optimize import fit_check_loss, frequentist_fit
 from references import check_loss
@@ -142,6 +142,10 @@ class TestErrors:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{name} values are too large"):
                 fit_check_loss(design, y, 0.2)
+
+    def test_design_without_columns(self):
+        with pytest.raises(ShapeError, match="no columns"):
+            optimize.CheckLossProblem(np.zeros((10, 0)), np.zeros(10))
 
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(DomainError):
@@ -322,47 +326,75 @@ class TestPreprocessing:
 
     @pytest.fixture(scope="class")
     def fits(self):
-        # 24 contour fits on 1e5 rows; per fit the preprocessed result, the
-        # full solve's and whether the last glob check found every member at
-        # or beyond eps on its own side
+        # 24 contour fits on 1e5 rows, 8 directions x 3 taus as a frequentist
+        # contour fits them; per fit the preprocessed result, the full
+        # solve's, whether the last glob check found every member at or
+        # beyond eps on its own side, and whether each of the two ended at a
+        # certified vertex (its last solve returned a theta of _certify's)
         data = _star_scores(self.N, seed=21)
         out = []
         with pytest.MonkeyPatch.context() as m:
-            checks = []
-            real = optimize._misplaced
+            checks, vertices, ends = [], [], []
+            real, real_certify, real_solve = optimize._misplaced, optimize._certify, optimize._solve
 
             def checked(r, lower, upper, eps):
                 checks.append(bool(np.all(r[lower] <= -eps) and np.all(r[upper] >= eps)))
                 return real(r, lower, upper, eps)
 
+            def certify(*args):
+                theta = real_certify(*args)
+                vertices.append(theta)
+                return theta
+
+            def solve(*args):
+                result = real_solve(*args)
+                ends.append(any(result[0] is v for v in vertices if v is not None))
+                return result
+
             m.setattr(optimize, "_misplaced", checked)
+            m.setattr(optimize, "_certify", certify)
+            m.setattr(optimize, "_solve", solve)
             for tau in (0.05, 0.2, 0.4):
                 for u in unit_directions(32)[::4]:
                     direction = Direction(u=u, tau=tau)
                     checks.clear()
                     pre = frequentist_fit(data, direction)
                     certified = bool(checks) and checks[-1]
+                    exact = [ends[-1]]
                     with pytest.MonkeyPatch.context() as full_rows:
                         full_rows.setattr(optimize, "PREPROCESS_ROWS", np.inf)
                         full = frequentist_fit(data, direction)
-                    out.append((direction, pre, full, certified))
+                    exact.append(ends[-1])
+                    vertices.clear()
+                    out.append((direction, pre, full, certified, exact))
         return data, out
+
+    def test_every_fit_ends_at_a_certified_vertex(self, fits):
+        # a fit that falls back to the long schedule fails here instead of
+        # only slowing the frequentist contour
+        for direction, _, _, _, exact in fits[1]:
+            assert exact == [True, True], direction
+
+    def test_preprocessed_fit_is_the_full_solve(self, fits):
+        # a certified vertex's bytes depend on the problem and its basis only
+        for direction, pre, full, *_ in fits[1]:
+            assert pre.theta.as_vector().tobytes() == full.theta.as_vector().tobytes(), direction
 
     def test_objective_no_worse_than_the_full_solve(self, fits):
         data, rows = fits
         assert len(rows) == 24
-        for direction, pre, full, _ in rows:
+        for direction, pre, full, *_ in rows:
             full_loss = _fit_loss(data, direction, full)
             assert _fit_loss(data, direction, pre) <= full_loss * (1.0 + 1e-9), direction
 
     def test_every_fit_is_certified(self, fits):
-        for direction, pre, _, certified in fits[1]:
+        for direction, pre, _, certified, _ in fits[1]:
             assert certified, direction
             assert pre.converged
 
     def test_subgradient_fraction_bound(self, fits):
         data, rows = fits
-        for direction, pre, _, _ in rows:
+        for direction, pre, *_ in rows:
             pr = project(data, direction, orthonormal_complement(direction.u))
             resid = pr.y_u - pre.theta.alpha - pr.y_perp @ pre.theta.beta_y
             d = 2  # (beta_y, alpha)
@@ -577,11 +609,10 @@ class TestPreprocessing:
 
 
 # sha256 over theta, iterations and convergence of frequentist_fit on 2,000
-# fixed rows at 3 taus x 8 directions, computed on the code that still
-# returned the fits' objectives, whose earlier digest over these and the
-# objectives had held since before chains started from a shortened
-# schedule (the reduced problem's bytes are pinned by test_tau_contours)
-FROZEN_FIT_SHA256 = "430fa18994c92b8995b48beed706b3dd13465571fa822679fe2212a2a90c145d"
+# fixed rows at 3 taus x 8 directions, computed on the code that ends every
+# full-schedule fit at its certified vertex (the reduced problem's bytes are
+# pinned by test_tau_contours)
+FROZEN_FIT_SHA256 = "f1856e99a1d4ee60f515a3e3ed8e7e5dc796a2ea813a991022f35054c3f03728"
 
 
 class TestChainStarts:
@@ -724,10 +755,12 @@ class TestNewtonStage:
 
     def test_solve_resumes_its_damping_search(self, monkeypatch):
         # the stages of one solve share the last accepted zero-curvature
-        # damping, and every stage keeps the reference's bytes
+        # damping, and every stage keeps the reference's bytes; with no
+        # vertex certified, the solve runs every stage
         z, y = _star_design(3000, seed=2)
         hints = []
         real = optimize._newton_stage
+        monkeypatch.setattr(optimize, "_vertex", lambda *args: None)
 
         def stage(*args, hint=None, **kwargs):
             hints.append(hint[0])
@@ -883,6 +916,32 @@ class TestColumnBuiltProblem:
                      lambda: optimize.CheckLossProblem(design, y)):
             with pytest.raises(DomainError, match="need more observations"):
                 make()
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_broadcast_constant_takes_no_running_sum(self, p, monkeypatch):
+        # the broadcast constant's moments are (1.0, 0.0) without its two
+        # running sums; the stacked design's materialized ones still take
+        # them, and both problems keep numpy's bytes
+        data = self._data(3 * optimize._CHUNK + 1, p)
+        direction = Direction(u=unit_directions(32)[7], tau=0.2)
+        sums = []
+        real = optimize._running_sum
+
+        def spy(col, *args):
+            sums.append(col.strides)
+            return real(col, *args)
+
+        monkeypatch.setattr(optimize, "_running_sum", spy)
+        built = optimize._direction_problem(data, direction)
+        assert len(sums) == 2 * (1 + p) and (0,) not in sums
+        design, y = optimize._direction_design(data, direction)
+        sums.clear()
+        stacked = optimize.CheckLossProblem(design, y)
+        assert len(sums) == 2 * (2 + p)
+        want = _standardized_by_numpy(design, y)
+        for problem in (built, stacked):
+            for got, expected in zip((problem.col_mu, problem.col_sd, problem.zs), want):
+                assert got.tobytes() == expected.tobytes()
 
     def test_running_sums_start_from_zero(self):
         # numpy's axis-0 sum starts at 0.0, so a column of -0.0 sums to 0.0

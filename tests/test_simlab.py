@@ -51,15 +51,15 @@ SMALL = ExperimentConfig(
 # SMALL's rmse and subgradient rows, frozen from the one study pass:
 # (cell, (rmse, bias)) per rmse row, (cell, (rmse,)) per subgradient row.
 # The oracle and the values measured against it follow the 1e5-row oracle
-# fit, which takes optimize's preprocessed path; the estimates do not depend
-# on it.  Chains start from the first samplers._INIT_STAGES stages of the
+# fit, the certified vertex of optimize's preprocessed path; the estimates
+# and the subgradient rows do not depend on it.  Chains start from the first samplers._INIT_STAGES stages of the
 # smoothing schedule, and the chain-derived values are those of that start
 _CELL = {"dgp": 1, "u": (0.0, 1.0), "tau": 0.2}
 FROZEN_RMSE = [
-    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (0.11862166333809085, 0.0904394760234482)),
-    ({**_CELL, "n": 80, "parameter": "alpha"}, (0.04878081018834229, 0.01729329054507548)),
-    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (0.06387198125499627, -0.023633940505282985)),
-    ({**_CELL, "n": 400, "parameter": "alpha"}, (0.012612565124515949, -0.0027733671178395147)),
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (0.1186213828153105, 0.0904391080855895)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (0.048780844496844236, 0.017293387322055133)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (0.06387211740045022, -0.02363430844314169)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (0.012612543844654637, -0.0027732703408598625)),
 ]
 FROZEN_SUBGRAD = [
     ({**_CELL, "n": 80, "statistic": "subgrad1"}, (0.041926274578121064,)),
@@ -73,22 +73,22 @@ FROZEN_SUBGRAD = [
 _CONDITIONAL_CELL = {"u": (0.0, 1.0), "tau": 0.2, "x0": 1.0}
 FROZEN_CONDITIONAL = [
     ({**_CONDITIONAL_CELL, "n": 80, "parameter": "alpha"},
-     (-1.5331587949242325, 1.034394655599579, 0.06354546491679905, -1.0064966577986443)),
+     (-1.5331584317624851, 1.0343950089667262, 0.06354546472951252, -1.0064970209603916)),
     ({**_CONDITIONAL_CELL, "n": 80, "parameter": "beta_y_0"},
-     (1.5072618475838677, 0.35294564309722765, 0.05474776114280354, -0.16203582207004183)),
+     (1.507261625248955, 0.3529455410242837, 0.054747742194734106, -0.16203559973512913)),
     ({**_CONDITIONAL_CELL, "n": 400, "parameter": "alpha"},
-     (-1.5331587949242325, 0.5609048540916907, 0.038721381814375865, -0.5426341814935581)),
+     (-1.5331584317624851, 0.5609052054239715, 0.03872138111991189, -0.5426345446553055)),
     ({**_CONDITIONAL_CELL, "n": 400, "parameter": "beta_y_0"},
-     (1.5072618475838677, 0.16601944939567617, 0.020898856580893632, 0.052399561843501)),
+     (1.507261625248955, 0.16601951956982927, 0.020898863411508917, 0.052399784178413705)),
 ]
 # SMALL's coverage rows, frozen from the same pass, with the score
 # covariance of inference.score_covariance_matrix behind the widths:
 # (cell, (oracle, coverage, naive_coverage, width))
 FROZEN_COVERAGE = [
-    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.0033881001147872875, 1.0, 1.0, 0.5558523711611195)),
-    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.29939831992686927, 1.0, 1.0, 0.19691191180669687)),
-    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.0033881001147872875, 1.0, 1.0, 0.30596336304473915)),
-    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.29939831992686927, 1.0, 1.0, 0.07181604522772786)),
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.003387732176928584, 1.0, 1.0, 0.5558523711611195)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.2993984167038489, 1.0, 1.0, 0.19691191180669687)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.003387732176928584, 1.0, 1.0, 0.30596336304473915)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.2993984167038489, 1.0, 1.0, 0.07181604522772786)),
 ]
 
 

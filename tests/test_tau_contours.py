@@ -155,12 +155,12 @@ def test_bad_tau_fails_before_any_fit(estimator, monkeypatch):
         tau_contours(data, (0.2, 1.5), 8, estimator=estimator)
 
 
-# sha256 over the vertex bytes of the 3 taus' frequentist polygons, 8
-# directions, as the code before chains started from a shortened smoothing
-# schedule gave them: frequentist fits keep the whole schedule
+# sha256 over the vertex bytes of the 3 taus' frequentist polygons (8
+# directions on the 1e5 scores, 16 on the 2e3 normal sample), as the code
+# that ends every full-schedule fit at its certified vertex gave them
 FROZEN_FREQUENTIST_SHA256 = {
-    "2e3 normal": "b9c69a066fa3238bdb15b2e2bca4252e7d1e164c743a8f06e71b6c697bd8b515",
-    "1e5 scores": "6c1a2c9fd924965aa36d3f4e0146c0d5a9a4953bed8796c88c69970bc8965d0c",
+    "2e3 normal": "a91545d727761cde4b40e9502ff9d2d4eb58291286019e683ffb4852377bbfc2",
+    "1e5 scores": "e9864935632a705123c65288dedf8f108b77a1f7ad8bf963db9862b2ac6e9f9c",
 }
 
 
