@@ -98,7 +98,7 @@ def _choice(value: str, key: str, options) -> str:
 
 
 # open intervals of tau and level, of the prior variances and bandwidth,
-# and of the prior means and x0
+# and of the prior means, x0 and radius
 _UNIT = (0.0, 1.0)
 _POSITIVE = (0.0, math.inf)
 _FINITE = (-math.inf, math.inf)
@@ -408,8 +408,10 @@ def _tube_tag(value: float) -> str:
 
 
 def _cmd_tube(cfg: dict, args) -> int:
-    if not _as_list(_get(cfg, "covariates", "")):
-        raise ConfigError("tube requires at least one covariate column (covariates)")
+    covariates = _as_list(_get(cfg, "covariates", ""))
+    if len(covariates) != 1:
+        raise ConfigError(f"tube takes exactly one covariate column (covariates), got {len(covariates)}: "
+                          "each x0 is one covariate value")
     taus = [_as_float(v, "tau", _UNIT) for v in _as_list(_get(cfg, "tau", required=True))]
     x0s = [_as_float(v, "x0", _FINITE) for v in _as_list(_get(cfg, "x0", required=True))]
     tau_tags = _file_tags("tau", taus, [_tube_tag(tau) for tau in taus])
@@ -510,7 +512,7 @@ def _cmd_elicit(cfg: dict, args) -> int:
     p = _as_int(_get(cfg, "p", "0"), "p", minimum=0)
     if "radius" in cfg and family != "custom-radius":
         raise ConfigError(f"elicit with family={family} reads no 'radius'; only family=custom-radius does")
-    radius = _as_float(cfg["radius"], "radius") if "radius" in cfg else None
+    radius = _as_float(cfg["radius"], "radius", _FINITE) if "radius" in cfg else None
     if family == "custom-radius" and not (radius is not None and radius >= 0.0):
         raise ConfigError("custom-radius family needs a nonnegative radius")
     prior = spherical_prior(

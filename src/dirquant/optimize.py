@@ -80,35 +80,13 @@ whatever the input's layout: the solver's ``z @ theta``, ``z.T @ g`` and
 ``scaled.T @ z`` go to BLAS, whose kernels for the other layout sum in
 another order (checked under OpenBLAS: the bytes change).
 
-The loss's Huber branch takes three dense passes (r^2, / 2 eps, a masked
-copy).  When fewer than a quarter of theta's residuals lie in the band, the
-stage has the loss take the rows in the band by index instead: the
-candidates' bands are about as full as theta's.  With every residual in the
-band the masked copy is faster.  Small problems take the same column
-passes and the same gather.
-
-When no residual lies in the smoothing band |r| < eps, the Hessian is zero
-and the damped step for lam_k = lam * 10^k is -grad / lam_k: every candidate
-lies on one ray from theta.  The smoothed loss is convex, so along that ray
-the accepted set {f_c <= f + 1e-12 max(1, |f|)} is an interval containing
-theta, and acceptance is monotone in k.  A gallop-then-bisect search then
-finds the smallest accepted k, the one the sequential scan takes, in fewer
-loss evaluations.  Rounding cannot break that order: if step k is accepted,
-convexity puts step k + 1, a tenth as long, at least 0.9 of the tolerance
-1e-12 max(1, |f|) below the threshold, while summation and residual rounding
-are about 1e-15 |f|.  With curvature in the band, the damping path is a
-curve, not a ray, and the scan stays sequential.  Every stage starts lam
-at 1e-10; each search starts at the last accepted zero-curvature damping of
-the same ``_solve`` (one log10 finds its k) and doubles its probes' reach
-down or up from there before bisecting (``_damping_search``).  Any search
-that brackets the smallest accepted k returns it, so every bit is the
-scan's.
-
-A reduced problem (below) has a few thousand unit-weight rows and one or
-two globs.  A stage multiplies by its weights only the rows whose weight
-is not 1 when they are at most a sixteenth of the rows (``_stage_weights``);
-the other products would be x * 1.0 == x, so the bytes are the dense
-multiply's.
+The loss computes its Huber branch's r^2 / (2 eps) only for the rows in the
+band |r| <= eps, taken by index: each row's value is the same arithmetic as
+a pass over every row.  Each Newton iteration scans the damping
+lam_k = lam 10^k up from the stage's current lam, at most 40 steps, and
+takes the first candidate whose loss is not above f + 1e-12 max(1, |f|) (a
+NaN loss is not above it).  With no residual in the band the Hessian forms
+as zero and its scale as 1, so such an iteration scans the same way.
 
 Fits of at least PREPROCESS_ROWS = 20,000 rows solve a reduced problem
 first (Portnoy & Koenker 1997, "The Gaussian hare and the Laplacian
@@ -266,129 +244,41 @@ class FitResult:
     converged: bool
 
 
-def _smoothed_loss(r, w, tau, eps, a, q, inside, gather=False):
+def _smoothed_loss(r, w, tau, eps, a, q, inside):
     # sum_i w_i rho_tau(r_i), rho_tau(r) = (tau - 1/2) r + |r|/2 with |r|
     # Huberized at width eps; w is None for unit weights, and a, q and inside
-    # are the stage's n-length scratch buffers.  With gather the few rows in
-    # the band take the quadratic branch by index instead of three dense
-    # passes (module docstring); every row's value is the same either way.
+    # are the stage's n-length scratch buffers.  The rows in the band take
+    # the quadratic branch by index
     np.abs(r, out=a)
     np.less_equal(a, eps, out=inside)
-    if gather:
-        a -= eps / 2.0
-        rows = inside.nonzero()[0]
-        if rows.size:
-            band = r.take(rows)
-            band *= band
-            band /= 2.0 * eps
-            a[rows] = band
-    else:
-        np.multiply(r, r, out=q)
-        q /= 2.0 * eps
-        a -= eps / 2.0
-        np.copyto(a, q, where=inside)
+    a -= eps / 2.0
+    rows = inside.nonzero()[0]
+    band = r.take(rows)
+    band *= band
+    band /= 2.0 * eps
+    a[rows] = band
     a *= 0.5
     np.multiply(tau - 0.5, r, out=q)
     q += a
     if w is not None:
-        _weigh(q, w)
+        q *= w
     return float(q.sum())
 
 
-def _stage_weights(w):
-    """What a stage multiplies by: None for unit weights, since
-    x * 1.0 == x; the rows whose weight is not 1 and their weights when they
-    are few, as a reduced problem's globs are; else w."""
-    other = w != 1.0
-    if not other.any():
-        return None
-    rows = other.nonzero()[0]
-    return (rows, w[rows]) if 16 * rows.size <= w.size else w
-
-
-def _weigh(x, w):
-    """x *= w in place, for w from ``_stage_weights``."""
-    if type(w) is tuple:
-        rows, values = w
-        x[rows] *= values
-    else:
-        x *= w
-
-
-def _damping_search(accepts, first):
-    """The smallest k in [0, 40) with accepts(k), or None, for an
-    acceptance monotone in k.  Probes start at first and step away from it
-    by 1, 2, 4, ...: down while accepted, up while rejected, until a
-    rejected and an accepted k (or an end of the range) bracket the answer;
-    bisection closes the bracket.  Each accepted probe lies below every
-    accepted one before it, so the last accepted probe is the k returned.
-    From first = 0 the probes are the gallop 0, 1, 3, 7, 15, 31, 39."""
-    step, lo, hi = 1, -1, None  # the largest k known rejected, the smallest known accepted
-    if accepts(first):
-        hi = first
-        while hi > 0:
-            k = max(hi - step, 0)
-            if not accepts(k):
-                lo = k
-                break
-            hi, step = k, 2 * step
-    else:
-        lo = first
-        while lo < 39:
-            k = min(lo + step, 39)
-            if accepts(k):
-                hi = k
-                break
-            lo, step = k, 2 * step
-        if hi is None:
-            return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if accepts(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11, hint=None):
+def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11):
     # w is None for unit weights, whose sum is n and whose products are
-    # x * 1.0 == x; hint, when given, is a one-item list holding the last
-    # accepted zero-curvature damping of the caller's solve (None before the
-    # first); the stage starts its zero-curvature searches there and
-    # updates it
+    # x * 1.0 == x
     n, d = z.shape
     sw = float(n) if w is None else float(np.sum(w))
-    w_mul = None if w is None else _stage_weights(w)
     lam = 1e-10
     z_t = z.T
     eye = np.eye(d)
-    zero = np.zeros((d, d))
     r, r_c, a, q, g1, curv = (np.empty(n) for _ in range(6))
     inside = np.empty(n, dtype=bool)
     scaled = np.empty(z.shape)  # z * (w * curvature)[:, None]
     np.matmul(z, theta, out=r)
     np.subtract(y, r, out=r)
-    # theta's band, counted before the first loss so that a sparse one gathers
-    gather = 4 * int(np.count_nonzero(np.less(np.abs(r, out=a), eps, out=inside))) < n
-    f = _smoothed_loss(r, w_mul, tau, eps, a, q, inside, gather)
-
-    def attempt(hess, scale, lam_k):
-        # the damped step at lam_k; on acceptance its residual becomes r
-        nonlocal r, r_c
-        try:
-            step = np.linalg.solve(hess + lam_k * scale * eye, -grad)
-        except np.linalg.LinAlgError:
-            return None
-        cand = theta + step
-        np.matmul(z, cand, out=r_c)
-        np.subtract(y, r_c, out=r_c)
-        f_c = _smoothed_loss(r_c, w_mul, tau, eps, a, q, inside, gather)
-        if f_c > f + 1e-12 * max(1.0, abs(f)):
-            return None
-        r, r_c = r_c, r
-        return cand, f_c
-
+    f = _smoothed_loss(r, w, tau, eps, a, q, inside)
     it = 0
     for it in range(1, max_iter + 1):
         # r belongs to the current theta: the start or the last accepted
@@ -398,58 +288,38 @@ def _newton_stage(z, y, tau, w, theta, eps, max_iter=60, gtol=1e-11, hint=None):
         np.minimum(g1, 1.0, out=g1)
         g1 *= 0.5
         g1 += tau - 0.5
-        if w_mul is not None:
-            _weigh(g1, w_mul)
+        if w is not None:
+            g1 *= w
         grad = -(z_t @ g1)
         if np.abs(grad).max() <= gtol * max(1.0, sw):
             return theta, f, it, True
         np.abs(r, out=a)
         np.less(a, eps, out=inside)
-        in_band = int(np.count_nonzero(inside))
-        # the candidates' bands are about as full as theta's
-        gather = 4 * in_band < n
-        found = None
-        if in_band:
-            np.multiply(inside, 0.5 / eps, out=curv)
-            if w_mul is not None:
-                _weigh(curv, w_mul)
-            for j in range(d):
-                np.multiply(z[:, j], curv, out=scaled[:, j])
-            hess = scaled.T @ z
-            scale = max(np.abs(hess.diagonal()).max(), 1.0)
-            for _ in range(40):
-                found = attempt(hess, scale, lam)
-                if found is not None:
-                    break
+        np.multiply(inside, 0.5 / eps, out=curv)
+        if w is not None:
+            curv *= w
+        for j in range(d):
+            np.multiply(z[:, j], curv, out=scaled[:, j])
+        hess = scaled.T @ z  # zero (or -0.0) with an empty band, so the scale is 1
+        scale = max(np.abs(hess.diagonal()).max(), 1.0)
+        for _ in range(40):
+            try:
+                step = np.linalg.solve(hess + lam * scale * eye, -grad)
+            except np.linalg.LinAlgError:
                 lam *= 10.0
+                continue
+            cand = theta + step
+            np.matmul(z, cand, out=r_c)
+            np.subtract(y, r_c, out=r_c)
+            f_c = _smoothed_loss(r_c, w, tau, eps, a, q, inside)
+            if not f_c > f + 1e-12 * max(1.0, abs(f)):  # a NaN loss is accepted
+                break
+            lam *= 10.0
         else:
-            # zero curvature: every candidate is theta - grad / lam_k on one
-            # ray, so acceptance is monotone in k (module docstring) and a
-            # search finds the smallest accepted k that the scan would,
-            # starting near the solve's last accepted damping
-            lams = [lam]
-            for _ in range(39):
-                lams.append(lams[-1] * 10.0)
-            first = 0
-            if hint is not None and hint[0] is not None:
-                first = min(max(math.floor(math.log10(hint[0] / lam)), 0), 39)
-
-            def accepts(k):
-                nonlocal found
-                cand = attempt(zero, 1.0, lams[k])
-                if cand is not None:
-                    found = cand
-                return cand is not None
-
-            k = _damping_search(accepts, first)
-            if k is not None:
-                lam = lams[k]
-                if hint is not None:
-                    hint[0] = lam
-        if found is None:
             return theta, f, it, False
-        improved = f - found[1]
-        theta, f = found
+        improved = f - f_c
+        theta, f = cand, f_c
+        r, r_c = r_c, r
         lam = max(lam * 0.3, 1e-12)
         if improved <= 1e-14 * max(1.0, abs(f)):
             return theta, f, it, True
@@ -486,12 +356,11 @@ def _solve(zs, ys, tau, w, schedule, theta, extent=None):
     certificate's (count, zmax, ymax), the rows' own when None."""
     total_iter = 0
     converged = True
-    hint = [None]  # the stages' last accepted zero-curvature damping
     exact = schedule[-1] == constants.SMOOTHING_SCHEDULE[-1]
     if exact and extent is None:
         extent = _extent(zs, ys)
     for eps in schedule:
-        theta, _, its, ok = _newton_stage(zs, ys, tau, w, theta, eps, hint=hint)
+        theta, _, its, ok = _newton_stage(zs, ys, tau, w, theta, eps)
         total_iter += its
         converged = converged and ok
         if exact and eps <= _VERTEX_EPS:

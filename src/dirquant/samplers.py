@@ -21,16 +21,8 @@ draw among them, holds each chain's mixture constants as a full row of
 that shape, and skips the kernel-weight products when every weight is 1.
 Callers that stack chains take at most ``_ROW_BUDGET`` chain rows
 (chains x n) per call, because stacking pays up to about that many rows and
-no further.  Per chain-sweep, measured on the engine at d = 2 with unit
-weights (best of 18 interleaved runs, 2-vCPU x86_64 host shared with other
-work, numpy 2.4, one BLAS thread): 56/7.2/7.4/8.1 us at n = 1e2 for
-B = 1/40/163/655; 96/43/47/47/50 us at n = 1e3 for B = 1/8/16/32/65;
-137/88/92/95/99 us at n = 2e3 for B = 1/4/8/16/32; 417/427/454 us at
-n = 1e4 for B = 1/2/4.  The engine before the bit-select GIG kernel and
-the full-row constants took 55/7.7/7.1/8.4, 103/50/48/51/55,
-151/100/98/101/108 and 449/460/463 us in the same runs.  Every stacked
-chain adds its rows to the call's memory, so the budget also bounds peak
-RSS.
+no further.  Every stacked chain adds its rows to the call's memory, so
+the budget also bounds peak RSS.
 
 Latent-scale draws use the nu = 1/2 generalized inverse Gaussian, sampled
 exactly through the reciprocal inverse-Gaussian identity by one kernel
@@ -345,8 +337,7 @@ def _gig_half_kernel(a, b, work):
 # ---------------------------------------------------------------------------
 # Gibbs machinery
 
-# chain rows (chains x observations) per engine call (the sweep in the
-# module docstring)
+# chain rows (chains x observations) per engine call (module docstring)
 _ROW_BUDGET = 16_384
 
 

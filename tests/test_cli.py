@@ -588,6 +588,7 @@ class TestCommands:
         ("elicit", "k", "1"), ("elicit", "alpha_variance", "0"), ("simulate", "profile", "foo"),
         ("fit", "burn_in", "-1"), ("contour", "burn_in", "-3"),
         ("elicit", "radius", None), ("elicit", "radius", "-1"),  # None: the key left out
+        ("elicit", "radius", "inf"), ("tube", "covariates", "experience,math"),
         # a misspelled key, which the command does not read
         ("fit", "directon", "0,1"), ("ci", "levle", "0.9"), ("contour", "directons", "8"),
         ("tube", "bandwith", "2"), ("simulate", "replicatons", "2"), ("elicit", "familly", "uniform-ball"),

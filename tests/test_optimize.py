@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import tracemalloc
 import warnings
@@ -703,94 +702,48 @@ class TestChainStarts:
 
 
 class TestNewtonStage:
-    """The stage counts its start's smoothing band before the first loss, so
-    a band of under a quarter of the rows takes the gathered branch from the
-    first loss on, at any n."""
+    """The stage keeps the reference stage's bytes: it scans the same
+    dampings, with or without rows in the smoothing band, its loss takes
+    the band's rows by index, and it multiplies by every weight."""
 
-    @staticmethod
-    def _first_gather(monkeypatch, n, eps):
-        rng = np.random.default_rng(31)
-        z = np.column_stack([rng.standard_normal(n), np.ones(n)])
-        y = z @ np.array([0.7, -0.2]) + rng.standard_t(3, n)
-        theta0 = np.linalg.lstsq(z, y, rcond=None)[0]
-        flags = []
+    def test_solve_keeps_every_stage_reference_bytes(self, monkeypatch):
+        # single stages from the least-squares start, with a sparse band (eps
+        # 1e-3) and every row in it (eps 10); then a solve that certifies no
+        # vertex and so runs every stage, some of whose candidates have
+        # empty bands
+        for n, eps in ((5000, 1e-3), (5000, 10.0), (1000, 1e-3)):
+            rng = np.random.default_rng(31)
+            z = np.column_stack([rng.standard_normal(n), np.ones(n)])
+            y = z @ np.array([0.7, -0.2]) + rng.standard_t(3, n)
+            theta0 = np.linalg.lstsq(z, y, rcond=None)[0]
+            got = optimize._newton_stage(z, y, 0.3, np.ones(n), theta0, eps)
+            want = ref._newton_stage(z, y, 0.3, np.ones(n), theta0, eps)
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        z, y = _star_design(3000, seed=2)
+        empty = []
         real = optimize._smoothed_loss
 
-        def spy(r, w, tau, eps, a, q, inside, gather=False):
-            flags.append(gather)
-            return real(r, w, tau, eps, a, q, inside, gather)
+        def spy(r, w, tau, eps, a, q, inside):
+            f = real(r, w, tau, eps, a, q, inside)
+            empty.append(not inside.any())
+            return f
 
         monkeypatch.setattr(optimize, "_smoothed_loss", spy)
-        got = optimize._newton_stage(z, y, 0.3, np.ones(n), theta0, eps)
-        monkeypatch.undo()
-        want = ref._newton_stage(z, y, 0.3, np.ones(n), theta0, eps)
-        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
-        return flags[0]
-
-    @pytest.mark.parametrize("n, eps, gather", [(5000, 1e-3, True), (5000, 10.0, False),
-                                                (1000, 1e-3, True)])
-    def test_first_loss_takes_the_start_band(self, monkeypatch, n, eps, gather):
-        assert self._first_gather(monkeypatch, n, eps) is gather
-
-    def test_damping_search_finds_the_scan_k(self):
-        # for every boundary k* of a monotone acceptance (40: none accepted)
-        # and every first probe, absent (0), below, at or above k*, the
-        # search returns the sequential scan's k, and its last accepted
-        # probe is that k, whose candidate the stage keeps
-        worst = 0
-        for k_star, first in itertools.product(range(41), range(40)):
-            probes = []
-
-            def accepts(k):
-                probes.append(k)
-                return k >= k_star
-
-            k = optimize._damping_search(accepts, first)
-            assert k == (None if k_star == 40 else k_star), (k_star, first)
-            accepted = [p for p in probes if p >= k_star]
-            assert k is None or accepted[-1] == k
-            assert all(0 <= p < 40 for p in probes) and len(set(probes)) == len(probes)
-            worst = max(worst, len(probes))
-        assert worst <= 12
-
-    def test_solve_resumes_its_damping_search(self, monkeypatch):
-        # the stages of one solve share the last accepted zero-curvature
-        # damping, and every stage keeps the reference's bytes; with no
-        # vertex certified, the solve runs every stage
-        z, y = _star_design(3000, seed=2)
-        hints = []
-        real = optimize._newton_stage
         monkeypatch.setattr(optimize, "_vertex", lambda *args: None)
-
-        def stage(*args, hint=None, **kwargs):
-            hints.append(hint[0])
-            return real(*args, hint=hint, **kwargs)
-
-        monkeypatch.setattr(optimize, "_newton_stage", stage)
         w = np.ones(3000)
         start = optimize._least_squares(z, y, w)
         theta, its, ok = optimize._solve(z, y, 0.2, w, constants.SMOOTHING_SCHEDULE, start)
-        assert hints[0] is None and any(h is not None for h in hints)
-        monkeypatch.setattr(optimize, "_newton_stage", lambda *a, hint=None, **k: ref._newton_stage(*a, **k))
+        assert any(empty)
+        monkeypatch.setattr(optimize, "_newton_stage", ref._newton_stage)
         want = optimize._solve(z, y, 0.2, w, constants.SMOOTHING_SCHEDULE, start)
         assert theta.tobytes() == want[0].tobytes() and (its, ok) == want[1:]
 
-    def test_glob_weights_multiply_their_rows_only(self):
-        # a reduced problem's weights: unit rows and two globs.  The stage
-        # multiplies the globs' rows alone and keeps the dense multiply's bytes
+    def test_glob_weights_keep_the_reference_bytes(self):
+        # a reduced problem's weights: unit rows and two globs, every row
+        # multiplied, since x * 1.0 == x
         z, y = _star_design(3000, seed=3)
         w = np.ones(3000)
         w[[17, 2999]] = [1250.0, 740.0]
-        rows, values = optimize._stage_weights(w)
-        assert rows.tolist() == [17, 2999] and values.tolist() == [1250.0, 740.0]
-        assert optimize._stage_weights(np.ones(10)) is None
-        dense = np.random.default_rng(4).uniform(0.5, 2.0, 3000)
-        assert optimize._stage_weights(dense) is dense
-        r = y - z @ np.linalg.lstsq(z, y, rcond=None)[0]
-        for eps, gather in ((0.5, False), (0.01, True)):
-            bufs = [np.empty(3000), np.empty(3000), np.empty(3000, dtype=bool)]
-            sparse = optimize._smoothed_loss(r, (rows, values), 0.3, eps, *bufs, gather)
-            assert sparse == optimize._smoothed_loss(r, w, 0.3, eps, *bufs, gather)
         theta0 = np.linalg.lstsq(z, y, rcond=None)[0]
         for eps in (1e-1, 1e-4):
             got = optimize._newton_stage(z, y, 0.3, w, theta0, eps)
