@@ -1,4 +1,4 @@
-"""Command-line front end: fit, contour, tube, ci, simulate, elicit.
+"""Command-line front end: fit, contour, tube, simulate, elicit.
 
 Runs are driven by a flat key = value config file (grammar in the README);
 a few common settings can be overridden by flags.  Exit codes: 0 success,
@@ -118,10 +118,8 @@ def _file_tags(key: str, values, tags) -> list[str]:
 # the config keys each command reads (README, "Config keys by command");
 # ``run`` refuses any other
 _DATA_KEYS = ("input", "response", "covariates", "jitter", "seed")
-_FIT_KEYS = (*_DATA_KEYS, "direction", "tau", "draws", "burn_in", "prior_mean", "prior_variance", "level")
 _KEYS = {command: frozenset(("output_dir", *keys)) for command, keys in {
-    "fit": _FIT_KEYS,
-    "ci": _FIT_KEYS,
+    "fit": (*_DATA_KEYS, "direction", "tau", "draws", "burn_in", "prior_mean", "prior_variance", "level"),
     "contour": (*_DATA_KEYS, "tau", "directions", "estimator", "draws", "burn_in"),
     "tube": (*_DATA_KEYS, "tau", "x0", "directions", "design", "bandwidth", "draws", "burn_in"),
     "simulate": ("profile", "replications", "sample_sizes", "master_seed", "tables", "threads"),
@@ -302,7 +300,8 @@ def _prior_from_config(cfg: dict) -> PriorSpec:
     var = [_as_float(v, "prior_variance", _POSITIVE)
            for v in _as_list(_get(cfg, "prior_variance", ",".join(["1000"] * d)))]
     if len(mean) != d or len(var) != d:
-        raise ConfigError(f"prior must have dimension {d}")
+        raise ConfigError(f"prior must have k + p = {d} entries in each of prior_mean and prior_variance, "
+                          f"got {len(mean)} and {len(var)}")
     return PriorSpec(mean=np.array(mean), covariance=np.diag(var))
 
 
@@ -336,6 +335,11 @@ def _cmd_fit(cfg: dict, args) -> int:
     direction = _direction(cfg)
     level = _as_float(_get(cfg, "level", "0.95"), "level", _UNIT)
     draws, burn = _sampler_settings(cfg)
+    # intervals exist for 2 responses and no covariates; they need kept
+    # draws whose covariance can be nonsingular, more than 2 of them
+    with_ci = direction.u.size == 2 and not _as_list(_get(cfg, "covariates", ""))
+    if with_ci and draws - burn <= 2:
+        raise ConfigError(f"fit's intervals need draws - burn_in > 2, got draws={draws}, burn_in={burn}")
     prior = _prior_from_config(cfg)
     data, report, seed = _load_common(cfg)
     chain = gibbs_unconditional(data, direction, prior, n_draws=draws, burn_in=burn, seed=seed)
@@ -344,25 +348,21 @@ def _cmd_fit(cfg: dict, args) -> int:
     io.write_chain(chain, os.path.join(out, "chain.csv"), os.path.join(out, "chain.json"),
                    extra_meta={"provenance": prov, "ingest": report})
     estimate = posterior_vector(chain)
-    theta = HyperplaneParams.from_vector(estimate, data.k, data.p)
+    sg = subgradient_diagnostics(data, direction, HyperplaneParams.from_vector(estimate, data.k, data.p))
     summary = {
         "posterior_mean": {name: float(v) for name, v in zip(chain.names, estimate)},
-        "acceptance_rate": chain.acceptance_rate,
-        "subgradient": None,
+        "subgradient": {"sg1": sg.sg1, "sg2": [float(v) for v in sg.sg2], "n": sg.n},
         "ci": None,
         "provenance": prov,
         "ingest": report,
     }
-    sg = subgradient_diagnostics(data, direction, theta)
-    summary["subgradient"] = {"sg1": sg.sg1, "sg2": [float(v) for v in sg.sg2], "n": sg.n}
-    if data.p == 0 and data.k == 2:
+    if with_ci:
         ci = asymptotic_ci(chain, data, direction, level=level)
+        naive = naive_ci(chain, level=level)
         summary["ci"] = {
-            "names": list(ci.names),
-            "lower": [float(v) for v in ci.lower],
-            "upper": [float(v) for v in ci.upper],
-            "std_error": [float(v) for v in ci.std_error],
-            "level": ci.level,
+            "names": list(ci.names), "lower": ci.lower.tolist(), "upper": ci.upper.tolist(),
+            "std_error": ci.std_error.tolist(), "level": ci.level,
+            "naive_lower": naive.lower.tolist(), "naive_upper": naive.upper.tolist(),
         }
     io.write_json(os.path.join(out, "fit.json"), summary)
     print(f"fit: wrote chain.csv, chain.json, fit.json to {out}")
@@ -439,36 +439,6 @@ def _cmd_tube(cfg: dict, args) -> int:
     return 0
 
 
-def _cmd_ci(cfg: dict, args) -> int:
-    if _as_list(_get(cfg, "covariates", "")):
-        raise ConfigError("asymptotic intervals are not supported by the method for p > 0 (covariates)")
-    if len(_as_list(_get(cfg, "response", required=True))) != 2:
-        raise ConfigError("interval construction is implemented for k = 2 only: give 2 response columns")
-    direction = _direction(cfg)
-    level = _as_float(_get(cfg, "level", "0.95"), "level", _UNIT)
-    draws, burn = _sampler_settings(cfg)
-    prior = _prior_from_config(cfg)
-    data, report, seed = _load_common(cfg)
-    chain = gibbs_unconditional(data, direction, prior, n_draws=draws, burn_in=burn, seed=seed)
-    ci = asymptotic_ci(chain, data, direction, level=level)
-    nci = naive_ci(chain, level=level)
-    out = _out_dir(cfg, args)
-    io.write_json(os.path.join(out, "ci.json"), {
-        "names": list(ci.names),
-        "estimate": [float(v) for v in ci.estimate],
-        "std_error": [float(v) for v in ci.std_error],
-        "lower": [float(v) for v in ci.lower],
-        "upper": [float(v) for v in ci.upper],
-        "naive_lower": [float(v) for v in nci.lower],
-        "naive_upper": [float(v) for v in nci.upper],
-        "level": level,
-        "provenance": io.provenance_block(cfg, seed),
-        "ingest": report,
-    })
-    print(f"ci: wrote ci.json to {out}")
-    return 0
-
-
 def _cmd_simulate(cfg: dict, args) -> int:
     profile = _choice(_get(cfg, "profile", "desk"), "profile", ("desk", "paper"))
     config = simlab.DESK_PROFILE if profile == "desk" else simlab.PAPER_PROFILE
@@ -531,7 +501,7 @@ def _cmd_elicit(cfg: dict, args) -> int:
         "parameter_order": "beta_y, beta_x, alpha",
         "provenance": io.provenance_block(cfg, None),
     })
-    # config snippet in the grammar the fit/ci commands read
+    # config snippet in the grammar the fit command reads
     mean_line = ", ".join(repr(float(v)) for v in prior.spec.mean)
     var_line = ", ".join(repr(float(v)) for v in np.diag(prior.spec.covariance))
     io.atomic_write_text(
@@ -546,7 +516,6 @@ _COMMANDS = {
     "fit": _cmd_fit,
     "contour": _cmd_contour,
     "tube": _cmd_tube,
-    "ci": _cmd_ci,
     "simulate": _cmd_simulate,
     "elicit": _cmd_elicit,
 }

@@ -81,7 +81,6 @@ def write_chain(chain: Chain, csv_path: str, meta_path: str, extra_meta: dict | 
         "seed": chain.seed,
         "burn_in": chain.burn_in,
         "sampler": chain.sampler,
-        "acceptance_rate": chain.acceptance_rate,
         "n_draws": int(chain.draws.shape[0]),
         "names": list(names),
         "layout": list(chain.layout) if chain.layout else None,

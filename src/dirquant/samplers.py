@@ -116,7 +116,6 @@ class Chain:
     burn_in: int
     seed: int
     sampler: str
-    acceptance_rate: float = 1.0
     names: tuple = ()
     layout: tuple | None = None  # (k, p) when coordinates are (beta_y, beta_x, alpha)
 
@@ -523,7 +522,7 @@ def _run_chains(problems, n_draws, burn_in):
                    [q.prior for q in problems], [q.theta0 for q in problems], rngs, n_draws)
     return [
         Chain(draws=np.ascontiguousarray(draws[:, j]), burn_in=burn_in, seed=q.seed,
-              sampler=q.sampler, acceptance_rate=1.0, names=q.names, layout=q.layout)
+              sampler=q.sampler, names=q.names, layout=q.layout)
         for j, q in enumerate(problems)
     ]
 

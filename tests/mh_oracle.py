@@ -29,12 +29,12 @@ def metropolis_hastings(
     burn_in: int = constants.DEFAULT_BURN_IN,
     seed: int = 0,
     init=None,
-) -> Chain:
+) -> tuple[Chain, float]:
     """Random-walk Metropolis-Hastings with N(0, scale^2 I) proposals.
 
     The proposal is symmetric so its densities cancel in the acceptance
-    ratio.  ``loglik`` is any callable theta -> float; the acceptance rate is
-    recorded on the returned chain.
+    ratio.  ``loglik`` is any callable theta -> float.  Returns the chain and
+    its acceptance rate.
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")
@@ -71,11 +71,11 @@ def metropolis_hastings(
         else:
             rng.uniform()  # keep stream consumption independent of rejections
         draws[m] = theta
-    return Chain(
+    chain = Chain(
         draws=draws,
         burn_in=burn_in,
         seed=int(seed),
         sampler="metropolis",
-        acceptance_rate=accepted / n_draws,
         names=tuple(f"theta_{j}" for j in range(d)),
     )
+    return chain, accepted / n_draws

@@ -110,7 +110,6 @@ def read_chain(csv_path: str, meta_path: str) -> Chain:
         burn_in=int(meta["burn_in"]),
         seed=int(meta["seed"]),
         sampler=meta["sampler"],
-        acceptance_rate=float(meta["acceptance_rate"]),
         names=names,
         layout=tuple(meta["layout"]) if meta.get("layout") else None,
     )

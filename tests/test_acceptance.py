@@ -578,8 +578,8 @@ def test_criterion_9_property_suite():
             pr_small, small.x, HyperplaneParams(alpha=t[1], beta_y=t[:1]), direction
         )
 
-    mh = metropolis_hastings(loglik, prior, proposal_scale=0.03, n_draws=40_000,
-                             burn_in=4000, seed=7, init=gibbs.post_burn().mean(axis=0))
+    mh, _ = metropolis_hastings(loglik, prior, proposal_scale=0.03, n_draws=40_000,
+                                burn_in=4000, seed=7, init=gibbs.post_burn().mean(axis=0))
     agree = True
     gaps = []
     for j in range(2):

@@ -420,11 +420,12 @@ class TestCommands:
 
     @pytest.mark.parametrize("command, key, value, message", [
         ("fit", "prior_mean", "nan,0", "prior_mean must lie in (-inf, inf), got 'nan'"),
-        ("ci", "prior_mean", "inf,0", "prior_mean must lie in (-inf, inf), got 'inf'"),
+        ("fit", "prior_mean", "inf,0", "prior_mean must lie in (-inf, inf), got 'inf'"),
         ("fit", "prior_variance", "inf,1", "prior_variance must lie in (0, inf), got 'inf'"),
-        ("ci", "prior_variance", "1,0", "prior_variance must lie in (0, inf), got '0'"),
+        ("fit", "prior_variance", "1,0", "prior_variance must lie in (0, inf), got '0'"),
         ("fit", "prior_variance", "-1,1", "prior_variance must lie in (0, inf), got '-1'"),
-        ("fit", "prior_mean", "0,0,0", "prior must have dimension 2"),
+        ("fit", "prior_mean", "0,0,0",
+         "prior must have k + p = 2 entries in each of prior_mean and prior_variance, got 3 and 2"),
         ("tube", "x0", "nan", "x0 must lie in (-inf, inf), got 'nan'"),
         ("tube", "x0", "10,-inf", "x0 must lie in (-inf, inf), got '-inf'"),
     ])
@@ -469,19 +470,20 @@ class TestCommands:
         assert os.path.exists(os.path.join(out, "tube_tau0p2_x2.csv"))
         assert os.path.exists(os.path.join(out, "tube_tau0p2_x20.json"))
 
-    def test_ci_command(self, score_csv, tmp_path):
-        cfg = tmp_path / "ci.cfg"
+    def test_fit_ci_block(self, score_csv, tmp_path):
+        cfg = tmp_path / "fit.cfg"
         cfg.write_text(
             f"input = {score_csv}\nresponse = math, read\ndirection = 0, 1\n"
             "tau = 0.2\ndraws = 300\nburn_in = 60\njitter = true\n"
         )
-        out = str(tmp_path / "oci")
-        res = run_cli("ci", "--config", str(cfg), "--out", out)
+        out = str(tmp_path / "ofit")
+        res = run_cli("fit", "--config", str(cfg), "--out", out)
         assert res.returncode == 0
-        payload = json.load(open(os.path.join(out, "ci.json")))
+        summary = json.load(open(os.path.join(out, "fit.json")))
+        payload = summary["ci"]
         lower, upper = np.array(payload["lower"]), np.array(payload["upper"])
         nlower, nupper = np.array(payload["naive_lower"]), np.array(payload["naive_upper"])
-        est = np.array(payload["estimate"])
+        est = np.array([summary["posterior_mean"][name] for name in payload["names"]])
         assert np.all(lower < est) and np.all(est < upper)
         assert np.all(nlower < est) and np.all(est < nupper)
         assert np.all(np.array(payload["std_error"]) > 0)
@@ -492,6 +494,37 @@ class TestCommands:
         theta = HyperplaneParams(alpha=est[1], beta_y=est[:1])
         eig = np.linalg.eigvalsh(score_covariance_matrix(data, direction, theta))
         assert eig.min() >= -1e-12 * eig.max()
+
+    def test_fit_ci_block_keeps_the_values_of_the_removed_ci_command(self, score_csv, tmp_path):
+        # the interval values the ``ci`` command wrote to ci.json for this
+        # config before fit.json's block became the one interval artifact
+        out = tmp_path / "ofit"
+        assert main(["fit", "--set", f"input={score_csv}", "--set", "response=math,read",
+                     "--set", "direction=0,1", "--set", "tau=0.2", "--set", "draws=300",
+                     "--set", "burn_in=60", "--set", "jitter=true", "--set", "seed=9",
+                     "--out", str(out)]) == 0
+        summary = json.load(open(out / "fit.json"))
+        assert summary["posterior_mean"] == {"beta_y_0": 0.6012589754077979, "alpha": 185.9062219953127}
+        assert summary["ci"] == {
+            "names": ["beta_y_0", "alpha"],
+            "lower": [0.5061071220108815, 135.35409068018865],
+            "upper": [0.6964108288047144, 236.45835331043676],
+            "std_error": [0.04854775605442863, 25.79237767319851],
+            "level": 0.95,
+            "naive_lower": [0.573547218267098, 172.41358751737934],
+            "naive_upper": [0.6263866908160007, 201.23383010129845],
+        }
+        assert "acceptance_rate" not in summary
+        assert "acceptance_rate" not in json.load(open(out / "chain.json"))
+
+    def test_removed_ci_command_exits_2(self, capsys):
+        # fit.json's ci block is the one interval artifact; argparse refuses
+        # the command and lists the others
+        with pytest.raises(SystemExit) as exc:
+            main(["ci", "--set", "tau=0.2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'ci'" in err and "'fit'" in err
 
     def test_elicit_command(self, tmp_path):
         out = str(tmp_path / "oe")
@@ -572,25 +605,27 @@ class TestCommands:
     @pytest.mark.parametrize("command, key, value", [
         ("fit", "draws", "abc"), ("fit", "burn_in", "1.5"), ("fit", "seed", "x"),
         ("fit", "seed", "-1"), ("fit", "tau", "abc"), ("fit", "level", "x"),
-        ("fit", "jitter", "ture"), ("ci", "tau", "abc"), ("ci", "level", "x"),
+        ("fit", "jitter", "ture"),
         ("contour", "directions", "abc"), ("tube", "directions", "abc"),
         ("tube", "bandwidth", "wide"), ("elicit", "tau", "x"), ("elicit", "k", "two"),
         ("elicit", "p", "x"), ("elicit", "alpha_variance", "big"),
         ("elicit", "beta_variance", "x"), ("elicit", "radius", "x"),
         ("simulate", "replications", "abc"), ("simulate", "master_seed", "x"),
-        ("simulate", "threads", "x"), ("fit", "direction", "a,b"), ("ci", "direction", "0,x"),
+        ("simulate", "threads", "x"), ("fit", "direction", "a,b"), ("fit", "direction", "0,x"),
         # out of range: refused before ingest, so nothing is written
         ("contour", "estimator", "foo"), ("fit", "direction", "0,0"), ("fit", "tau", "1.5"),
-        ("fit", "direction", "1,1,1"), ("ci", "direction", "1"), ("contour", "tau", "0.2,1.5"),
+        ("fit", "direction", "1,1,1"), ("fit", "direction", "1"), ("contour", "tau", "0.2,1.5"),
         ("tube", "design", "foo"), ("elicit", "family", "foo"), ("contour", "directions", "2"),
-        ("ci", "level", "2"), ("fit", "level", "2"), ("ci", "response", "math,read,experience"),
+        ("fit", "level", "2"),
         ("contour", "covariates", "experience"), ("tube", "tau", "0"), ("tube", "bandwidth", "-1"),
         ("elicit", "k", "1"), ("elicit", "alpha_variance", "0"), ("simulate", "profile", "foo"),
         ("fit", "burn_in", "-1"), ("contour", "burn_in", "-3"),
+        # fit's intervals from 2 kept draws, and a prior of the wrong length
+        ("fit", "draws", "22"), ("fit", "burn_in", "118"), ("fit", "prior_variance", "1e-300"),
         ("elicit", "radius", None), ("elicit", "radius", "-1"),  # None: the key left out
         ("elicit", "radius", "inf"), ("tube", "covariates", "experience,math"),
         # a misspelled key, which the command does not read
-        ("fit", "directon", "0,1"), ("ci", "levle", "0.9"), ("contour", "directons", "8"),
+        ("fit", "directon", "0,1"), ("fit", "levle", "0.9"), ("contour", "directons", "8"),
         ("tube", "bandwith", "2"), ("simulate", "replicatons", "2"), ("elicit", "familly", "uniform-ball"),
         # a key the chosen estimator or family does not read: the base's
         # draws and burn_in, and its radius
@@ -601,7 +636,6 @@ class TestCommands:
         data = {"input": score_csv, "response": "math,read", "tau": "0.2", "draws": "120", "burn_in": "20"}
         base = {
             "fit": {**data, "direction": "0,1"},
-            "ci": {**data, "direction": "0,1"},
             "contour": {**data, "directions": "8"},
             "tube": {**data, "covariates": "experience", "x0": "10", "directions": "8"},
             "simulate": {},
