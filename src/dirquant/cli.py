@@ -19,13 +19,12 @@ import numpy as np
 
 from . import constants, io, simlab
 from .ald import HyperplaneParams
-from .contours import tau_contours, tube_slice
+from .contours import tau_contours, tube_slices
 from .errors import ConfigError, DataError, DirquantError, NumericalError
 from .geometry import Dataset, Direction
 from .inference import asymptotic_ci, naive_ci, posterior_vector, subgradient_diagnostics
 from .priors import spherical_prior
-from .samplers import (KernelSpec, PriorSpec, _rng_from_seed, _window_weights, default_bandwidth,
-                       gibbs_unconditional)
+from .samplers import KernelSpec, PriorSpec, _rng_from_seed, default_bandwidth, gibbs_unconditional
 
 __all__ = ["main", "run", "parse_config_file", "ingest_csv"]
 
@@ -105,9 +104,11 @@ _FINITE = (-math.inf, math.inf)
 
 
 def _file_tags(key: str, values, tags) -> list[str]:
-    """tags, the file-name tags of a list key's values; values whose tags
-    collide would write their artifacts over each other's, so they are
-    refused."""
+    """tags, the file-name tags of a list key's values; an empty list, which
+    would write no artifact, and values whose tags collide, which would
+    write their artifacts over each other's, are refused."""
+    if not values:
+        raise ConfigError(f"{key} must list at least one value")
     clash = [v for v, tag in zip(values, tags) if tags.count(tag) > 1]
     if clash:
         raise ConfigError(f"{key} values {clash} would write the same artifact files "
@@ -369,12 +370,20 @@ def _cmd_fit(cfg: dict, args) -> int:
     return 0
 
 
-def _say_if_empty(command: str, poly, where: str) -> None:
-    """An empty polygon is written as a legal region; stderr says why."""
-    if poly.is_empty:
-        print(f"{command}: warning: the {where} region is empty: its {poly.n_directions} fitted "
-              "halfplanes share no region of positive area (the responses may lie on a line, "
-              "or no point may be that deep)", file=sys.stderr)
+def _write_polygons(command: str, cfg: dict, args, seed: int, named) -> str:
+    """Write each (file stem, region, polygon) of ``named`` as CSV and
+    GeoJSON to the output directory, and return it.  An empty polygon is
+    written as a legal region; stderr says why."""
+    out = _out_dir(cfg, args)
+    prov = io.provenance_block(cfg, seed)
+    for stem, where, poly in named:
+        io.write_polygon(poly, os.path.join(out, f"{stem}.csv"), os.path.join(out, f"{stem}.json"),
+                         provenance=prov)
+        if poly.is_empty:
+            print(f"{command}: warning: the {where} region is empty: its {poly.n_directions} fitted "
+                  "halfplanes share no region of positive area (the responses may lie on a line, "
+                  "or no point may be that deep)", file=sys.stderr)
+    return out
 
 
 def _cmd_contour(cfg: dict, args) -> int:
@@ -390,14 +399,10 @@ def _cmd_contour(cfg: dict, args) -> int:
                           f"{', '.join(map(repr, chain_keys))}")
     draws, burn = _sampler_settings(cfg)
     data, report, seed = _load_common(cfg)
-    out = _out_dir(cfg, args)
-    prov = io.provenance_block(cfg, seed)
     polys = tau_contours(data, taus, n_directions=n_dir, estimator=estimator,
                          n_draws=draws, burn_in=burn, seed=seed)
-    for tau, tag, poly in zip(taus, tags, polys):
-        io.write_polygon(poly, os.path.join(out, f"contour_tau{tag}.csv"),
-                         os.path.join(out, f"contour_tau{tag}.json"), provenance=prov)
-        _say_if_empty("contour", poly, f"tau={tau:g}")
+    out = _write_polygons("contour", cfg, args, seed, [(f"contour_tau{tag}", f"tau={tau:g}", poly)
+                                                      for tau, tag, poly in zip(taus, tags, polys)])
     print(f"contour: wrote {len(taus)} polygon(s) to {out}")
     return 0
 
@@ -422,19 +427,15 @@ def _cmd_tube(cfg: dict, args) -> int:
     h = _get(cfg, "bandwidth", None)
     bandwidth = _as_float(h, "bandwidth", _POSITIVE) if h else None
     data, report, seed = _load_common(cfg)
+    if bandwidth is None and np.ptp(data.x) == 0:
+        raise DataError(f"covariate column {covariates[0]!r} is constant, and the default bandwidth "
+                        "needs one that varies: set the bandwidth key")
     kernel = KernelSpec(bandwidth=bandwidth or default_bandwidth(data.x))
-    for x0 in x0s:  # every window, before the first slice is written
-        _window_weights(kernel, data.x, x0)
-    out = _out_dir(cfg, args)
-    prov = io.provenance_block(cfg, seed)
-    for tau, tau_tag in zip(taus, tau_tags):
-        for x0, x0_tag in zip(x0s, x0_tags):
-            poly = tube_slice(data, tau, x0, kernel, design_kind=kind,
-                              n_directions=n_dir, n_draws=draws, burn_in=burn, seed=seed)
-            name = f"tube_tau{tau_tag}_x{x0_tag}"
-            io.write_polygon(poly, os.path.join(out, f"{name}.csv"),
-                             os.path.join(out, f"{name}.json"), provenance=prov)
-            _say_if_empty("tube", poly, f"tau={tau:g}, x0={x0:g}")
+    slices = tube_slices(data, taus, x0s, kernel, design_kind=kind, n_directions=n_dir,
+                         n_draws=draws, burn_in=burn, seed=seed)
+    out = _write_polygons("tube", cfg, args, seed, [
+        (f"tube_tau{tau_tag}_x{x0_tag}", f"tau={tau:g}, x0={x0:g}", poly)
+        for tau, tau_tag, row in zip(taus, tau_tags, slices) for x0, x0_tag, poly in zip(x0s, x0_tags, row)])
     print(f"tube: wrote {len(taus) * len(x0s)} slice(s) to {out}")
     return 0
 

@@ -12,19 +12,24 @@ depends on u only, so ``tau_contours`` projects and prepares it once
 (``optimize.CheckLossProblem``) for every tau.  A frequentist contour set
 fits every tau on it, with one direction's problem alive at a time.
 
-A Bayes-mean contour set and a tube slice run one chain per (tau,
-direction), through the samplers' runner: the directions go in grid order,
-in chunks of whole directions, every tau's chain of each, of at most
+A Bayes-mean contour set and a tube grid run one chain per (cell,
+direction), a cell being a contour's tau or a tube slice's (tau, x0), through
+one driver (``_direction_chains``): the directions go in grid order, in
+chunks of whole directions, every cell's chain of each, of at most
 ``samplers._ROW_BUDGET`` chain rows (``samplers._chunks``), one stacked
 engine call per chunk (``samplers._isolated_chains``).  A chunk is prepared
-(projection, design, one start fit per tau on the prepared problem) only
-when it runs, so at most one chunk of prepared chains is alive.  Each
-direction keeps the seed ``_direction_seed(seed, index)`` at every tau, so
-its chains share one random stream, drawn once per sweep, and every chain,
-posterior mean and polygon is that of one chain per (tau, direction): a
-contour is the one its tau gives alone.  A chain that fails names its
-direction and tau.  Each polygon, frequentist or Bayes, is byte for byte the
-one that separate per-(tau, u) fits or chains give.
+only when it runs, so at most one chunk of prepared chains is alive: each
+direction is projected once, and its design and start problem are made once
+for every tau (a tube's once per x0, kernel-weighted; each x0's weights,
+which do not depend on u, are computed and checked before the first chain).
+Each direction keeps the seed ``_direction_seed(seed, index)`` at every
+cell, so its chains share one random stream, drawn once per sweep, and every
+chain, posterior mean and polygon is that of one chain per (cell,
+direction): a contour or tube slice is the one its cell gives alone.  A chain
+that fails names its direction, tau and any x0.  A contour is a tube slice
+with unit weights and no x0: every polygon, frequentist or Bayes, is made by
+``_polygons``, byte for byte the one that separate per-(cell, u) fits or
+chains give.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import cycle
 
 import numpy as np
 
@@ -48,6 +55,7 @@ from .samplers import (
     _isolated_chains,
     _unconditional_problem,
     _vague_prior,
+    _window_weights,
     make_conditional_design,
 )
 from .inference import posterior_mean, posterior_vector
@@ -60,6 +68,7 @@ __all__ = [
     "tau_contours",
     "tukey_depth",
     "tube_slice",
+    "tube_slices",
     "polygon_area",
 ]
 
@@ -205,18 +214,19 @@ def _direction_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1)[0])
 
 
-def _direction_chains(prepare, columns, n, n_draws, burn_in):
-    """Per grid direction, in order, its (chain, context) pairs, one per tau,
-    from stacked engine calls.
+def _direction_chains(prepare, columns, n, n_draws, burn_in, places=("",)):
+    """Per grid direction, in order, its hyperplanes, one per cell, from
+    stacked engine calls.
 
-    ``columns[i]`` holds direction ``i`` at each tau, and ``prepare(i)``
-    returns its prepared chains, one per tau, each with the context its
-    caller needs.  A chunk of ``samplers._chunks`` holds whole directions,
-    every tau of each, so the chains of one direction, which share its seed,
-    share one random stream; a chunk is prepared only when it runs, so at
-    most one chunk of problems is alive.  Each chain's bytes are those of a
-    lone run.  The first failed chain raises: a ``NumericalError`` again,
-    naming the direction and tau, and any other exception as it is.
+    ``columns[i]`` holds direction ``i`` at each cell's tau (a tube's cells
+    tau-major), and ``prepare(i)`` returns its prepared chains, one per cell,
+    each with the function that maps its chain to its ``HyperplaneParams``.
+    A chunk of ``samplers._chunks`` holds whole directions, every cell of
+    each, so the chains of one direction, which share its seed, share one
+    random stream.  Each chain's bytes are those of a lone run.  The first
+    failed chain raises: a ``NumericalError`` again, naming the direction,
+    tau and the cell's entry of ``places``, cycled (a tube's x0), and any
+    other exception as it is.
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")
@@ -225,18 +235,26 @@ def _direction_chains(prepare, columns, n, n_draws, burn_in):
         chains = _isolated_chains([problem for column in prepared for problem, _ in column],
                                   n_draws, burn_in)
         for i, column in zip(chunk, prepared):
-            pairs = []
-            for direction, (_, context) in zip(columns[i], column):
+            thetas = []
+            for direction, place, (_, theta_of) in zip(columns[i], cycle(places), column):
                 chain = next(chains)
                 if isinstance(chain, NumericalError):
                     raise NumericalError(
                         f"chain of direction {i} (u={direction.u.tolist()}, tau={direction.tau}) "
-                        f"failed: {chain}"
+                        f"failed{place}: {chain}"
                     ) from chain
                 if isinstance(chain, Exception):
                     raise chain
-                pairs.append((chain, context))
-            yield pairs
+                thetas.append(theta_of(chain))
+            yield thetas
+
+
+def _polygons(by_direction, columns, bases, x_eval=None) -> list[ContourPolygon]:
+    """One polygon per cell, in order, from each grid direction's hyperplane
+    at every cell (``by_direction``, an iterable in ``columns`` order)."""
+    planes = [[to_upper_halfplane(theta, direction, basis, x_eval=x_eval) for theta, direction in zip(thetas, column)]
+              for thetas, column, basis in zip(by_direction, columns, bases)]
+    return [intersect_halfplanes(cell, tau=direction.tau) for cell, direction in zip(zip(*planes), columns[0])]
 
 
 def _frequentist_fits(data: Dataset, column, basis: OrthoBasis) -> list:
@@ -303,34 +321,17 @@ def tau_contours(
             design, y = _direction_design(data, column[0], basis)
             start = CheckLossProblem(design, y) if data.n > data.k + data.p else None
             return [(_unconditional_problem(data, direction, prior, seed=_direction_seed(seed, idx),
-                                            basis=basis, prepared=(design, y, start)), None)
+                                            basis=basis, prepared=(design, y, start)), posterior_mean)
                     for direction in column]
 
-        by_direction = [[posterior_mean(chain) for chain, _ in pairs]
-                        for pairs in _direction_chains(prepare, columns, data.n, n_draws, burn_in)]
-    thetas = list(zip(*by_direction))
-
-    return [
-        intersect_halfplanes([to_upper_halfplane(theta, direction, basis, x_eval=x_eval)
-                              for theta, direction, basis in zip(row_thetas, row, bases)], tau=row[0].tau)
-        for row_thetas, row in zip(thetas, dirs)
-    ]
+        by_direction = _direction_chains(prepare, columns, data.n, n_draws, burn_in)
+    return _polygons(by_direction, columns, bases, x_eval)
 
 
-def tau_contour(
-    data: Dataset,
-    tau: float,
-    n_directions: int = constants.DEFAULT_N_DIRECTIONS,
-    estimator: str = "bayes-mean",
-    prior: PriorSpec | None = None,
-    n_draws: int = constants.DEFAULT_N_DRAWS,
-    burn_in: int = constants.DEFAULT_BURN_IN,
-    seed: int = 0,
-    x_eval=None,
-) -> ContourPolygon:
+def tau_contour(data: Dataset, tau: float, *args, **kwargs) -> ContourPolygon:
     """Quantile contour from one hyperplane fit per grid direction:
-    ``tau_contours`` at one tau."""
-    return tau_contours(data, [tau], n_directions, estimator, prior, n_draws, burn_in, seed, x_eval)[0]
+    ``tau_contours`` at one tau, with its other arguments."""
+    return tau_contours(data, [tau], *args, **kwargs)[0]
 
 
 def tukey_depth(point, data: Dataset) -> float:
@@ -360,10 +361,15 @@ def tukey_depth(point, data: Dataset) -> float:
     return float((counts.min() + np.count_nonzero(at_point)) / data.n)
 
 
-def tube_slice(
+def _slice_theta(design, chain) -> HyperplaneParams:
+    """A tube chain's hyperplane at its design's x0."""
+    return HyperplaneParams(*design.params_at_x0(posterior_vector(chain)))
+
+
+def tube_slices(
     data: Dataset,
-    tau: float,
-    x0,
+    taus,
+    x0s,
     kernel: KernelSpec,
     design_kind: str = "local-constant",
     n_directions: int = constants.DEFAULT_N_DIRECTIONS,
@@ -371,28 +377,48 @@ def tube_slice(
     n_draws: int = constants.DEFAULT_N_DRAWS,
     burn_in: int = constants.DEFAULT_BURN_IN,
     seed: int = 0,
-) -> ContourPolygon:
-    """Slice of the conditional quantile tube at covariate value x0."""
+) -> list[list[ContourPolygon]]:
+    """Slices of the conditional quantile tube at each of ``taus`` and each
+    covariate value of ``x0s`` (two sequences), indexed [tau][x0], from one
+    kernel-weighted chain per (tau, x0, grid direction).
+
+    Runs direction by direction, as a Bayes contour set does: each x0's
+    kernel weights are computed, and its window checked, before the first
+    chain; each direction is projected once, and per x0 its design and
+    weighted start problem are built once for every tau.  A slice is the one
+    ``tube_slice`` gives for its (tau, x0) alone.
+    """
     if data.k != 2:
         raise DomainError("tube slices are computed for k = 2 only")
     if data.p < 1:
         raise DomainError("tube slices need at least one covariate")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    dirs = [Direction(u=u, tau=tau) for u in unit_directions(n_directions)]
-    bases = [orthonormal_complement(d.u) for d in dirs]
+    x0s = [np.atleast_1d(np.asarray(x0, dtype=float)) for x0 in x0s]
+    weights = [_window_weights(kernel, data.x, x0) for x0 in x0s]
+    grid = unit_directions(n_directions)
+    bases = [orthonormal_complement(u) for u in grid]
+    columns = [[Direction(u=u, tau=tau) for tau in taus for _ in x0s] for u in grid]
+    if not columns[0]:
+        return [[] for _ in taus]
 
     def prepare(idx):
-        projected = project(data, dirs[idx], bases[idx])
-        design = make_conditional_design(projected, data.x, x0, design_kind)
-        block_prior = _vague_prior(design.dim) if prior is None else prior
-        problem = _conditional_problem(data, dirs[idx], design, kernel, block_prior,
-                                       seed=_direction_seed(seed, idx))
-        return [(problem, design)]
+        # with no more rows than coefficients the chains start from the
+        # prior mean, unfitted
+        projected = project(data, columns[idx][0], bases[idx])
+        designs = [make_conditional_design(projected, data.x, x0, design_kind) for x0 in x0s]
+        starts = [CheckLossProblem(design.regressors, design.response, w) if data.n > design.dim else None
+                  for design, w in zip(designs, weights)]
+        block_prior = _vague_prior(designs[0].dim) if prior is None else prior
+        cells = list(zip(designs, weights, starts))
+        return [(_conditional_problem(data, direction, design, kernel, block_prior, seed=_direction_seed(seed, idx),
+                                      prepared=(w, start)), partial(_slice_theta, design))
+                for direction, (design, w, start) in zip(columns[idx], cycle(cells))]
 
-    planes = []
-    chains = _direction_chains(prepare, [[d] for d in dirs], data.n, n_draws, burn_in)
-    for idx, [(chain, design)] in enumerate(chains):
-        alpha, beta_y = design.params_at_x0(posterior_vector(chain))
-        theta = HyperplaneParams(alpha=alpha, beta_y=beta_y, beta_x=None)
-        planes.append(to_upper_halfplane(theta, dirs[idx], bases[idx]))
-    return intersect_halfplanes(planes, tau=tau)
+    places = [f" at x0 = {x0.tolist()}" for x0 in x0s]
+    polys = _polygons(_direction_chains(prepare, columns, data.n, n_draws, burn_in, places), columns, bases)
+    return [polys[i:i + len(x0s)] for i in range(0, len(polys), len(x0s))]
+
+
+def tube_slice(data: Dataset, tau: float, x0, kernel: KernelSpec, *args, **kwargs) -> ContourPolygon:
+    """Slice of the conditional quantile tube at covariate value x0:
+    ``tube_slices`` at one (tau, x0), with its other arguments."""
+    return tube_slices(data, [tau], [x0], kernel, *args, **kwargs)[0][0]

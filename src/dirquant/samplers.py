@@ -4,15 +4,18 @@ Two samplers are provided: a Gibbs sampler for the unconditional model and a
 kernel-weighted Gibbs sampler for the conditional model.  Both run one
 engine (``_gibbs``) over stacked chains that share (n, d): a sampler
 prepares its chain (``_unconditional_problem``, ``_conditional_problem``)
-and runs it alone (``_run_chains``), and ``contours`` (a contour's or tube
-slice's directions) and ``simlab`` (a study's replications) split many
+and runs it alone (``_run_chains``), and ``contours`` (a contour set's or
+tube grid's directions) and ``simlab`` (a study's replications) split many
 prepared chains into chunks (``_chunks``), each run in one stacked call that
-reruns a failed call's chains one at a time (``_isolated_chains``).  Each
-chain draws the random stream of its own seed, so its bytes are the same
-whatever chains share its call.  Chains of one call with equal seeds share
-one stream (a contour direction's chains at several taus): each sweep draws
-its normals, uniforms and theta noise once, from one Generator, and copies
-them to the group's other chains.  Under a prior independent across
+reruns a failed call's chains one at a time (``_isolated_chains``).  A
+caller that prepares many chains on one design lends them its start
+problem, and a conditional chain also its kernel weights (``prepared``), so
+one start problem serves every tau.  Each chain draws the random stream of
+its own seed, so its bytes are the same whatever chains share its call.
+Chains of one call with equal seeds share one stream (a contour direction's
+chains at several taus, a tube direction's at every (tau, x0)): each sweep
+draws its normals, uniforms and theta noise once, from one Generator, and
+copies them to the group's other chains.  Under a prior independent across
 directions, one chain per direction samples the joint posterior of a
 contour's hyperplanes.
 
@@ -651,15 +654,20 @@ def make_conditional_design(projected, x, x0, kind: str) -> ConditionalDesign:
                              response=projected.y_u)
 
 
-def _conditional_problem(data, direction, design, kernel, prior, seed=0, init=None) -> _ChainProblem:
+def _conditional_problem(data, direction, design, kernel, prior, seed=0, init=None,
+                         prepared=None) -> _ChainProblem:
     """The chain ``gibbs_conditional`` runs: the design's regressors and
-    response, and the kernel weights K_h(x_i - x0)."""
+    response, and the kernel weights K_h(x_i - x0).  ``prepared``, those
+    weights and the weighted ``CheckLossProblem`` of this design (None when
+    the chains start unfitted), lends the chain its weights and start
+    problem, so the chains of one (u, x0) at several taus weigh, check and
+    standardize it once."""
     if prior.dim != design.dim:
         raise ShapeError(f"prior dimension must be {design.dim}, got {prior.dim}")
     if design.regressors.shape[0] != data.n:
         raise ShapeError("design rows do not match the data")
-    weights = _window_weights(kernel, data.x, design.x0)
-    theta0 = _resolve_init(init, design.regressors, design.response, direction, weights, prior)
+    weights, start = (_window_weights(kernel, data.x, design.x0), None) if prepared is None else prepared
+    theta0 = _resolve_init(init, design.regressors, design.response, direction, weights, prior, start)
     return _ChainProblem(design.response, design.regressors, weights, direction.tau, prior, theta0,
                          int(seed), "gibbs-conditional", design.names())
 

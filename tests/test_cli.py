@@ -398,6 +398,28 @@ class TestCommands:
             "numerical failure: all kernel weights underflowed at x0 = [1000000000.0]\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("with_bandwidth", [False, True])
+    def test_constant_covariate_needs_a_bandwidth(self, tmp_path, capsys, with_bandwidth):
+        # a constant covariate leaves the default bandwidth rule nothing to
+        # scale (its variance of 0.1s rounds to about 2e-34, not 0): a data
+        # error naming the column and the key; with a bandwidth set, every
+        # kernel weight is equal and the tube is written
+        path = tmp_path / "flat.csv"
+        y = np.random.default_rng(6).standard_normal((300, 2))
+        path.write_text("a,b,grade\n" + "".join(f"{float(a)!r},{float(b)!r},0.1\n" for a, b in y))
+        out = tmp_path / "ot"
+        argv = ["tube", "--set", f"input={path}", "--set", "response=a,b", "--set", "covariates=grade",
+                "--set", "tau=0.2", "--set", "x0=0.1", "--set", "directions=8", "--set", "draws=60",
+                "--set", "burn_in=10", "--out", str(out)]
+        if with_bandwidth:
+            assert main(argv + ["--set", "bandwidth=1"]) == 0
+            assert (out / "tube_tau0p2_x0p1.csv").exists()
+            return
+        assert main(argv) == 3
+        assert capsys.readouterr().err == ("data error: covariate column 'grade' is constant, and the default "
+                                           "bandwidth needs one that varies: set the bandwidth key\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, key, value", [
         ("contour", "tau", "0.1234567,0.1234568"), ("contour", "tau", "0.2,0.2"),
         ("tube", "x0", "1,1.0000001"), ("tube", "x0", "3,3"), ("tube", "tau", "0.3,0.30000001"),
@@ -630,6 +652,8 @@ class TestCommands:
         # a key the chosen estimator or family does not read: the base's
         # draws and burn_in, and its radius
         ("contour", "estimator", "frequentist"), ("elicit", "family", "standard-normal"),
+        # an empty list, which would write no artifact
+        ("contour", "tau", ""), ("tube", "tau", ""), ("tube", "x0", ""),
     ])
     def test_config_values_exit_2(self, score_csv, tmp_path, capsys, tiny_desk, command, key, value):
         # each command gets only the keys it reads, then one key changed

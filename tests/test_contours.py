@@ -570,6 +570,33 @@ class TestBatchedDirections:
             tube_slice(data, 0.3, 0.0, KernelSpec(bandwidth=0.3), n_directions=self.N_DIR,
                        n_draws=self.DRAWS, burn_in=self.BURN)
 
+    def test_failed_tube_chain_names_its_x0(self, monkeypatch):
+        # on a 2-tau x 2-x0 grid, only direction 6's chain at tau 0.3 and
+        # x0 = 0.5 gets the indefinite prior
+        data = self._regression_data()
+        calls = self._count_calls(monkeypatch, data.n)
+        u = unit_directions(self.N_DIR)[6]
+        real = contours._conditional_problem
+
+        def patched(data, direction, design, *args, **kwargs):
+            problem = real(data, direction, design, *args, **kwargs)
+            if np.array_equal(direction.u, u) and direction.tau == 0.3 and design.x0.tolist() == [0.5]:
+                bad = SimpleNamespace(mean=np.zeros(design.dim), covariance=-1e-9 * np.eye(design.dim))
+                problem = dataclasses.replace(problem, prior=bad)
+            return problem
+
+        monkeypatch.setattr(contours, "_conditional_problem", patched)
+        with pytest.raises(NumericalError) as caught:
+            contours.tube_slices(data, (0.2, 0.3), (0.0, 0.5), KernelSpec(bandwidth=0.3),
+                                 n_directions=self.N_DIR, n_draws=self.DRAWS, burn_in=self.BURN)
+        message = str(caught.value)
+        assert message.startswith(f"chain of direction 6 (u={u.tolist()}, tau=0.3) failed at x0 = [0.5]: ")
+        assert "in block 0 (sweep 0)" in message
+        # a direction's 4 chains take 4n rows, so a budget of 5n holds one:
+        # directions 0-5 ran, direction 6 failed stacked, then chain by chain
+        # up to its (0.3, 0.5) chain, the last
+        assert calls == [4] * 7 + [1] * 4
+
     def test_degenerate_window_propagates_from_preparation(self):
         data = self._regression_data()
         with pytest.raises(DegenerateWindowError, match="^all kernel weights underflowed"):

@@ -5,7 +5,8 @@ it, or starts every tau's chain from fits on it.  The reference here
 rebuilds each (tau, u) fit from public pieces, with its own projection,
 design and ``fit_check_loss`` call, and the polygons must agree byte for
 byte on both sides of ``optimize.PREPROCESS_ROWS``.  Frozen digests pin the
-frequentist polygons' bytes, and the Bayes polygons' and chains' bytes.
+frequentist polygons' bytes, the Bayes polygons' and chains' bytes, and a
+tube grid's slices, one ``tube_slice`` call each or one ``tube_slices`` call.
 """
 
 import hashlib
@@ -134,6 +135,28 @@ def test_each_direction_solves_least_squares_once(monkeypatch, estimator, kwargs
     assert not any(start.flags.writeable for start in starts)
 
 
+def test_each_tube_direction_and_x0_is_prepared_once(monkeypatch, projections):
+    # 3 taus x 2 x0s x 8 directions: 48 chains from 8 projections, 2
+    # kernel-weight vectors, 16 weighted start problems and 8 random streams
+    counts = {"kernel_weights": 0, "CheckLossProblem": 0, "_rng_from_seed": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for key in counts:
+        for module in (contours, samplers):
+            if hasattr(module, key):
+                monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
+    grid = contours.tube_slices(_tube_data(), (0.1, 0.25, 0.4), (-0.5, 0.5), samplers.KernelSpec(bandwidth=0.6),
+                                n_directions=8, n_draws=20, burn_in=5)
+    assert [[poly.tau for poly in row] for row in grid] == [[0.1, 0.1], [0.25, 0.25], [0.4, 0.4]]
+    assert len(projections) == 8
+    assert counts == {"kernel_weights": 2, "CheckLossProblem": 16, "_rng_from_seed": 8}
+
+
 def test_tau_contour_is_one_tau_of_tau_contours():
     data = Dataset(y=np.random.default_rng(24).uniform(-0.5, 0.5, (1500, 2)))
     for estimator, kwargs in (("frequentist", {}), ("bayes-mean", {"n_draws": 120, "burn_in": 20, "seed": 3})):
@@ -203,3 +226,37 @@ def test_bayes_polygons_and_chains_keep_their_bytes(monkeypatch):
     assert len(draws) == 24
     assert h.hexdigest() == FROZEN_BAYES_SHA256["polygons"]
     assert hashlib.sha256(b"".join(sorted(draws))).hexdigest() == FROZEN_BAYES_SHA256["chains"]
+
+
+# sha256 over the vertex bytes of a 2-tau x 2-x0 tube grid, 8 directions, one
+# digest per design, slices in [tau][x0] order, as one ``tube_slice`` call per
+# slice gave them
+FROZEN_TUBE_SHA256 = {
+    "local-constant": "471ca0b4e6db35c2f9cb40be681421429724f6631055253ece0fd1deea3f1e2b",
+    "local-bilinear": "091d56e0ab4d11f8b5b740bebee7ead97daa96e4d63dffe4ea4256ed2cb32de0",
+}
+
+
+def _tube_data():
+    rng = np.random.default_rng(27)
+    x = rng.normal(0.0, 1.0, (400, 1))
+    y = rng.standard_normal((400, 2)) @ np.array([[1.0, 0.3], [0.0, 0.7]])
+    y[:, 1] += 0.5 * x[:, 0]
+    return Dataset(y=y, x=x)
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["per-slice", "grid"])
+@pytest.mark.parametrize("kind", sorted(FROZEN_TUBE_SHA256))
+def test_tube_slices_keep_their_bytes(kind, grid):
+    data, taus, x0s = _tube_data(), (0.15, 0.3), (-0.5, 0.5)
+    settings = dict(design_kind=kind, n_directions=8, n_draws=60, burn_in=10, seed=7)
+    kernel = samplers.KernelSpec(bandwidth=0.6)
+    if grid:
+        polys = [poly for row in contours.tube_slices(data, taus, x0s, kernel, **settings) for poly in row]
+    else:
+        polys = [contours.tube_slice(data, tau, x0, kernel, **settings) for tau in taus for x0 in x0s]
+    h = hashlib.sha256()
+    for poly in polys:
+        assert poly.vertices.shape[0] >= 3
+        h.update(poly.vertices.tobytes())
+    assert h.hexdigest() == FROZEN_TUBE_SHA256[kind]
