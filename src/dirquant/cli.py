@@ -525,6 +525,9 @@ _COMMANDS = {
 def run(command: str, cfg: dict, args) -> int:
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    if command != "simulate" and args.threads != 1:
+        raise ConfigError(f"--threads applies to simulate only: {command} runs in one thread, "
+                          f"got --threads {args.threads}")
     unread = [key for key in cfg if key not in _KEYS[command]]
     if unread:
         raise ConfigError(f"{command} reads no config key {', '.join(map(repr, unread))}; "
@@ -544,7 +547,7 @@ def main(argv=None) -> int:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override or supply a single config entry")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for parallel cells")
+        p.add_argument("--threads", type=int, default=1, help="worker cap for parallel cells (simulate)")
     args = parser.parse_args(argv)
 
     try:

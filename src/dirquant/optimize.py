@@ -2,17 +2,18 @@
 
 These serve two roles: MCMC initialization and an estimation oracle that is
 independent of the samplers.  The check loss sum_i w_i rho_tau(r_i) is a
-linear program in theta, and every fit that runs the whole continuation
-schedule, constants.SMOOTHING_SCHEDULE (`fit_prepared`, `fit_check_loss`,
-`frequentist_fit`, frequentist contours and simlab's oracles), returns its
-exact minimizer when one can be certified: the vertex through d rows of the
-problem.  Inputs are standardized internally, so the schedule and the
-certificate see one scale, and "the problem" below is the standardized one.
+linear program in theta, and every fit (`fit_prepared`, which chain starts,
+`fit_check_loss`, `frequentist_fit`, frequentist contours and simlab's
+oracles all reach) runs the whole continuation schedule,
+constants.SMOOTHING_SCHEDULE, and returns its exact minimizer when one can
+be certified: the vertex through d rows of the problem.  Inputs are
+standardized internally, so the schedule and the certificate see one scale,
+and "the problem" below is the standardized one.
 
 The solver replaces the kinked loss with a Huberized version and shrinks the
 smoothing width eps over the schedule, running a damped
 (Levenberg-regularized) Newton at each stage.  After each stage with
-eps <= _VERTEX_EPS = 1e-3, a full-schedule solve tries a vertex (finite
+eps <= _VERTEX_EPS = 1e-3, the solve tries a vertex (finite
 smoothing: Madsen & Nielsen 1993, SIAM J. Optim. 3(2); Chen 2007, J. Comput.
 Graph. Statist. 16(1)):
 
@@ -32,9 +33,7 @@ Graph. Statist. 16(1)):
    of zero weight) returns its last iterate, as the schedule alone did.
 
 A certified fit's bytes depend only on the problem and its basis, not on the
-path to it.  A chain start runs the first three stages only
-(``samplers._INIT_STAGES``, eps down to 1e-3), tries no vertex and keeps its
-path and bytes, because the chain's burn-in does the rest.
+path to it.
 
 The rounding bounds (``_certify``).  eps is float64's epsilon, zb = zs[S],
 count the number of rows the problem stands for, zmax = max |zs|,
@@ -97,20 +96,18 @@ tortoise", Statist. Sci. 12(4)).  In order:
 2. Fit a subsample of m = ceil(sqrt(d) n^(2/3)) rows, drawn by a Generator
    seeded with _SUBSAMPLE_SEED: the fit only ranks the rows, and its
    sampling error, about m^(-1/2) = 0.02 standardized units at n = 1e5,
-   outweighs what later stages would polish.  A full-schedule fit's pilot
-   runs _SUBSAMPLE_STAGES = 1 stage (eps = 1e-1), a chain start's
-   _START_SUBSAMPLE_STAGES = 2 (down to 1e-2).
+   outweighs what later stages would polish.  This pilot fit runs
+   _SUBSAMPLE_STAGES = 1 stage (eps = 1e-1), which tries no vertex.
 3. Rank the full data's residuals from that fit and keep the M = 2m rows
    whose ranks lie nearest the weighted tau-quantile's (n tau with unit
    weights).  The rows below and the rows above each collapse into one
    "glob" row: its members' weighted mean design row and response,
    weighted by their total weight.  A glob of zero weight is dropped.
-4. Solve the reduced rows from the subsample's theta.  A full-schedule fit
-   resumes at eps = _VERTEX_EPS, since a certified vertex does not depend
-   on the path, and certifies on the reduced rows with the full problem's
+4. Solve the reduced rows from the subsample's theta.  The solve resumes at
+   eps = _VERTEX_EPS, since a certified vertex does not depend on the path,
+   and certifies on the reduced rows with the full problem's
    (n, zmax, ymax): each glob's mean rounds by at most gamma_{n+1} zmax
-   times its weight, which the gradient's bound covers.  A chain start runs
-   its three stages from eps = 1e-1.
+   times its weight, which the gradient's bound covers.
 5. Check the globs: every glob member's full-data residual lies at or
    beyond the last eps on its own side.  For |r| >= eps the Huberized loss
    is linear, tau r - eps/4 above and (tau - 1) r - eps/4 below, so near
@@ -129,10 +126,7 @@ tortoise", Statist. Sci. 12(4)).  In order:
 So a certified preprocessed fit has the bytes of a certified full solve,
 whose basis is the same unique optimum; an uncertified one is a certified
 minimizer of the same smoothed problem, but not the full solve's bytes.
-Below the threshold a fit is the full solve, bit for bit; the chain
-starts of `fit` (n = 1e4) and `contour` (n = 2e3) stay there, and a chain
-start of at least 20,000 rows takes the reduced path and is certified at
-the last eps it ran, 1e-3.
+Below the threshold a fit is the full solve, bit for bit.
 
 Step 3 needs the residuals' order only at the band's two cuts.  With unit
 weights the quantile's rank is ceil(n tau) - 1, so ``_band`` selects the
@@ -153,19 +147,18 @@ seeded with _SUBSAMPLE_SEED, and its j-th draw has m 2^j rows whatever
 tau is.  So the problem keeps each draw, its gathered rows and their
 least-squares start when a fit first needs it (``_subsample``), and its
 other taus reuse them; they are freed with the problem.  The full solve's
-least-squares start (``_full_start``) and the certificate's extent are
-kept the same way, so the three chain starts of a Bayes contour's
-direction make one ``lstsq``, not three.  The unit-weight globs of
+least-squares start (``_full_start``) is kept the same way, so the three
+fits of a contour's direction make one ``lstsq``, not three, and the
+certificate's extent is made with the problem.  The unit-weight globs of
 ``_reduced`` take their member count as their total weight, which is what
 the sum of their 0/1 weights gives.
 
 A fit is two steps.  `CheckLossProblem` validates the design,
 standardizes it and checks the standardized design's rank; none of that
-depends on tau.  `fit_prepared` then fits one tau on it through the whole
-schedule (``_fit_schedule`` takes the stages, so a chain start can take
-fewer), and `fit_check_loss` is the pair at one tau.  A contour's
-direction u has one design [y_perp, x, 1] against y_u for every tau, so a
-multi-tau frequentist contour prepares it once.
+depends on tau.  `fit_prepared` then fits one tau on it, for a frequentist
+fit and a chain's start alike, and `fit_check_loss` is the pair at one tau.
+A contour's direction u has one design [y_perp, x, 1] against y_u for every
+tau, so a multi-tau contour prepares it once.
 
 A prepared problem holds its rows once: the standardized design zs, whose
 constant columns keep the raw values that un-standardizing reads, the
@@ -221,17 +214,15 @@ __all__ = ["FitResult", "CheckLossProblem", "fit_prepared", "fit_check_loss", "f
 
 # the reduced problem of the module docstring: fits of at least this many
 # rows take it, with this subsample seed, and fall back to the full solve
-# after this many reduced solves.  A full-schedule fit's pilot runs
-# _SUBSAMPLE_STAGES stages of the schedule, a chain start's
-# _START_SUBSAMPLE_STAGES
+# after this many reduced solves.  The pilot runs _SUBSAMPLE_STAGES stages
+# of the schedule
 PREPROCESS_ROWS = 20_000
 _SUBSAMPLE_SEED = 20_240_607
 _SUBSAMPLE_STAGES = 1
-_START_SUBSAMPLE_STAGES = 2
 _ROUNDS = 3
 
-# the vertex of the module docstring: a full-schedule solve tries one after
-# each stage with eps at most _VERTEX_EPS (where a reduced solve resumes),
+# the vertex of the module docstring: a solve tries one after each stage
+# with eps at most _VERTEX_EPS (where a reduced solve resumes),
 # among the d-subsets of the _VERTEX_ROWS rows whose residuals lie nearest 0
 _VERTEX_EPS = 1e-3
 _VERTEX_ROWS = 16
@@ -347,23 +338,19 @@ def _full_start(problem):
     return p.start
 
 
-def _solve(zs, ys, tau, w, schedule, theta, extent=None):
+def _solve(zs, ys, tau, w, schedule, theta, extent):
     """The continuation schedule over every given row (w is None for unit
     weights) from theta; returns theta, the Newton iterations and whether
-    every stage converged.  A schedule that ends at the full schedule's last
-    eps tries a vertex after each stage with eps <= _VERTEX_EPS and returns
-    the first one certified, converged (``_vertex``); extent is the
-    certificate's (count, zmax, ymax), the rows' own when None."""
+    every stage converged.  After each stage with eps <= _VERTEX_EPS it
+    tries a vertex and returns the first one certified, converged
+    (``_vertex``); extent is the certificate's (count, zmax, ymax)."""
     total_iter = 0
     converged = True
-    exact = schedule[-1] == constants.SMOOTHING_SCHEDULE[-1]
-    if exact and extent is None:
-        extent = _extent(zs, ys)
     for eps in schedule:
         theta, _, its, ok = _newton_stage(zs, ys, tau, w, theta, eps)
         total_iter += its
         converged = converged and ok
-        if exact and eps <= _VERTEX_EPS:
+        if eps <= _VERTEX_EPS:
             vertex = _vertex(zs, ys, tau, w, theta, extent)
             if vertex is not None:
                 return vertex, total_iter, True
@@ -597,23 +584,18 @@ def _subsample(problem, j, m):
     return p.subsamples[j]
 
 
-def _preprocessed_solve(problem, tau, schedule):
+def _preprocessed_solve(problem, tau):
     """`_solve` of a prepared problem through the reduced problem of the
     module docstring, falling back to the full solve when no round is
-    certified.  A full-schedule fit's pilot runs _SUBSAMPLE_STAGES stages
-    and its reduced solves resume at _VERTEX_EPS, since a certified
-    vertex's bytes do not depend on the path to it; a chain start keeps
-    its path."""
+    certified.  The pilot runs _SUBSAMPLE_STAGES stages and the reduced
+    solves resume at _VERTEX_EPS, since a certified vertex's bytes do not
+    depend on the path to it."""
     p = problem
     zs, ys, w = p.zs, p.ys, p.w
     n, d = zs.shape
+    schedule = constants.SMOOTHING_SCHEDULE
     eps = schedule[-1]
-    if eps == constants.SMOOTHING_SCHEDULE[-1]:
-        pilot, resumed = schedule[:_SUBSAMPLE_STAGES], tuple(e for e in schedule if e <= _VERTEX_EPS)
-        if p.extent is None:
-            p.extent = _extent(zs, ys)
-    else:
-        pilot, resumed = schedule[:_START_SUBSAMPLE_STAGES], schedule
+    pilot, resumed = schedule[:_SUBSAMPLE_STAGES], tuple(e for e in schedule if e <= _VERTEX_EPS)
     m = math.ceil(math.sqrt(d) * n ** (2.0 / 3.0))
     draws = spent = 0
     theta = None
@@ -632,7 +614,7 @@ def _preprocessed_solve(problem, tau, schedule):
                 break
             zsub, ysub, wsub, start = _subsample(p, draws, m)
             draws += 1
-            theta, its, _ = _solve(zsub, ysub, tau, wsub, pilot, start)
+            theta, its, _ = _solve(zsub, ysub, tau, wsub, pilot, start, p.extent)
             spent += its
             lower, upper = _band(residuals(), w, tau, 2 * m)
         zr, yr, wr = _reduced(zs, ys, w, lower, upper, r)
@@ -821,7 +803,7 @@ class CheckLossProblem:
         self.start = None
         self.subsamples = []
         self.subsample_rng = None
-        self.extent = None  # the certificate's (count, zmax, ymax), made by a full-schedule reduced fit
+        self.extent = _extent(zs, ys)  # the certificate's (count, zmax, ymax)
 
 
 def fit_prepared(problem: CheckLossProblem, tau):
@@ -833,19 +815,14 @@ def fit_prepared(problem: CheckLossProblem, tau):
     converged says whether theta is a certified vertex, the exact minimizer
     (module docstring), or else every continuation stage converged.
     """
-    return _fit_schedule(problem, tau, constants.SMOOTHING_SCHEDULE)
-
-
-def _fit_schedule(problem: CheckLossProblem, tau, schedule):
-    """``fit_prepared`` through the given stages of the smoothing schedule:
-    the full schedule, or a chain start's first stages."""
     if not (0.0 < tau < 1.0):
         raise DomainError(f"tau must lie in (0, 1), got {tau!r}")
     p = problem
     if p.n >= PREPROCESS_ROWS:
-        theta_s, total_iter, converged = _preprocessed_solve(p, tau, schedule)
+        theta_s, total_iter, converged = _preprocessed_solve(p, tau)
     else:
-        theta_s, total_iter, converged = _solve(p.zs, p.ys, tau, p.w, schedule, _full_start(p))
+        theta_s, total_iter, converged = _solve(p.zs, p.ys, tau, p.w, constants.SMOOTHING_SCHEDULE,
+                                                _full_start(p), p.extent)
 
     # undo standardization: y = y_mu + y_sd * ys, z_j = col_mu_j + col_sd_j * zs_j
     const_col = p.const_col

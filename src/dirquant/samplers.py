@@ -62,7 +62,7 @@ from .errors import (
     ShapeError,
 )
 from .geometry import Dataset, Direction, OrthoBasis
-from .optimize import CheckLossProblem, _direction_design, _fit_schedule
+from .optimize import CheckLossProblem, _direction_design, fit_prepared
 
 __all__ = [
     "PriorSpec",
@@ -429,11 +429,6 @@ def _gibbs(y, design, weights, taus, priors, thetas, rngs, n_draws):
     return out
 
 
-# a chain starts from the check-loss fit through this many stages of the
-# smoothing schedule (optimize docstring): burn-in does the rest
-_INIT_STAGES = 3
-
-
 def _resolve_init(init, design, y, direction, weights, prior, prepared=None):
     """The chain's start: ``init``, else the check-loss fit on ``prepared``
     (the ``CheckLossProblem`` of this design, response and weights) or on a
@@ -446,14 +441,12 @@ def _resolve_init(init, design, y, direction, weights, prior, prepared=None):
         return vec
     n, d = design.shape
     if n > d:
-        stages = constants.SMOOTHING_SCHEDULE[:_INIT_STAGES]
         problem = CheckLossProblem(design, y, weights) if prepared is None else prepared
-        fit = _fit_schedule(problem, direction.tau, stages)
+        fit = fit_prepared(problem, direction.tau)
         if not fit.converged:
             warnings.warn(
                 f"check-loss fit for the initial point did not converge (tau={direction.tau}, "
-                f"u={direction.u.tolist()}, {fit.iterations} iterations over the smoothing "
-                f"stages eps = {', '.join(f'{eps:g}' for eps in stages)}); the chain starts "
+                f"u={direction.u.tolist()}, {fit.iterations} iterations); the chain starts "
                 "from its last iterate",
                 RuntimeWarning,
                 stacklevel=4,
@@ -588,8 +581,7 @@ def gibbs_unconditional(
     Alternates latent-scale draws (one nu = 1/2 GIG variable per
     observation) with an exact conjugate normal draw of theta.  ``data=None``
     runs the sampler with zero observations, i.e. draws from the prior.
-    Initialized at ``init`` or, by default, at the check-loss fit through
-    the first ``_INIT_STAGES`` stages of the smoothing schedule.
+    Initialized at ``init`` or, by default, at the check-loss fit.
     """
     if n_draws <= burn_in:
         raise ShapeError("n_draws must exceed burn_in")

@@ -518,23 +518,24 @@ class TestCommands:
         assert eig.min() >= -1e-12 * eig.max()
 
     def test_fit_ci_block_keeps_the_values_of_the_removed_ci_command(self, score_csv, tmp_path):
-        # the interval values the ``ci`` command wrote to ci.json for this
-        # config before fit.json's block became the one interval artifact
+        # fit.json's values for this config, in the layout of the removed
+        # ``ci`` command's ci.json, from the chain that starts at the
+        # certified check-loss fit
         out = tmp_path / "ofit"
         assert main(["fit", "--set", f"input={score_csv}", "--set", "response=math,read",
                      "--set", "direction=0,1", "--set", "tau=0.2", "--set", "draws=300",
                      "--set", "burn_in=60", "--set", "jitter=true", "--set", "seed=9",
                      "--out", str(out)]) == 0
         summary = json.load(open(out / "fit.json"))
-        assert summary["posterior_mean"] == {"beta_y_0": 0.6012589754077979, "alpha": 185.9062219953127}
+        assert summary["posterior_mean"] == {"beta_y_0": 0.6015795869443075, "alpha": 185.75515268250473}
         assert summary["ci"] == {
             "names": ["beta_y_0", "alpha"],
-            "lower": [0.5061071220108815, 135.35409068018865],
-            "upper": [0.6964108288047144, 236.45835331043676],
-            "std_error": [0.04854775605442863, 25.79237767319851],
+            "lower": [0.5076371546749687, 136.1051114231939],
+            "upper": [0.6955220192136462, 235.40519394181555],
+            "std_error": [0.0479306931200495, 25.332119187364682],
             "level": 0.95,
-            "naive_lower": [0.573547218267098, 172.41358751737934],
-            "naive_upper": [0.6263866908160007, 201.23383010129845],
+            "naive_lower": [0.5748137241161514, 173.0260202048812],
+            "naive_upper": [0.6259949453246613, 200.68863417217938],
         }
         assert "acceptance_rate" not in summary
         assert "acceptance_rate" not in json.load(open(out / "chain.json"))
@@ -676,6 +677,24 @@ class TestCommands:
         if key not in cli._KEYS[command]:
             assert f"{command} reads no config key {key!r}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "contour", "tube", "elicit"])
+    @pytest.mark.parametrize("threads", ["2", "0"])
+    def test_threads_other_than_1_exit_2(self, score_csv, tmp_path, capsys, command, threads):
+        # only simulate reads --threads; the others run in one thread and
+        # refuse any other value before ingest
+        data = ["--set", f"input={score_csv}", "--set", "response=math,read", "--set", "tau=0.2"]
+        settings = {
+            "fit": [*data, "--set", "direction=0,1"],
+            "contour": data,
+            "tube": [*data, "--set", "covariates=experience", "--set", "x0=10"],
+            "elicit": ["--set", "tau=0.2"],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *settings, "--threads", threads, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"--threads {threads}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("settings", [
         ["--set", "tables=foo"], ["--set", "tables=rmse,foo"], ["--set", "tables="],

@@ -1,8 +1,10 @@
-"""Full-schedule check-loss fits against an exact LP oracle.
+"""Check-loss fits and chain starts against an exact LP oracle.
 
 ``lp_oracle`` enumerates every d-row basis of problems small enough for it
 (n <= 40, d in {2, 3}).  A fit on continuous data must return the oracle's
-basis and its theta; on unjittered integer scores, where ties at the
+basis and its theta, and so must a chain's start on the same rows: an
+unconditional chain's, and a conditional chain's under Gaussian kernel
+weights.  On unjittered integer scores, where ties at the
 optimum are common, a fit is either that exact vertex or, when no vertex is
 certified, the smoothed fit within the schedule's tolerance of the minimum.
 The vertex certificate is also checked on every basis of the standardized
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 import lp_oracle
-from dirquant import optimize
+from dirquant import optimize, samplers
+from dirquant.geometry import Dataset, Direction
 from dirquant.optimize import CheckLossProblem, fit_check_loss
 
 TAUS = (0.05, 0.5, 0.9)
@@ -56,6 +59,24 @@ def _close(a, b, rel):
     return np.abs(a - b).max() <= rel * np.abs(b).max()
 
 
+def _chain_start(z, y, tau, weighted):
+    """(theta0, weights) of a chain on the rows z, y: an unconditional
+    chain's, which lends z as its design [y_perp, x, 1], with unit weights
+    (None); or a local-constant conditional chain's, under the Gaussian
+    kernel weights of z's first column about 10 (its mean)."""
+    n, d = z.shape
+    if not weighted:
+        data = Dataset(y=np.zeros((n, 2)), x=np.zeros((n, d - 2)))
+        chain = samplers._unconditional_problem(data, Direction(u=np.array([0.0, 1.0]), tau=tau),
+                                                samplers._vague_prior(d), prepared=(z, y, None))
+        return chain.theta0, None
+    data = Dataset(y=np.zeros((n, d)), x=z[:, 0])
+    design = samplers.ConditionalDesign(kind="local-constant", x0=10.0, regressors=z, k=d, p=1, response=y)
+    chain = samplers._conditional_problem(data, Direction(u=np.eye(d)[-1], tau=tau), design,
+                                          samplers.KernelSpec(bandwidth=6.0), samplers._vague_prior(d))
+    return chain.theta0, chain.weights
+
+
 @pytest.mark.parametrize("d, weighted, tau, n, seed", list(_cases(integer=False)))
 def test_fit_is_the_oracle_vertex(d, weighted, tau, n, seed):
     z, y, w = _problem(n, d, seed, weighted)
@@ -66,6 +87,11 @@ def test_fit_is_the_oracle_vertex(d, weighted, tau, n, seed):
     rows, _ = _vertex_of(z, y, fit.theta)
     assert rows == best.basis
     assert _close(fit.theta, best.theta, 1e-12), (fit.theta, best.theta)
+    # a chain's start on the same rows, with its own weights
+    start, kernel = _chain_start(z, y, tau, weighted)
+    start_best = best if kernel is None else lp_oracle.optimum(z, y, tau, kernel)
+    assert start_best.basis is not None
+    assert _close(start, start_best.theta, 1e-12), (start, start_best.theta)
 
 
 @pytest.mark.parametrize("d, weighted, tau, n, seed", list(_cases(integer=True)))

@@ -79,19 +79,20 @@ class TestOptimalityProperties:
         obj_true = float(np.sum(check_loss(resid_true, 0.2)))
         assert _fit_loss(data, direction, fit) <= obj_true + 1e-9
 
-    def test_smoothing_stages_converge(self, normal_data, diag_direction):
-        # below PREPROCESS_ROWS the schedule's first seven stages follow the
-        # full fit's path, so the losses differ by what the last stage did
-        assert normal_data.n < optimize.PREPROCESS_ROWS
+    def test_smoothing_stages_converge(self, normal_data, diag_direction, monkeypatch):
+        # with no vertex tried, the schedule's first seven stages end within
+        # what the last stage would polish of the certified minimum's loss
+        # (standardized units)
         tau = diag_direction.tau
-        design, y_u = optimize._direction_design(normal_data, diag_direction)
-        problem = optimize.CheckLossProblem(design, y_u)
-        seven = optimize._fit_schedule(problem, tau, constants.SMOOTHING_SCHEDULE[:7])
-        full = optimize.fit_prepared(problem, tau)
+        p = optimize._direction_problem(normal_data, diag_direction)
+        start = optimize._full_start(p)
+        exact, _, ok = optimize._solve(p.zs, p.ys, tau, p.w, constants.SMOOTHING_SCHEDULE, start, p.extent)
+        assert ok
+        monkeypatch.setattr(optimize, "_vertex", lambda *args: None)
         assert len(constants.SMOOTHING_SCHEDULE) == 8
-        seven_loss, full_loss = (float(np.sum(check_loss(y_u - design @ fit.theta, tau)))
-                                 for fit in (seven, full))
-        assert abs(full_loss - seven_loss) < 1e-6 * normal_data.n
+        seven, _, _ = optimize._solve(p.zs, p.ys, tau, p.w, constants.SMOOTHING_SCHEDULE[:7], start, p.extent)
+        seven_loss, exact_loss = (float(np.sum(check_loss(p.ys - p.zs @ theta, tau))) for theta in (seven, exact))
+        assert exact_loss <= seven_loss < exact_loss + 1e-6 * normal_data.n
 
     def test_weighted_fit_tracks_weighted_population(self):
         # weights concentrated near x0 pull the fit toward the local law
@@ -615,79 +616,22 @@ FROZEN_FIT_SHA256 = "f1856e99a1d4ee60f515a3e3ed8e7e5dc796a2ea813a991022f35054c3f
 
 
 class TestChainStarts:
-    """A chain starts from the check-loss fit through the first
-    ``samplers._INIT_STAGES`` stages of the schedule; every frequentist fit
-    runs the whole schedule."""
+    """A chain starts from the check-loss fit every frequentist fit is:
+    ``fit_prepared`` on its direction's problem."""
 
-    @staticmethod
-    def _standardized(problem, theta):
-        """A raw coefficient vector of a design with a constant column, in
-        the problem's standardized units (fit_prepared's map, inverted)."""
-        p, const = problem, problem.const_col
-        out = np.where(const, 0.0, theta * p.col_sd / p.y_sd)
-        j = int(np.flatnonzero(const)[0])
-        shift = np.sum(np.where(const, 0.0, theta * p.col_mu))
-        out[j] = (theta[j] * p.zs[0, j] - p.y_mu + shift) / p.y_sd  # zs keeps the raw constant
-        return out
-
-    @pytest.mark.parametrize("n, median_gap, largest_gap", [(100, 0.01, 0.1), (2000, 0.025, 0.25)])
-    def test_start_lies_near_the_full_fit(self, n, median_gap, largest_gap, monkeypatch):
-        # the largest coefficient gap of each of a 32-direction, 3-tau
-        # contour's starts, times sqrt(n).  At n = 2,000 one or two of the 96
-        # problems lie beyond 0.1 on most star-like samples (0.14 on this one,
-        # at most 0.22 over seeds 1-6), where the loss is flat along the gap
+    @pytest.mark.parametrize("n", [100, 2000, optimize.PREPROCESS_ROWS])
+    def test_start_is_the_fit(self, n):
+        # below and at the preprocessing threshold, at 3 taus x 32
+        # directions; the chain's stacked design and the frequentist fit's
+        # column views give one problem
         data = _star_scores(n, seed=1)
-        schedules = []
-        real = optimize._solve
-
-        def solve(zs, ys, tau, w, schedule, theta=None):
-            schedules.append(schedule)
-            return real(zs, ys, tau, w, schedule, theta)
-
-        monkeypatch.setattr(optimize, "_solve", solve)
-        gaps = []
+        prior = samplers._vague_prior(2)
         for tau in (0.05, 0.2, 0.4):
             for u in unit_directions(32):
                 direction = Direction(u=u, tau=tau)
-                design, y = optimize._direction_design(data, direction)
-                start = samplers._resolve_init(None, design, y, direction, None, None)
-                problem = optimize.CheckLossProblem(design, y)
-                schedules.clear()
-                full = optimize.fit_prepared(problem, tau)
-                assert schedules == [constants.SMOOTHING_SCHEDULE]
-                gap = self._standardized(problem, start) - self._standardized(problem, full.theta)
-                gaps.append(np.max(np.abs(gap)) * np.sqrt(n))
-        assert np.median(gaps) < median_gap
-        assert max(gaps) < largest_gap
-
-    def test_large_start_is_certified_at_its_last_eps(self, monkeypatch):
-        n = optimize.PREPROCESS_ROWS
-        data = _star_scores(n, seed=2)
-        direction = Direction(u=unit_directions(32)[5], tau=0.2)
-        design, y = optimize._direction_design(data, direction)
-        schedules, certified, solved_rows = [], [], []
-        real_pre, real_misplaced, real_solve = optimize._preprocessed_solve, optimize._misplaced, optimize._solve
-
-        def pre(problem, tau, schedule):
-            schedules.append(schedule)
-            return real_pre(problem, tau, schedule)
-
-        def misplaced(r, lower, upper, eps):
-            certified.append((eps, bool(np.all(r[lower] <= -eps) and np.all(r[upper] >= eps))))
-            return real_misplaced(r, lower, upper, eps)
-
-        def solve(zs, *args):
-            solved_rows.append(zs.shape[0])
-            return real_solve(zs, *args)
-
-        monkeypatch.setattr(optimize, "_preprocessed_solve", pre)
-        monkeypatch.setattr(optimize, "_misplaced", misplaced)
-        monkeypatch.setattr(optimize, "_solve", solve)
-        start = samplers._resolve_init(None, design, y, direction, None, None)
-        assert schedules == [constants.SMOOTHING_SCHEDULE[:samplers._INIT_STAGES]] == [(1e-1, 1e-2, 1e-3)]
-        assert certified and certified[-1] == (1e-3, True)
-        assert max(solved_rows) < n  # certified on the reduced rows, no full solve
-        assert np.all(np.isfinite(start)) and start.shape == (2,)  # (beta_y, alpha)
+                start = samplers._unconditional_problem(data, direction, prior).theta0
+                fit = optimize.fit_prepared(optimize._direction_problem(data, direction), tau)
+                assert start.tobytes() == fit.theta.tobytes(), (n, tau, u)
 
     def test_frequentist_fits_keep_their_bytes(self):
         y = np.random.default_rng(16).standard_normal((2000, 2))
@@ -732,10 +676,10 @@ class TestNewtonStage:
         monkeypatch.setattr(optimize, "_vertex", lambda *args: None)
         w = np.ones(3000)
         start = optimize._least_squares(z, y, w)
-        theta, its, ok = optimize._solve(z, y, 0.2, w, constants.SMOOTHING_SCHEDULE, start)
+        theta, its, ok = optimize._solve(z, y, 0.2, w, constants.SMOOTHING_SCHEDULE, start, optimize._extent(z, y))
         assert any(empty)
         monkeypatch.setattr(optimize, "_newton_stage", ref._newton_stage)
-        want = optimize._solve(z, y, 0.2, w, constants.SMOOTHING_SCHEDULE, start)
+        want = optimize._solve(z, y, 0.2, w, constants.SMOOTHING_SCHEDULE, start, optimize._extent(z, y))
         assert theta.tobytes() == want[0].tobytes() and (its, ok) == want[1:]
 
     def test_glob_weights_keep_the_reference_bytes(self):
@@ -760,7 +704,7 @@ class TestNewtonStage:
         theta, f, its, ok = optimize._newton_stage(z, y, 0.3, np.ones(500), np.zeros(2), 0.1)
         assert np.isnan(theta).all() and np.isnan(f) and (its, ok) == (60, False)
         theta, its, ok = optimize._solve(z, y, 0.3, np.ones(500), constants.SMOOTHING_SCHEDULE,
-                                         optimize._least_squares(z, y, np.ones(500)))
+                                         optimize._least_squares(z, y, np.ones(500)), optimize._extent(z, y))
         assert np.isnan(theta).all() and (its, ok) == (60 * len(constants.SMOOTHING_SCHEDULE), False)
 
 

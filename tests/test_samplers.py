@@ -266,14 +266,14 @@ class TestGibbsUnconditional:
         assert widths[1] < widths[0] / 5.0
 
     def test_unconverged_init_fit_warns(self, square_data, vertical_direction, monkeypatch):
-        real_fit = samplers._fit_schedule
+        real_fit = samplers.fit_prepared
 
         def unconverged(*args, **kwargs):
             return dataclasses.replace(real_fit(*args, **kwargs), iterations=7, converged=False)
 
-        monkeypatch.setattr(samplers, "_fit_schedule", unconverged)
-        with pytest.warns(RuntimeWarning, match=r"tau=0\.2, u=\[0\.0, 1\.0\], 7 iterations over the "
-                                                r"smoothing stages eps = 0\.1, 0\.01, 0\.001\)"):
+        monkeypatch.setattr(samplers, "fit_prepared", unconverged)
+        with pytest.warns(RuntimeWarning, match=r"tau=0\.2, u=\[0\.0, 1\.0\], 7 iterations\); "
+                                                r"the chain starts from its last iterate"):
             chain = gibbs_unconditional(square_data, vertical_direction, PRIOR2,
                                         n_draws=20, burn_in=5, seed=1)
         assert chain.draws.shape == (20, 2)  # the chain still runs from that start

@@ -52,20 +52,21 @@ SMALL = ExperimentConfig(
 # (cell, (rmse, bias)) per rmse row, (cell, (rmse,)) per subgradient row.
 # The oracle and the values measured against it follow the 1e5-row oracle
 # fit, the certified vertex of optimize's preprocessed path; the estimates
-# and the subgradient rows do not depend on it.  Chains start from the first samplers._INIT_STAGES stages of the
-# smoothing schedule, and the chain-derived values are those of that start
+# and the subgradient rows do not depend on it.  Chains start from the
+# certified check-loss fit (optimize.fit_prepared), and the chain-derived
+# values are those of that start
 _CELL = {"dgp": 1, "u": (0.0, 1.0), "tau": 0.2}
 FROZEN_RMSE = [
-    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (0.1186213828153105, 0.0904391080855895)),
-    ({**_CELL, "n": 80, "parameter": "alpha"}, (0.048780844496844236, 0.017293387322055133)),
-    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (0.06387211740045022, -0.02363430844314169)),
-    ({**_CELL, "n": 400, "parameter": "alpha"}, (0.012612543844654637, -0.0027732703408598625)),
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (0.11931147219384887, 0.09214527019778243)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (0.04981029573874878, 0.02003600732333044)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (0.06046728941332654, -0.01855936238641564)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (0.01291334615971883, -0.0035230843194600375)),
 ]
 FROZEN_SUBGRAD = [
-    ({**_CELL, "n": 80, "statistic": "subgrad1"}, (0.041926274578121064,)),
-    ({**_CELL, "n": 80, "statistic": "subgrad2_y"}, (0.01276798279454447,)),
-    ({**_CELL, "n": 400, "statistic": "subgrad1"}, (0.014630874888399537,)),
-    ({**_CELL, "n": 400, "statistic": "subgrad2_y"}, (0.002527574487448744,)),
+    ({**_CELL, "n": 80, "statistic": "subgrad1"}, (0.031250000000000014,)),
+    ({**_CELL, "n": 80, "statistic": "subgrad2_y"}, (0.012756447941901908,)),
+    ({**_CELL, "n": 400, "statistic": "subgrad1"}, (0.013750000000000007,)),
+    ({**_CELL, "n": 400, "statistic": "subgrad2_y"}, (0.0025582646008060817,)),
 ]
 # SMALL's conditional rows at 16 replications, frozen from the same pass:
 # (cell, (oracle, rmse, rmse_se, bias)).  From 8 replications on, the bias's
@@ -73,22 +74,22 @@ FROZEN_SUBGRAD = [
 _CONDITIONAL_CELL = {"u": (0.0, 1.0), "tau": 0.2, "x0": 1.0}
 FROZEN_CONDITIONAL = [
     ({**_CONDITIONAL_CELL, "n": 80, "parameter": "alpha"},
-     (-1.5331584317624851, 1.0343950089667262, 0.06354546472951252, -1.0064970209603916)),
+     (-1.5331584317624851, 1.019081237245679, 0.06588245689778546, -0.9880512064415186)),
     ({**_CONDITIONAL_CELL, "n": 80, "parameter": "beta_y_0"},
-     (1.507261625248955, 0.3529455410242837, 0.054747742194734106, -0.16203559973512913)),
+     (1.507261625248955, 0.36964102524517467, 0.058143491287492875, -0.1686934493419583)),
     ({**_CONDITIONAL_CELL, "n": 400, "parameter": "alpha"},
-     (-1.5331584317624851, 0.5609052054239715, 0.03872138111991189, -0.5426345446553055)),
+     (-1.5331584317624851, 0.5608609189347509, 0.04212364648082183, -0.539559575130735)),
     ({**_CONDITIONAL_CELL, "n": 400, "parameter": "beta_y_0"},
-     (1.507261625248955, 0.16601951956982927, 0.020898863411508917, 0.052399784178413705)),
+     (1.507261625248955, 0.17066593433068583, 0.024037076083003234, 0.05914901615695624)),
 ]
 # SMALL's coverage rows, frozen from the same pass, with the score
 # covariance of inference.score_covariance_matrix behind the widths:
 # (cell, (oracle, coverage, naive_coverage, width))
 FROZEN_COVERAGE = [
-    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.003387732176928584, 1.0, 1.0, 0.5558523711611195)),
-    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.2993984167038489, 1.0, 1.0, 0.19691191180669687)),
-    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.003387732176928584, 1.0, 1.0, 0.30596336304473915)),
-    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.2993984167038489, 1.0, 1.0, 0.07181604522772786)),
+    ({**_CELL, "n": 80, "parameter": "beta_y_0"}, (-0.003387732176928584, 1.0, 1.0, 0.5722125687794373)),
+    ({**_CELL, "n": 80, "parameter": "alpha"}, (-0.2993984167038489, 1.0, 1.0, 0.19940276380893596)),
+    ({**_CELL, "n": 400, "parameter": "beta_y_0"}, (-0.003387732176928584, 1.0, 1.0, 0.2900243603284268)),
+    ({**_CELL, "n": 400, "parameter": "alpha"}, (-0.2993984167038489, 1.0, 1.0, 0.07173535735780456)),
 ]
 
 

@@ -94,7 +94,7 @@ def _preparation_counts(monkeypatch, estimator, **kwargs):
     for module in (optimize, contours):
         monkeypatch.setattr(module, "project", counted_project)
     monkeypatch.setattr(contours, "fit_prepared", counting("fit", optimize.fit_prepared))
-    monkeypatch.setattr(samplers, "_fit_schedule", counting("fit", optimize._fit_schedule))
+    monkeypatch.setattr(samplers, "fit_prepared", counting("fit", optimize.fit_prepared))
     polys = tau_contours(data, (0.05, 0.2, 0.4), 32, estimator=estimator, **kwargs)
     assert [poly.tau for poly in polys] == [0.05, 0.2, 0.4]
     return counts
@@ -178,6 +178,31 @@ def test_bad_tau_fails_before_any_fit(estimator, monkeypatch):
         tau_contours(data, (0.2, 1.5), 8, estimator=estimator)
 
 
+def test_bayes_starts_are_the_frequentist_fits(monkeypatch):
+    # a 32-direction, 3-tau Bayes contour's chains start from its
+    # frequentist contour's fits, byte for byte, in the same grid order
+    data = Dataset(y=np.random.default_rng(28).standard_normal((2000, 2)) @ np.array([[1.0, 0.3], [0.0, 0.7]]))
+    taus = (0.05, 0.2, 0.4)
+    starts, fits = [], []
+    real_chains, real_fit = contours._isolated_chains, contours.fit_prepared
+
+    def chains(problems, *args):
+        starts.extend(problem.theta0.tobytes() for problem in problems)
+        return real_chains(problems, *args)
+
+    def fit(*args):
+        result = real_fit(*args)
+        fits.append(result.theta.tobytes())
+        return result
+
+    monkeypatch.setattr(contours, "_isolated_chains", chains)
+    monkeypatch.setattr(contours, "fit_prepared", fit)
+    tau_contours(data, taus, 32, n_draws=20, burn_in=5, seed=3)
+    tau_contours(data, taus, 32, estimator="frequentist")
+    assert len(starts) == len(fits) == 96
+    assert starts == fits
+
+
 # sha256 over the vertex bytes of the 3 taus' frequentist polygons (8
 # directions on the 1e5 scores, 16 on the 2e3 normal sample), as the code
 # that ends every full-schedule fit at its certified vertex gave them
@@ -202,10 +227,11 @@ def test_frequentist_polygons_keep_their_bytes(name, scores):
 
 # sha256 over the vertex bytes of a 3-tau, 8-direction Bayes contour set, and
 # over its 24 chains' draws (sorted byte strings), as the code gave them when
-# each (tau, direction) chain drew its own random stream
+# each (tau, direction) chain drew its own random stream, with every chain
+# started at the certified check-loss fit
 FROZEN_BAYES_SHA256 = {
-    "polygons": "99234f0f043f54ab89dc9f4cf260dc5da0e869add49d5ad35f2b9e3a0fbcd630",
-    "chains": "86cd2c0792bd794b7f9d331696a7f36bf24aa4da5ed8f26934c65cdc89d92761",
+    "polygons": "a4284c3aa529ddea34de4989f789599389a1139d9be6c529b165c007fc054b73",
+    "chains": "942d07efefea0b7e7f357f59ec539cb5e24384cee1446fb2ab5f514693086802",
 }
 
 
@@ -230,10 +256,10 @@ def test_bayes_polygons_and_chains_keep_their_bytes(monkeypatch):
 
 # sha256 over the vertex bytes of a 2-tau x 2-x0 tube grid, 8 directions, one
 # digest per design, slices in [tau][x0] order, as one ``tube_slice`` call per
-# slice gave them
+# slice gave them, with every chain started at the certified check-loss fit
 FROZEN_TUBE_SHA256 = {
-    "local-constant": "471ca0b4e6db35c2f9cb40be681421429724f6631055253ece0fd1deea3f1e2b",
-    "local-bilinear": "091d56e0ab4d11f8b5b740bebee7ead97daa96e4d63dffe4ea4256ed2cb32de0",
+    "local-constant": "7279ce72e46e7413b4e7aadb8a395a7c0fc553e71889d9f9a27f343aa6164afc",
+    "local-bilinear": "1cb33ff6d540923c1e60b48ada47532bb3c8a5d8ad4e5f2d8564e8c793c2e2df",
 }
 
 
